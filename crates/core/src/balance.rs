@@ -13,7 +13,7 @@
 //! mirrors that: iterative removal of paths crossing over-used links,
 //! never shrinking a pair below a configured diversity floor.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 use tugal_routing::PathTable;
 use tugal_topology::{ChannelKind, Dragonfly, SwitchId};
 
@@ -83,6 +83,11 @@ pub struct BalanceReport {
 pub fn adjust_local(table: &mut PathTable, topo: &Dragonfly, opts: &BalanceOptions) -> usize {
     let n = table.num_switches();
     let mut removed = 0;
+    // usage[position][channel] over one pair's candidates, and the
+    // channels each position touched (for the mean and the reset).
+    let n_chan = topo.num_network_channels();
+    let mut usage = [vec![0u32; n_chan], vec![0u32; n_chan]];
+    let mut seen: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
     for s in 0..n as u32 {
         for d in 0..n as u32 {
             if s == d {
@@ -94,32 +99,43 @@ pub fn adjust_local(table: &mut PathTable, topo: &Dragonfly, opts: &BalanceOptio
                 if pair.vlb.len() <= floor {
                     break;
                 }
-                // usage[position][channel] over the pair's candidates.
-                let mut usage: [HashMap<u32, usize>; 2] = [HashMap::new(), HashMap::new()];
                 for p in &pair.vlb {
                     let mut gpos = 0;
                     for i in 0..p.hops() {
                         if p.hop_kind(topo, i) == ChannelKind::Global {
                             if gpos < 2 {
-                                *usage[gpos].entry(p.channel_at(topo, i).0).or_default() += 1;
+                                let ch = p.channel_at(topo, i).0;
+                                if usage[gpos][ch as usize] == 0 {
+                                    seen[gpos].push(ch);
+                                }
+                                usage[gpos][ch as usize] += 1;
                             }
                             gpos += 1;
                         }
                     }
                 }
-                // Hottest offending (position, channel).
+                // Hottest offending (position, channel).  Equal ratios
+                // go to the lower position, then the lower channel id, so
+                // the choice is the same in every process.
                 let mut hot: Option<(usize, u32, f64)> = None;
-                for (pos, u) in usage.iter().enumerate() {
-                    if u.len() < 2 {
-                        continue;
-                    }
-                    let mean = u.values().sum::<usize>() as f64 / u.len() as f64;
-                    for (&ch, &cnt) in u {
+                for (pos, (u, chans)) in usage.iter_mut().zip(&mut seen).enumerate() {
+                    if chans.len() >= 2 {
+                        let total: u32 = chans.iter().map(|&c| u[c as usize]).sum();
+                        let mean = total as f64 / chans.len() as f64;
+                        let (cnt, Reverse(ch)) = chans
+                            .iter()
+                            .map(|&c| (u[c as usize], Reverse(c)))
+                            .max()
+                            .expect("at least two channels");
                         let ratio = cnt as f64 / mean;
                         if ratio > opts.local_ratio && hot.is_none_or(|(_, _, r)| ratio > r) {
                             hot = Some((pos, ch, ratio));
                         }
                     }
+                    for &c in chans.iter() {
+                        u[c as usize] = 0;
+                    }
+                    chans.clear();
                 }
                 let Some((pos, hot_ch, _)) = hot else { break };
                 let before = pair.vlb.len();
@@ -381,6 +397,38 @@ mod tests {
             report.removed_local + report.removed_global > 0,
             "{report:?}"
         );
+    }
+
+    #[test]
+    fn adjustment_is_deterministic() {
+        // Equal usage ratios are common (many channels carry the same
+        // count), so the hottest-channel tie-break decides which paths go.
+        let t = topo();
+        let table = PathTable::build_with_rule(
+            &t,
+            VlbRule::ClassLimit {
+                max_hops: 5,
+                frac_next: 0.5,
+            },
+            11,
+        );
+        let opts = BalanceOptions {
+            local_ratio: 1.05,
+            global_ratio: 1.05,
+            min_paths_per_pair: 2,
+            max_removed_frac: 1.0,
+            max_rounds: 4,
+        };
+        let (mut a, mut b) = (table.clone(), table);
+        let (ra, rb) = (adjust(&mut a, &t, &opts), adjust(&mut b, &t, &opts));
+        assert!(ra.removed_local > 0, "{ra:?}");
+        assert_eq!(ra, rb);
+        for s in 0..t.num_switches() as u32 {
+            for d in 0..t.num_switches() as u32 {
+                let (s, d) = (SwitchId(s), SwitchId(d));
+                assert_eq!(a.pair(s, d).vlb, b.pair(s, d).vlb, "pair ({s:?},{d:?})");
+            }
+        }
     }
 
     #[test]

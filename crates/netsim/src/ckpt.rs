@@ -22,16 +22,18 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::engine::{Packet, ShardState, Stats, EPH_BIT};
+use crate::engine::{Packet, ShardState, Stats};
 use crate::journal::Fnv1a;
 use serde::{Deserialize, Serialize};
-use tugal_routing::Path;
+use tugal_routing::{Path, MAX_HOPS};
 use tugal_topology::SwitchId;
 
 /// File magic: "TUGALCK" + format version byte.
 const MAGIC: &[u8; 8] = b"TUGALCK\x01";
-/// Payload-level format version (bumped on any layout change).
-const VERSION: u32 = 1;
+/// Payload-level format version (bumped on any layout change).  A file of
+/// another version is skipped like any other invalid candidate, so the run
+/// falls back to an older file or a cold start.
+const VERSION: u32 = 2;
 /// Checkpoints retained per `(dir, stem)`: the newest plus one fallback.
 const KEEP: usize = 2;
 /// Default write cadence in cycles when `TUGAL_CKPT_EVERY` is unset.
@@ -316,14 +318,6 @@ impl<'a> Dec<'a> {
 // Serialized state records.
 // ---------------------------------------------------------------------------
 
-/// A live packet's route: interned `PathStore` id, or the switch sequence
-/// of an ephemeral (fault-rerouted) path, rebuilt on restore.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum PathRec {
-    Interned(u32),
-    Eph(Vec<u32>),
-}
-
 /// One live packet, with its route made pool-independent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PkRec {
@@ -339,21 +333,12 @@ pub(crate) struct PkRec {
     pub(crate) flags: u8,
     pub(crate) out_chan: u32,
     pub(crate) out_vc: u8,
-    pub(crate) path: PathRec,
+    /// The packet's own copy of its route (stored as its switch sequence).
+    pub(crate) path: Path,
 }
 
 impl PkRec {
-    pub(crate) fn capture(p: &Packet, eph_paths: &[Path]) -> Self {
-        let path = if p.path_id & EPH_BIT != 0 {
-            PathRec::Eph(
-                eph_paths[(p.path_id & !EPH_BIT) as usize]
-                    .switches()
-                    .map(|s| s.0)
-                    .collect(),
-            )
-        } else {
-            PathRec::Interned(p.path_id)
-        };
+    pub(crate) fn capture(p: &Packet, path: &Path) -> Self {
         PkRec {
             dst_node: p.dst_node,
             src_node: p.src_node,
@@ -367,7 +352,7 @@ impl PkRec {
             flags: p.flags,
             out_chan: p.out_chan,
             out_vc: p.out_vc,
-            path,
+            path: *path,
         }
     }
 
@@ -384,18 +369,9 @@ impl PkRec {
         e.u8(self.flags);
         e.u32(self.out_chan);
         e.u8(self.out_vc);
-        match &self.path {
-            PathRec::Interned(id) => {
-                e.u8(0);
-                e.u32(*id);
-            }
-            PathRec::Eph(sw) => {
-                e.u8(1);
-                e.u8(sw.len() as u8);
-                for &s in sw {
-                    e.u32(s);
-                }
-            }
+        e.u8(self.path.hops() as u8 + 1);
+        for s in self.path.switches() {
+            e.u32(s.0);
         }
     }
 
@@ -412,21 +388,18 @@ impl PkRec {
         let flags = d.u8()?;
         let out_chan = d.u32()?;
         let out_vc = d.u8()?;
-        let path = match d.u8()? {
-            0 => PathRec::Interned(d.u32()?),
-            1 => {
-                let n = d.u8()? as usize;
-                if n == 0 {
-                    return Err("empty ephemeral path".to_string());
-                }
-                let mut sw = Vec::with_capacity(n);
-                for _ in 0..n {
-                    sw.push(d.u32()?);
-                }
-                PathRec::Eph(sw)
+        let n = d.u8()? as usize;
+        if n == 0 || n > MAX_HOPS + 1 {
+            return Err(format!("bad path length {n}"));
+        }
+        let mut sw = [SwitchId(0); MAX_HOPS + 1];
+        for s in &mut sw[..n] {
+            *s = SwitchId(d.u32()?);
+            if s.0 > u16::MAX as u32 {
+                return Err(format!("path switch {} out of range", s.0));
             }
-            t => return Err(format!("bad path tag {t}")),
-        };
+        }
+        let path = Path::from_switches(&sw[..n]);
         Ok(PkRec {
             dst_node,
             src_node,
@@ -999,18 +972,10 @@ impl ResumeCtx {
 pub(crate) fn apply_shard(ck: &Checkpoint, st: &mut ShardState, ring_mask: u64) {
     fn alloc_rec(st: &mut ShardState, rec: &PkRec) -> u32 {
         let pi = st.packets.len() as u32;
-        let (path_id, path) = match &rec.path {
-            PathRec::Interned(id) => (*id, Path::default()),
-            PathRec::Eph(sw) => {
-                let sw: Vec<SwitchId> = sw.iter().map(|&s| SwitchId(s)).collect();
-                (EPH_BIT | pi, Path::from_switches(&sw))
-            }
-        };
         st.packets.push(Packet {
             dst_node: rec.dst_node,
             src_node: rec.src_node,
             birth: rec.birth,
-            path_id,
             hop: rec.hop,
             cur_vc: rec.cur_vc,
             cur_chan: rec.cur_chan,
@@ -1021,7 +986,7 @@ pub(crate) fn apply_shard(ck: &Checkpoint, st: &mut ShardState, ring_mask: u64) 
             out_chan: rec.out_chan,
             out_vc: rec.out_vc,
         });
-        st.eph_paths.push(path);
+        st.paths.push(rec.path);
         st.next_pkt.push(u32::MAX);
         pi
     }
@@ -1329,7 +1294,9 @@ mod tests {
     }
 
     fn sample_checkpoint(next_cycle: u64) -> Checkpoint {
-        let pk = |chan: u32, path: PathRec| PkRec {
+        let path =
+            |sw: &[u32]| Path::from_switches(&sw.iter().map(|&s| SwitchId(s)).collect::<Vec<_>>());
+        let pk = |chan: u32, path: Path| PkRec {
             dst_node: 7,
             src_node: 3,
             birth: 41,
@@ -1360,9 +1327,9 @@ mod tests {
             next_event: 1,
             stats: StatsSnap::pack(&stats),
             rngs: vec![(0, [1, 2, 3, 4]), (1, [5, 6, 7, 8])],
-            staging: vec![(2, vec![pk(2, PathRec::Interned(11))])],
-            inbufs: vec![(9, vec![pk(1, PathRec::Eph(vec![0, 4, 5]))])],
-            arrivals: vec![(next_cycle + 3, pk(5, PathRec::Interned(0)))],
+            staging: vec![(2, vec![pk(2, path(&[2, 3, 7]))])],
+            inbufs: vec![(9, vec![pk(1, path(&[0, 4, 5]))])],
+            arrivals: vec![(next_cycle + 3, pk(5, path(&[6])))],
             credit_events: vec![(next_cycle + 1, 13), (next_cycle + 1, 13)],
             chan_send: vec![ChanSend {
                 ch: 2,
@@ -1406,6 +1373,14 @@ mod tests {
         let back = Checkpoint::decode(&payload).unwrap();
         assert_eq!(back, ck);
         assert_eq!(back.encode(), payload);
+    }
+
+    #[test]
+    fn decode_rejects_version_1_payloads() {
+        let mut payload = sample_checkpoint(200).encode();
+        payload[..4].copy_from_slice(&1u32.to_le_bytes());
+        let err = Checkpoint::decode(&payload).unwrap_err();
+        assert!(err.contains("version 1"), "{err}");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 use super::observer::SimObserver;
 use super::profile::EngineProfiler;
 use super::state::Packet;
-use super::{Engine, Msg, EPH_BIT, F_REVISABLE, F_ROUTED, SOURCE_QUEUE_CAP};
+use super::{Engine, Msg, F_REVISABLE, F_ROUTED, SOURCE_QUEUE_CAP};
 use rand::Rng;
-use tugal_routing::{Path, PathRef};
+use tugal_routing::Path;
 use tugal_topology::NodeId;
 
 impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
@@ -56,7 +56,6 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
                 dst_node: dst.0,
                 src_node: n,
                 birth: self.now,
-                path_id: 0, // placeholder; set right below
                 hop: 0,
                 cur_vc: 0,
                 cur_chan: inj as u32,
@@ -68,12 +67,10 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
                 out_vc: u8::MAX,
             });
             // Pre-routing placeholder: the zero-hop path at the source
-            // switch (never read by the engine — `route` runs before any
-            // hop — but keeps `packet_path` total).
-            self.set_packet_path(
-                pi,
-                PathRef::Owned(Path::single(topo.switch_of_node(NodeId(n)))),
-            );
+            // switch.  The engine never reads it (`route` runs before any
+            // hop), but a checkpoint records it, and a recycled slot's
+            // stale route would make that record depend on pool layout.
+            self.ws.paths[pi as usize] = Path::single(topo.switch_of_node(NodeId(n)));
             self.ws.stg_push(inj, pi);
             if !self.ws.in_busy[inj] {
                 self.ws.in_busy[inj] = true;
@@ -238,19 +235,12 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
                 if let Some(pi) = self.ws.stg_pop(ch) {
                     let due = self.now + self.ws.latency[ch] as u64;
                     if ch < self.n_network && !self.ws.owns_recv[ch] {
-                        let pkt = self.ws.packets[pi as usize];
-                        // Ephemeral paths live in this shard's slab; ship a
-                        // copy so the receiver can re-home it.  (Interned
-                        // ids resolve anywhere — the placeholder is unread.)
-                        let path = if pkt.path_id & EPH_BIT != 0 {
-                            self.ws.eph_paths[pi as usize]
-                        } else {
-                            Path::default()
-                        };
+                        // The route lives in this shard's slab; ship a copy
+                        // with the packet.
                         self.outbox[self.ws.dst_shard[ch] as usize].push(Msg::Flit {
                             due,
-                            pkt,
-                            path,
+                            pkt: self.ws.packets[pi as usize],
+                            path: self.ws.paths[pi as usize],
                         });
                         self.free_packet(pi);
                         self.sent += 1;

@@ -72,7 +72,7 @@ pub(crate) use state::{Packet, ShardState};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Barrier, Mutex};
-use tugal_routing::{Path, PathId, PathProvider, PathRef, PathStore};
+use tugal_routing::{Path, PathProvider, PathRef};
 use tugal_topology::Dragonfly;
 use tugal_traffic::TrafficPattern;
 use watchdog::StallPartial;
@@ -91,11 +91,6 @@ pub(crate) const F_ROUTED: u8 = 1;
 pub(crate) const F_REVISABLE: u8 = 2;
 pub(crate) const F_VLB: u8 = 4;
 
-/// Tag bit of `Packet::path_id`: set when the path lives in the packet's
-/// `ShardState::eph_paths` slot instead of the provider's interned
-/// arena (see `Engine::set_packet_path`).
-pub(crate) const EPH_BIT: u32 = 1 << 31;
-
 /// Weyl-sequence multiplier mixing the group index into the run seed:
 /// every dragonfly group draws from its own `SmallRng` stream, so the RNG
 /// consumption of one group is independent of how many shards execute the
@@ -111,8 +106,8 @@ fn group_rng(seed: u64, group: u32) -> SmallRng {
 /// sending switch.
 pub(crate) enum Msg {
     /// A flit that finished its wire traversal into another shard's
-    /// switch: arrives at absolute cycle `due`.  The path rides along so
-    /// ephemeral (non-interned) routes survive the pool handoff.
+    /// switch: arrives at absolute cycle `due`.  The packet's route rides
+    /// along into the receiver's `ShardState::paths` slab.
     Flit { due: u64, pkt: Packet, path: Path },
     /// A credit for buffer index `idx` (channel * V + vc), due at absolute
     /// cycle `due` on the sender shard's credit calendar.
@@ -654,10 +649,6 @@ pub(crate) struct Engine<'a, O: SimObserver, P: EngineProfiler> {
     /// upstream is the source queue).
     pub(crate) n_network: usize,
     pub(crate) stats: Stats,
-    /// The provider's interned arena, resolved once at construction so
-    /// `packet_path` — called on every routing decision and next-hop miss —
-    /// skips the virtual `resolve` dispatch.
-    store: Option<&'a PathStore>,
     /// True when a non-empty fault schedule is attached; every fault code
     /// path is behind this flag, so fault-free runs stay bit-identical.
     pub(crate) fault_on: bool,
@@ -743,7 +734,6 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
             ring_mask: SimWorkspace::ring_size_for(cfg) as u64 - 1,
             n_network: sim.topo.num_network_channels(),
             stats,
-            store: sim.provider.path_store(),
             fault_on: sim.faults.as_ref().is_some_and(|f| !f.is_empty()),
             next_event: resume.map_or(0, |r| r.next_event as usize),
             shared,
@@ -772,40 +762,28 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
             i
         } else {
             self.ws.packets.push(p);
-            // The ephemeral-path slab and FIFO-link array stay parallel to
-            // the pool; the new slots' contents are filled before use.
-            self.ws.eph_paths.push(Path::default());
+            // The route slab and FIFO-link array stay parallel to the
+            // pool; the new slots' contents are filled before use.
+            self.ws.paths.push(Path::default());
             self.ws.next_pkt.push(u32::MAX);
             (self.ws.packets.len() - 1) as u32
         }
     }
 
-    /// The packet's current source route, resolved from the provider's
-    /// interned arena or the packet's ephemeral slot.
+    /// The packet's current source route (its slot in the route slab).
     #[inline]
     pub(crate) fn packet_path(&self, pi: u32) -> &Path {
-        let id = self.ws.packets[pi as usize].path_id;
-        if id & EPH_BIT != 0 {
-            &self.ws.eph_paths[(id & !EPH_BIT) as usize]
-        } else if let Some(store) = self.store {
-            store.get(PathId(id))
-        } else {
-            self.sim.provider.resolve(PathId(id))
-        }
+        &self.ws.paths[pi as usize]
     }
 
-    /// Points the packet at a freshly sampled candidate: interned draws
-    /// store only the arena id; owned draws are copied into the packet's
-    /// ephemeral slot.
+    /// Copies a freshly sampled candidate into the packet's route slot,
+    /// interned or owned alike.  The draw has just loaded the candidate,
+    /// so the 18-byte copy is nearly free; from here on every per-hop
+    /// read stays in the slab instead of dereferencing the provider's
+    /// arena at a random index.
     #[inline]
     pub(crate) fn set_packet_path(&mut self, pi: u32, path: PathRef<'_>) {
-        self.ws.packets[pi as usize].path_id = match path {
-            PathRef::Interned(id, _) => id.0,
-            PathRef::Owned(p) => {
-                self.ws.eph_paths[pi as usize] = p;
-                EPH_BIT | pi
-            }
-        };
+        self.ws.paths[pi as usize] = *path.path();
     }
 
     pub(crate) fn free_packet(&mut self, i: u32) {
@@ -990,14 +968,8 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
                     match msg {
                         Msg::Flit { due, pkt, path } => {
                             self.prof.flit_recv();
-                            let eph = pkt.path_id & EPH_BIT != 0;
                             let pi = self.alloc_packet(pkt);
-                            if eph {
-                                // Re-home the ephemeral path into this
-                                // shard's slab and retag the packet.
-                                self.ws.eph_paths[pi as usize] = path;
-                                self.ws.packets[pi as usize].path_id = EPH_BIT | pi;
-                            }
+                            self.ws.paths[pi as usize] = path;
                             self.recv += 1;
                             self.ws.arrivals[(due & self.ring_mask) as usize].push(pi);
                         }
@@ -1079,10 +1051,7 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
                     let mut recs = Vec::with_capacity(self.ws.stg_len[ch] as usize);
                     let mut pi = self.ws.stg_head[ch];
                     while pi != u32::MAX {
-                        recs.push(ckpt::PkRec::capture(
-                            &self.ws.packets[pi as usize],
-                            &self.ws.eph_paths,
-                        ));
+                        recs.push(self.pk_rec(pi));
                         pi = self.ws.next_pkt[pi as usize];
                     }
                     d.staging.push((ch as u32, recs));
@@ -1112,10 +1081,7 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
                     if pi != u32::MAX {
                         let mut recs = Vec::new();
                         while pi != u32::MAX {
-                            recs.push(ckpt::PkRec::capture(
-                                &self.ws.packets[pi as usize],
-                                &self.ws.eph_paths,
-                            ));
+                            recs.push(self.pk_rec(pi));
                             pi = self.ws.next_pkt[pi as usize];
                         }
                         d.inbufs.push((idx as u32, recs));
@@ -1133,10 +1099,8 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
             }
             let due = base + ((slot as u64).wrapping_sub(base) & self.ring_mask);
             for &pi in pis {
-                let p = &self.ws.packets[pi as usize];
-                debug_assert!(self.ws.owns_recv[p.cur_chan as usize]);
-                d.arrivals
-                    .push((due, ckpt::PkRec::capture(p, &self.ws.eph_paths)));
+                debug_assert!(self.ws.owns_recv[self.ws.packets[pi as usize].cur_chan as usize]);
+                d.arrivals.push((due, self.pk_rec(pi)));
             }
         }
         for (slot, idxs) in self.ws.credit_ring.iter().enumerate() {
@@ -1167,6 +1131,11 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
                 .collect();
         }
         d
+    }
+
+    /// Pool-independent checkpoint record of live packet `pi`.
+    fn pk_rec(&self, pi: u32) -> ckpt::PkRec {
+        ckpt::PkRec::capture(&self.ws.packets[pi as usize], self.packet_path(pi))
     }
 
     /// Flushes this cycle's outgoing batches, stamped with the current
@@ -1411,11 +1380,25 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
         // 2. Arrivals, in canonical (channel) order: a channel delivers at
         // most one flit per cycle, so `cur_chan` totally orders the slot.
         // Slot insertion order differs between shard counts (mailbox
-        // drains vs. local transmit order); the sort erases that.
+        // drains vs. local transmit order); the sort erases that.  The
+        // sort runs on packed `cur_chan << 32 | packet` keys, so comparing
+        // two entries needs no packet load; the keys are unique, so the
+        // order is the same as sorting the packets by channel.
         let mut arrived = std::mem::take(&mut self.ws.arrival_scratch);
         std::mem::swap(&mut arrived, &mut self.ws.arrivals[slot]);
-        arrived.sort_unstable_by_key(|&pi| self.ws.packets[pi as usize].cur_chan);
-        for &pi in &arrived {
+        let mut keys = std::mem::take(&mut self.ws.arrival_keys);
+        keys.extend(
+            arrived
+                .iter()
+                .map(|&pi| (self.ws.packets[pi as usize].cur_chan as u64) << 32 | pi as u64),
+        );
+        keys.sort_unstable();
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] >> 32 < w[1] >> 32),
+            "two flits arrived on one channel in one cycle"
+        );
+        for &key in &keys {
+            let pi = key as u32;
             let p = &self.ws.packets[pi as usize];
             let ch = p.cur_chan as usize;
             let cur_vc = p.cur_vc;
@@ -1442,6 +1425,8 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
         }
         arrived.clear();
         self.ws.arrival_scratch = arrived;
+        keys.clear();
+        self.ws.arrival_keys = keys;
         self.prof.mark(profile::Phase::Advance);
 
         // 3. Injection.

@@ -3,10 +3,11 @@
 //!
 //! All candidate draws go through the provider's *borrowed* sampling
 //! (`sample_min_ref`/`sample_vlb_ref`): table-backed providers hand out
-//! arena borrows and the packet stores the arena id, so the steady-state
-//! decision allocates nothing and copies no paths.  The owned and borrowed
-//! sampling forms are RNG-equivalent by the `PathProvider` contract, which
-//! keeps the golden fixtures bit-for-bit.
+//! arena borrows, so comparing candidates copies nothing and the decision
+//! allocates nothing.  Only the chosen candidate is copied, once, into the
+//! packet's route slot.  The owned and borrowed sampling forms are
+//! RNG-equivalent by the `PathProvider` contract, which keeps the golden
+//! fixtures bit-for-bit.
 
 use super::observer::SimObserver;
 use super::profile::EngineProfiler;

@@ -51,7 +51,9 @@ use tugal_routing::Path;
 use tugal_topology::{ChannelKind, Dragonfly, Endpoint};
 
 /// A packet in flight (single-flit, as the paper uses).  `Copy`, so a
-/// boundary handoff to another shard's mailbox is a plain 40-byte move.
+/// boundary handoff to another shard's mailbox is a plain move.  The
+/// packet's source route is not stored here but in its slot of
+/// [`ShardState::paths`], which the hop fields below refer to.
 #[derive(Clone, Copy)]
 pub(crate) struct Packet {
     pub(crate) dst_node: u32,
@@ -59,14 +61,6 @@ pub(crate) struct Packet {
     /// packet mid-network).
     pub(crate) src_node: u32,
     pub(crate) birth: u64,
-    /// The packet's source route, by reference: either a
-    /// [`tugal_routing::PathId`] into the provider's interned arena, or —
-    /// when the `EPH_BIT` tag is set —
-    /// the packet's slot in [`ShardState::eph_paths`], holding a path
-    /// that was composed per draw (rule-based providers, fault-reroute
-    /// sentinels, the pre-routing placeholder).  Resolved through
-    /// `Engine::packet_path`.
-    pub(crate) path_id: u32,
     /// Index of the next hop to take on the packet's path.
     pub(crate) hop: u8,
     /// VC the packet occupies on its current channel.
@@ -148,11 +142,13 @@ pub(crate) struct ShardState {
     // ---- Packet pool ----
     pub(crate) packets: Vec<Packet>,
     pub(crate) free: Vec<u32>,
-    /// Ephemeral path storage, parallel to `packets`: slot `i` holds the
-    /// path of packet `i` whenever its `path_id` carries the ephemeral
-    /// tag (paths not interned in the provider's arena).  Slots of
-    /// interned-path packets are stale and never read.
-    pub(crate) eph_paths: Vec<Path>,
+    /// Route storage, parallel to `packets`: slot `i` holds a copy of the
+    /// path packet `i` currently follows (the pre-routing placeholder, the
+    /// routing draw, a PAR revision or a fault reroute).  Every routing
+    /// draw copies its candidate here, so the per-hop work never reads
+    /// the provider's arena, whose random-index loads miss cache on
+    /// paper-scale tables.  Stale for free pool slots.
+    pub(crate) paths: Vec<Path>,
     /// Intrusive FIFO links, parallel to `packets`: the next packet in
     /// whichever queue (staging or input buffer) packet `i` currently
     /// waits in; `u32::MAX` terminates a list.  Stale for packets not in
@@ -216,6 +212,10 @@ pub(crate) struct ShardState {
     /// capacity circulates instead of being dropped and reallocated.
     pub(crate) arrival_scratch: Vec<u32>,
     pub(crate) credit_scratch: Vec<u32>,
+    /// Sort keys of the due arrival slot, `cur_chan << 32 | packet`:
+    /// sorting packed keys orders the slot by channel without an
+    /// indirect packet load per comparison (see `Engine::step`).
+    pub(crate) arrival_keys: Vec<u64>,
 
     /// Flits sent per channel during the run (utilization statistic; only
     /// send-owned channels count, so the per-shard vectors sum disjointly
@@ -313,7 +313,7 @@ impl ShardState {
     fn reset(&mut self, topo: &Dragonfly, cfg: &Config, id: usize, n_shards: usize) {
         self.packets.clear();
         self.free.clear();
-        self.eph_paths.clear();
+        self.paths.clear();
         self.next_pkt.clear();
         self.busy_list.clear();
         self.stg_head.fill(u32::MAX);
@@ -341,6 +341,7 @@ impl ShardState {
         }
         self.arrival_scratch.clear();
         self.credit_scratch.clear();
+        self.arrival_keys.clear();
         self.chan_flits.fill(0);
         self.chan_dead.fill(false);
         self.switch_dead.fill(false);
@@ -398,7 +399,7 @@ impl ShardState {
     fn resize(&mut self, s: &Shape) {
         self.packets = Vec::new();
         self.free = Vec::new();
-        self.eph_paths = Vec::new();
+        self.paths = Vec::new();
         self.next_pkt = Vec::new();
         self.latency = Vec::with_capacity(s.n_chan);
         self.stg_head = vec![u32::MAX; s.n_chan];
@@ -428,6 +429,7 @@ impl ShardState {
         self.credit_ring = vec![Vec::new(); s.ring_size];
         self.arrival_scratch = Vec::new();
         self.credit_scratch = Vec::new();
+        self.arrival_keys = Vec::new();
         self.chan_flits = vec![0; s.n_chan];
         self.chan_dead = vec![false; s.n_chan];
         self.switch_dead = vec![false; s.n_switches];

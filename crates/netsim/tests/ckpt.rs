@@ -120,8 +120,8 @@ impl Fixture {
         if self.faulted {
             // A mid-run switch death plus global-link attrition, applied
             // before the emulated kill so the checkpoint carries dead
-            // masks, rerouted (ephemeral-path) packets and an advanced
-            // fault cursor.
+            // masks, fault-rerouted packets and an advanced fault
+            // cursor.
             let mut fs = tugal_topology::FaultSet::sample_global_links(&topo, 0.05, 0xBEEF);
             fs.fail_switch(tugal_topology::SwitchId(5));
             sim.with_faults(tugal_netsim::FaultSchedule::at(1000, fs))
@@ -260,6 +260,65 @@ fn corrupt_checkpoints_fall_back_and_never_diverge() {
         .ckpt(&dir, 600)
         .run(0.15);
     assert_eq!(resumed, golden, "cold-start fallback diverged");
+}
+
+/// Records the first cycle it sees: 0 for a cold start, the checkpoint's
+/// resume cycle for a restored run.  Snapshots as empty, so checkpointing
+/// stays enabled.
+#[derive(Default)]
+struct FirstCycle(Option<u64>);
+
+impl SimObserver for FirstCycle {
+    fn on_cycle(&mut self, now: u64) {
+        self.0.get_or_insert(now);
+    }
+
+    fn snapshot(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+}
+
+/// `fixtures/ckpt_v1.ckpt` is a version-1 checkpoint, written by the
+/// engine before packets owned their routes (its packet records may name
+/// a route by arena id).  It was taken at the end of cycle 100 of the
+/// adversarial UGAL-L fixture at rate 0.05 with `every = 100`.  A
+/// version-2 reader must skip it like a corrupt file, and the run must
+/// cold-start to the uninterrupted result.
+#[test]
+fn version_1_checkpoint_is_skipped_and_the_run_cold_starts() {
+    const RATE: f64 = 0.05;
+    let v1: &[u8] = include_bytes!("fixtures/ckpt_v1.ckpt");
+    assert_eq!(&v1[..7], b"TUGALCK");
+    assert_eq!(v1[24..28], 1u32.to_le_bytes(), "fixture is not version 1");
+
+    // The fixture matches this run in everything but the version: a
+    // version-2 checkpoint of the same run carries the same fingerprint.
+    let v2_dir = tmp_dir("ckpt_v1_reference");
+    let _ = Fixture::new(RoutingAlgorithm::UgalL, true)
+        .ckpt(&v2_dir, 100)
+        .killed_at(150)
+        .run(RATE);
+    let v2 = std::fs::read(v2_dir.join(&ckpt_files(&v2_dir)[0])).unwrap();
+    assert_eq!(v2[24..28], 2u32.to_le_bytes());
+    assert_eq!(v1[28..36], v2[28..36], "fixture fingerprint differs");
+
+    let golden = Fixture::new(RoutingAlgorithm::UgalL, true).run(RATE);
+    let resume_from = |dir: &std::path::Path| {
+        let mut first = FirstCycle::default();
+        let r = Fixture::new(RoutingAlgorithm::UgalL, true)
+            .ckpt(dir, 600)
+            .build()
+            .run_observed(RATE, &mut SimWorkspace::new(), &mut first);
+        (first.0, format!("{r:?}"))
+    };
+    // The observer tells a restore from a cold start.
+    assert_eq!(resume_from(&v2_dir), (Some(101), golden.clone()));
+
+    let dir = tmp_dir("ckpt_v1_skipped");
+    std::fs::write(dir.join("run.00000000000000000101.ckpt"), v1).unwrap();
+    let (first, resumed) = resume_from(&dir);
+    assert_eq!(first, Some(0), "the version-1 checkpoint was restored");
+    assert_eq!(resumed, golden, "cold start diverged");
 }
 
 /// Order-sensitive observer with no `snapshot` override: configuring a

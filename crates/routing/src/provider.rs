@@ -24,9 +24,9 @@ use tugal_topology::{Dragonfly, GroupId, SwitchId};
 ///
 /// The `sample_*_ref` methods are the allocation-free form of the same
 /// draws: a provider backed by an interned [`PathStore`] returns
-/// [`PathRef::Interned`] borrows of its arena, and the engine stores the
-/// [`PathId`] instead of copying the path into the packet.  The contract is
-/// strict: for any RNG state, `sample_min(s, d, rng)` and
+/// [`PathRef::Interned`] borrows of its arena, so comparing candidates
+/// copies nothing; the engine copies only the chosen one into the packet.
+/// The contract is strict: for any RNG state, `sample_min(s, d, rng)` and
 /// `*sample_min_ref(s, d, rng).path()` must return the same path *and*
 /// leave the RNG in the same state (likewise for VLB), so a simulation is
 /// bit-for-bit identical whichever form the engine calls.  The default
@@ -89,10 +89,14 @@ pub trait PathProvider: Send + Sync {
 /// pair's candidates become one contiguous arena range (MIN paths first,
 /// then VLB), so borrowed sampling is an index draw plus an arena borrow —
 /// no per-draw copies, no pointer chasing through per-pair `Vec`s.  The
-/// original table is kept alongside for introspection ([`Self::table`]).
+/// table itself is consumed; [`Self::pair`] views a pair's candidates in
+/// the arena.
 pub struct TableProvider {
     topo: Arc<Dragonfly>,
-    table: PathTable,
+    /// Switch count (pair `(s, d)` is index `s * n + d`).
+    n: usize,
+    /// [`PathTable::mean_vlb_hops`] of the consumed table.
+    mean_vlb_hops: f64,
     store: PathStore,
     /// Arena start of pair `i`'s candidates (`n² + 1` entries); pair `i`
     /// owns `base[i]..base[i+1]`.
@@ -103,22 +107,24 @@ pub struct TableProvider {
 }
 
 impl TableProvider {
-    /// Wraps a prebuilt table, compiling it into the interned arena.
-    pub fn new(topo: Arc<Dragonfly>, table: PathTable) -> Self {
+    /// Compiles a prebuilt table into the interned arena, freeing each
+    /// pair's candidate `Vec`s as they are copied in.
+    pub fn new(topo: Arc<Dragonfly>, mut table: PathTable) -> Self {
         assert_eq!(table.num_switches(), topo.num_switches());
-        let n = table.num_switches() as u32;
+        let n = table.num_switches();
+        let mean_vlb_hops = table.mean_vlb_hops();
         let mut store = PathStore::new();
-        let mut base = Vec::with_capacity((n as usize) * (n as usize) + 1);
-        let mut vlb_base = Vec::with_capacity((n as usize) * (n as usize));
-        for s in 0..n {
-            for d in 0..n {
+        let mut base = Vec::with_capacity(n * n + 1);
+        let mut vlb_base = Vec::with_capacity(n * n);
+        for s in 0..n as u32 {
+            for d in 0..n as u32 {
+                let pp = std::mem::take(table.pair_mut(SwitchId(s), SwitchId(d)));
                 base.push(store.len() as u32);
-                let pp = table.pair(SwitchId(s), SwitchId(d));
-                for &p in &pp.min {
+                for p in pp.min {
                     store.push(p);
                 }
                 vlb_base.push(store.len() as u32);
-                for &p in &pp.vlb {
+                for p in pp.vlb {
                     store.push(p);
                 }
             }
@@ -126,7 +132,8 @@ impl TableProvider {
         base.push(store.len() as u32);
         Self {
             topo,
-            table,
+            n,
+            mean_vlb_hops,
             store,
             base,
             vlb_base,
@@ -139,9 +146,14 @@ impl TableProvider {
         Self::new(topo, table)
     }
 
-    /// The underlying table.
-    pub fn table(&self) -> &PathTable {
-        &self.table
+    /// The `(MIN, VLB)` candidates of pair `(s, d)`, in table order.
+    pub fn pair(&self, s: SwitchId, d: SwitchId) -> (&[Path], &[Path]) {
+        let i = s.index() * self.n + d.index();
+        let paths = self.store.as_slice();
+        (
+            &paths[self.base[i] as usize..self.vlb_base[i] as usize],
+            &paths[self.vlb_base[i] as usize..self.base[i + 1] as usize],
+        )
     }
 }
 
@@ -172,7 +184,7 @@ impl PathProvider for TableProvider {
         if s == d {
             return PathRef::Owned(Path::single(s));
         }
-        let i = s.index() * self.table.num_switches() + d.index();
+        let i = s.index() * self.n + d.index();
         let (lo, mid, hi) = (self.base[i], self.vlb_base[i], self.base[i + 1]);
         // A degraded table can lose every MIN candidate of a pair; fall
         // back to VLB, or to the zero-hop unreachable sentinel (dst != d,
@@ -192,7 +204,7 @@ impl PathProvider for TableProvider {
         if s == d {
             return PathRef::Owned(Path::single(s));
         }
-        let i = s.index() * self.table.num_switches() + d.index();
+        let i = s.index() * self.n + d.index();
         let (lo, mid, hi) = (self.base[i], self.vlb_base[i], self.base[i + 1]);
         if mid == hi {
             if lo == mid {
@@ -209,7 +221,7 @@ impl PathProvider for TableProvider {
     }
 
     fn mean_vlb_hops(&self) -> f64 {
-        self.table.mean_vlb_hops()
+        self.mean_vlb_hops
     }
 }
 

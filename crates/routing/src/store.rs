@@ -5,8 +5,10 @@
 //! candidates (the [`crate::TableProvider`]) compile each pair's MIN and
 //! VLB sets into contiguous id ranges, so a routing decision samples an
 //! index and borrows `&Path` straight from the arena — no per-draw copy of
-//! the candidate, no per-packet clone of the provider.  The simulator then
-//! stores the [`PathId`] in the packet instead of an owned path.
+//! the candidate, no per-packet clone of the provider.  The arena serves
+//! the draws only: the simulator copies the chosen candidate into the
+//! packet, because a per-hop dereference of an id into a multi-megabyte
+//! arena misses cache.
 //!
 //! Providers that compose paths on the fly (the [`crate::RuleProvider`])
 //! have nothing to intern; they return owned paths through the same
@@ -16,10 +18,9 @@ use crate::path::Path;
 
 /// Dense handle into a [`PathStore`] arena.
 ///
-/// Ids are only meaningful to the store (and provider) that issued them;
-/// the top bit is reserved for the simulator's ephemeral-path tagging, so
-/// a store never grows past `2^31` paths (vastly above any tabulated
-/// topology — the largest tabulated paper network holds ~10^7 paths).
+/// Ids are only meaningful to the store (and provider) that issued them.
+/// A store holds at most `2^32` paths, vastly above any tabulated
+/// topology (the largest tabulated paper network holds ~10^7 paths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PathId(pub u32);
 
@@ -39,16 +40,21 @@ impl PathStore {
     /// tabulated candidate sets are already duplicate-free per pair, and
     /// contiguous per-pair ranges are what make sampling an id O(1).
     pub fn push(&mut self, p: Path) -> PathId {
-        let id = self.paths.len();
-        assert!(id < (1 << 31), "PathStore overflow (2^31 paths)");
+        let id = u32::try_from(self.paths.len()).expect("PathStore overflow (2^32 paths)");
         self.paths.push(p);
-        PathId(id as u32)
+        PathId(id)
     }
 
     /// The interned path behind `id`.
     #[inline]
     pub fn get(&self, id: PathId) -> &Path {
         &self.paths[id.0 as usize]
+    }
+
+    /// Every interned path, in id order.
+    #[inline]
+    pub fn as_slice(&self) -> &[Path] {
+        &self.paths
     }
 
     /// Number of interned paths.

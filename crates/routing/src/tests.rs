@@ -123,13 +123,36 @@ fn table_provider_samples_from_table() {
     let (s, d) = (SwitchId(0), SwitchId(7));
     for _ in 0..100 {
         let m = provider.sample_min(s, d, &mut rng);
-        assert!(provider.table().pair(s, d).min.contains(&m));
+        assert!(provider.pair(s, d).0.contains(&m));
         let v = provider.sample_vlb(s, d, &mut rng);
-        assert!(provider.table().pair(s, d).vlb.contains(&v));
+        assert!(provider.pair(s, d).1.contains(&v));
     }
     // Degenerate pair.
     let p = provider.sample_vlb(s, s, &mut rng);
     assert_eq!(p.hops(), 0);
+}
+
+#[test]
+fn table_provider_pair_view_matches_consumed_table() {
+    let t = topo(2, 4, 2, 3);
+    let table = PathTable::build_with_rule(
+        &t,
+        VlbRule::ClassLimit {
+            max_hops: 4,
+            frac_next: 0.5,
+        },
+        9,
+    );
+    let provider = TableProvider::new(t.clone(), table.clone());
+    assert_eq!(provider.mean_vlb_hops(), table.mean_vlb_hops());
+    for s in 0..t.num_switches() as u32 {
+        for d in 0..t.num_switches() as u32 {
+            let (s, d) = (SwitchId(s), SwitchId(d));
+            let (min, vlb) = provider.pair(s, d);
+            assert_eq!(min, &table.pair(s, d).min[..]);
+            assert_eq!(vlb, &table.pair(s, d).vlb[..]);
+        }
+    }
 }
 
 #[test]
