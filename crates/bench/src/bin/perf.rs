@@ -9,7 +9,9 @@
 //! `dfly(4,8,4,9)`, UGAL-L vs T-UGAL-L, uniform + shift traffic, three
 //! offered loads × three seeds; a `tiny/`-prefixed suite on
 //! `dfly(2,4,2,5)` always runs too, so CI smoke numbers share labels with
-//! locally generated baselines.
+//! locally generated baselines.  A `scale/` suite adds one small UGAL-L
+//! batch per topology (`dfly(4,7,4,8)` and the reference `dfly(4,8,4,9)`),
+//! too few jobs to fill a multi-core host, so it shows per-job speed.
 //!
 //! Environment knobs:
 //!
@@ -21,12 +23,6 @@
 //!   check fails (default `0.25`, i.e. >25% regression fails).
 //! * `TUGAL_FULL=1` — paper-scale windows (the committed baseline uses the
 //!   default quick windows so CI and laptops can reproduce it).
-//! * `TUGAL_SHARDS=<n>` — run every suite's engine partitioned into `n`
-//!   group-sharded workers (the count must divide each topology's
-//!   groups).  The `scale/` scenarios ignore this and pin their own
-//!   counts: they *are* the scaling curve (1/2/4/8 on `dfly(4,7,4,8)`,
-//!   1/3/9 on the reference `dfly(4,8,4,9)`), recorded per-scenario via
-//!   the `shards` field and digest.
 //!
 //! Each scenario record carries a digest of everything that defines its
 //! workload (topology, table construction, patterns, loads, seeds, full
@@ -85,12 +81,8 @@ struct Scenario {
     /// matches baselines by this.
     label: String,
     /// Digest of the scenario's defining parameters (topology, tables,
-    /// patterns, loads, seeds, simulator config, shard count).
+    /// patterns, loads, seeds, simulator config).
     config_digest: String,
-    /// Shard workers per job (1 = the sequential engine).  Also hashed
-    /// into `config_digest`, so sharded and sequential runs of the same
-    /// sweep are never silently compared.
-    shards: u32,
     /// Jobs scheduled (series × loads × seeds).
     jobs: u64,
     /// Wall-clock of the whole batch, ms.
@@ -113,8 +105,7 @@ struct BenchFile {
     full_fidelity: bool,
     /// Host parallelism (`std::thread::available_parallelism`) the
     /// baseline was produced under — throughput numbers from hosts with
-    /// different core counts are not comparable, and the scaling suite's
-    /// curve is only meaningful when this is > 1.
+    /// different core counts are not comparable.
     host_threads: u64,
     scenarios: Vec<Scenario>,
 }
@@ -177,9 +168,10 @@ fn run_scenario(
             &format!("{rates:?}"),
             &format!("{seeds:?}"),
             &format!("{cfg:?}"),
-            &format!("shards={}", cfg.shards),
+            // Every job runs one sequential engine; the constant keeps the
+            // digests of baselines recorded with a shard count valid.
+            "shards=1",
         ]),
-        shards: cfg.shards,
         jobs: summary.jobs as u64,
         wall_ms: summary.wall_ms,
         jobs_per_sec: summary.jobs_per_sec,
@@ -271,22 +263,12 @@ fn reference_suite(cfg: &Config) -> Vec<Scenario> {
     ]
 }
 
-/// The shard-scaling suite: one pinned sweep repeated at every shard
-/// count its topology admits, so the baseline file carries the scaling
-/// curve of the partitioned engine.  Two topologies cover the useful
-/// divisor sets: `dfly(4,7,4,8)` (8 groups — the 1/2/4/8 power-of-two
-/// curve) and the reference `dfly(4,8,4,9)` (9 groups — 1/3/9).  Single
-/// series (conventional UGAL-L), one load, two seeds: with so few jobs
-/// the batch cannot hide shard speedup behind rayon's job-level
-/// parallelism.  Note the curve is only meaningful on a multi-core
-/// machine; a single-core runner reports flat-to-inverted scaling (the
-/// workers time-slice one core and pay the barrier overhead).
-fn scaling_suite(cfg: &Config) -> Vec<Scenario> {
+/// The `scale/` suite: one small batch per topology (conventional
+/// UGAL-L, uniform traffic, one load, two seeds).  The labels end in
+/// `/shards=1` so they keep matching the committed baseline rows.
+fn scale_suite(cfg: &Config) -> Vec<Scenario> {
     let mut out = Vec::new();
-    for (p, a, h, g, shard_counts) in [
-        (4, 7, 4, 8, &[1u32, 2, 4, 8][..]),
-        (4, 8, 4, 9, &[1u32, 3, 9][..]),
-    ] {
+    for (p, a, h, g) in [(4, 7, 4, 8), (4, 8, 4, 9)] {
         let topo = dfly(p, a, h, g);
         println!(
             "# building candidate tables for {} ({} switches)...",
@@ -298,20 +280,16 @@ fn scaling_suite(cfg: &Config) -> Vec<Scenario> {
             "UGAL-L".into(),
             Arc::new(TableProvider::new(topo.clone(), ugal)) as Arc<dyn PathProvider>,
         )];
-        for &shards in shard_counts {
-            let mut scfg = cfg.clone();
-            scfg.shards = shards;
-            out.push(run_scenario(
-                &format!("scale/dfly({p},{a},{h},{g})/UR/shards={shards}"),
-                &topo,
-                &prov,
-                Arc::new(Uniform::new(&topo)),
-                "UR",
-                &[0.2],
-                &[1, 2],
-                &scfg,
-            ));
-        }
+        out.push(run_scenario(
+            &format!("scale/dfly({p},{a},{h},{g})/UR/shards=1"),
+            &topo,
+            &prov,
+            Arc::new(Uniform::new(&topo)),
+            "UR",
+            &[0.2],
+            &[1, 2],
+            cfg,
+        ));
     }
     out
 }
@@ -387,7 +365,7 @@ fn main() {
     let mut scenarios = tiny_suite(&cfg);
     if !tiny_only() {
         scenarios.extend(reference_suite(&cfg));
-        scenarios.extend(scaling_suite(&cfg));
+        scenarios.extend(scale_suite(&cfg));
     }
 
     let file = BenchFile {

@@ -1,23 +1,20 @@
-//! Phase-attribution harness: where do the partitioned engine's cycles
-//! go?
+//! Phase-attribution harness: where do the engine's cycles go?
 //!
-//! Runs the pinned `scale/` shard-scaling scenarios (the same workload
-//! definitions as `perf`'s scaling suite: single UGAL-L series, uniform
-//! traffic, one load × two seeds, every shard count the topology admits)
-//! with a live [`tugal_netsim::EngineProf`] on every job, prints a
-//! per-phase attribution table, and writes the full breakdown to
+//! Runs the pinned `scale/` scenarios (the same workload definitions as
+//! `perf`'s scale suite: single UGAL-L series, uniform traffic, one load ×
+//! two seeds) with a live [`tugal_netsim::EngineProf`] on every job,
+//! prints a per-phase attribution table, and writes the full breakdown to
 //! `results/profile.json`.
 //!
-//! The profiler's marks tile the shard run loop, so attribution is
+//! The profiler's marks tile the engine's run loop, so attribution is
 //! near-total by construction; the harness enforces that ≥ 90% of every
-//! scenario's shard wall-clock is attributed (exit 1 otherwise) — a
+//! scenario's engine wall-clock is attributed (exit 1 otherwise) — a
 //! regression here means someone added engine work outside the phase
 //! tiling.
 //!
 //! Environment knobs:
 //!
-//! * `TUGAL_PROF_TINY=1` — only `dfly(2,4,2,5)` at shard counts 1/5
-//!   (CI smoke mode).
+//! * `TUGAL_PROF_TINY=1` — only `dfly(2,4,2,5)` (CI smoke mode).
 //! * `TUGAL_FULL=1` — paper-scale windows.
 //! * `TUGAL_PROF_OUT=<path>` — output path (default
 //!   `results/profile.json`).
@@ -48,23 +45,14 @@ struct PhaseRow {
 struct ProfScenario {
     /// Same label scheme as `perf`'s `scale/` suite.
     label: String,
-    shards: u32,
     jobs: u64,
-    /// Summed shard wall-clock over every job, ns.
+    /// Summed engine wall-clock over every job, ns.
     wall_ns: u64,
     /// Nanoseconds the phase marks accounted for.
     attributed_ns: u64,
     /// `attributed_ns / wall_ns` — the harness enforces ≥ 0.9.
     attributed_fraction: f64,
     phases: Vec<PhaseRow>,
-    /// Boundary flits sent across shard mailboxes (0 when sequential).
-    flits_sent: u64,
-    /// Boundary credits sent across shard mailboxes.
-    credits_sent: u64,
-    /// Mailbox lock acquisitions that found the lock held.
-    mailbox_stalls: u64,
-    /// Outbox batches flushed to neighbour shards.
-    batches_flushed: u64,
 }
 
 /// Runs one pinned scenario with profiling on and folds every job's
@@ -73,11 +61,8 @@ fn profile_scenario(
     label: &str,
     topo: &Arc<tugal_topology::Dragonfly>,
     provider: &Arc<dyn PathProvider>,
-    shards: u32,
     cfg: &tugal_netsim::Config,
 ) -> ProfScenario {
-    let mut scfg = cfg.clone().for_routing(RoutingAlgorithm::UgalL);
-    scfg.shards = shards;
     let runner = ExperimentRunner::new(topo.clone())
         .with_profiling(true)
         .series(SeriesSpec {
@@ -85,7 +70,7 @@ fn profile_scenario(
             provider: provider.clone(),
             pattern: Arc::new(Uniform::new(topo)),
             routing: RoutingAlgorithm::UgalL,
-            cfg: scfg,
+            cfg: cfg.clone().for_routing(RoutingAlgorithm::UgalL),
             faults: None,
         });
     let (_, _, records) = match runner.run_recorded(&[0.2], &[1, 2], |_| NoopObserver) {
@@ -116,16 +101,11 @@ fn profile_scenario(
         .collect();
     ProfScenario {
         label: label.to_string(),
-        shards,
         jobs,
         wall_ns,
         attributed_ns,
         attributed_fraction: agg.attributed_fraction(),
         phases,
-        flits_sent: agg.shards.iter().map(|s| s.flits_sent).sum(),
-        credits_sent: agg.shards.iter().map(|s| s.credits_sent).sum(),
-        mailbox_stalls: agg.shards.iter().map(|s| s.mailbox_stalls).sum(),
-        batches_flushed: agg.shards.iter().map(|s| s.batches_flushed).sum(),
     }
 }
 
@@ -139,14 +119,14 @@ fn main() {
         cfg.window
     );
 
-    let topologies: Vec<(u32, u32, u32, u32, Vec<u32>)> = if tiny_only() {
-        vec![(2, 4, 2, 5, vec![1, 5])]
+    let topologies: Vec<(u32, u32, u32, u32)> = if tiny_only() {
+        vec![(2, 4, 2, 5)]
     } else {
-        vec![(4, 7, 4, 8, vec![1, 2, 4, 8]), (4, 8, 4, 9, vec![1, 3, 9])]
+        vec![(4, 7, 4, 8), (4, 8, 4, 9)]
     };
 
     let mut scenarios = Vec::new();
-    for (p, a, h, g, shard_counts) in topologies {
+    for (p, a, h, g) in topologies {
         let topo = dfly(p, a, h, g);
         println!(
             "# building candidate tables for {} ({} switches)...",
@@ -155,30 +135,22 @@ fn main() {
         );
         let ugal = PathTable::build_all(&topo);
         let provider: Arc<dyn PathProvider> = Arc::new(TableProvider::new(topo.clone(), ugal));
-        for shards in shard_counts {
-            let label = format!("scale/dfly({p},{a},{h},{g})/UR/shards={shards}");
-            let s = profile_scenario(&label, &topo, &provider, shards, &cfg);
+        let label = format!("scale/dfly({p},{a},{h},{g})/UR/shards=1");
+        let s = profile_scenario(&label, &topo, &provider, &cfg);
+        println!(
+            "# {label}: {:.1}% of {:.1} ms engine wall-clock attributed",
+            100.0 * s.attributed_fraction,
+            s.wall_ns as f64 / 1e6
+        );
+        for row in &s.phases {
             println!(
-                "# {label}: {:.1}% of {:.1} ms shard wall-clock attributed",
-                100.0 * s.attributed_fraction,
-                s.wall_ns as f64 / 1e6
+                "#   {:>10}  {:>10.2} ms  {:>5.1}%",
+                row.phase,
+                row.ns as f64 / 1e6,
+                100.0 * row.share
             );
-            for row in &s.phases {
-                println!(
-                    "#   {:>10}  {:>10.2} ms  {:>5.1}%",
-                    row.phase,
-                    row.ns as f64 / 1e6,
-                    100.0 * row.share
-                );
-            }
-            if s.mailbox_stalls > 0 || s.flits_sent > 0 {
-                println!(
-                    "#   boundary: {} flits, {} credits, {} batches, {} lock stalls",
-                    s.flits_sent, s.credits_sent, s.batches_flushed, s.mailbox_stalls
-                );
-            }
-            scenarios.push(s);
         }
+        scenarios.push(s);
     }
 
     // Every phase name the report can carry is a real phase (belt and
@@ -226,7 +198,7 @@ fn main() {
         eprintln!("phase attribution check failed (marks no longer tile the run loop?):");
         for s in lagging {
             eprintln!(
-                "  {}: only {:.1}% of shard wall-clock attributed",
+                "  {}: only {:.1}% of engine wall-clock attributed",
                 s.label,
                 100.0 * s.attributed_fraction
             );

@@ -14,9 +14,8 @@
 //!   (1 VC under UGAL-L), exercising job isolation, capsule writing and
 //!   the failure exit code (3 via [`tugal_bench::finish`]).
 //! * `TUGAL_RESILIENCE_TOPO=p,a,h,g` — override the default
-//!   `dfly(2,4,2,5)`; the CI shard-smoke job uses `2,7,1,8` so its
-//!   8 groups admit a `TUGAL_SHARDS=4` partition, then byte-compares the
-//!   sharded results file against a sequential run's.
+//!   `dfly(2,4,2,5)`; the CI ckpt-smoke and profile-smoke jobs use
+//!   `2,7,1,8`.
 //! * `TUGAL_RESILIENCE_KILL9=<n>` — SIGKILL this process as soon as `n`
 //!   checkpoint files exist under the `TUGAL_CKPT` directory (requires
 //!   `TUGAL_CKPT`; see [`tugal_netsim::CkptConfig`]).  The CI ckpt-smoke

@@ -80,20 +80,16 @@ pub fn full_fidelity() -> bool {
 }
 
 /// Simulator configuration for the current fidelity mode (Table 3 network
-/// parameters in both), with the `TUGAL_SHARDS` environment override
-/// applied — so any harness binary can run its engine partitioned — and
-/// the `TUGAL_CKPT`/`TUGAL_CKPT_EVERY` override, so any harness can run
-/// with mid-simulation checkpointing (the runner keys each job's
-/// checkpoint files by its journal digest).  The requested shard count
-/// must divide the groups of every topology the harness sweeps;
-/// [`ExperimentRunner::validate`] rejects the batch up front otherwise.
+/// parameters in both), with the `TUGAL_CKPT`/`TUGAL_CKPT_EVERY` override
+/// applied, so any harness can run with mid-simulation checkpointing (the
+/// runner keys each job's checkpoint files by its journal digest).
 pub fn sim_config() -> Config {
     let cfg = if full_fidelity() {
         Config::paper_default()
     } else {
         Config::quick()
     };
-    cfg.with_env_shards().with_env_ckpt()
+    cfg.with_env_ckpt()
 }
 
 /// Session-wide metrics override (set by harnesses like `fig_linkload`
@@ -766,8 +762,6 @@ fn write_json(id: &str, series: &[Series]) {
         resumed: u64,
         /// Host parallelism the batch was scheduled over.
         host_threads: u64,
-        /// Largest engine shard count among the batch's series.
-        shards: u64,
     }
     #[derive(serde::Serialize)]
     struct Out {
@@ -822,7 +816,6 @@ fn write_json(id: &str, series: &[Series]) {
             failed: s.failed as u64,
             resumed: s.resumed as u64,
             host_threads: s.host_threads as u64,
-            shards: s.shards as u64,
         }),
         metrics: series
             .iter()

@@ -28,7 +28,6 @@ fn fig_faults_tiny_records_lp_stats_schema() {
         .current_dir(&dir)
         .env("TUGAL_FAULTS_TINY", "1")
         .env_remove("TUGAL_FULL")
-        .env_remove("TUGAL_SHARDS")
         .env_remove("TUGAL_JOURNAL")
         .env_remove("TUGAL_TRACE")
         .env_remove("TUGAL_PROFILE")

@@ -8,10 +8,6 @@
 //! ```text
 //! cargo run --release -p tugal-netsim --example regen_goldens
 //! ```
-//!
-//! The shard-parity suite (`tests/shard_parity.rs`) asserts that every
-//! valid shard count reproduces these same strings, so regenerating from a
-//! sequential run is sufficient for all fixtures.
 #![allow(unused_imports, dead_code)]
 
 include!("../tests/common/cases.rs");
@@ -28,7 +24,7 @@ fn main() {
         println!("FAULT\t{scenario}\t{adversarial}\t{rate}\t{r:?}");
     }
     for (spec, lag, routing, adversarial, rate, _) in ZOO_CASES {
-        let r = simulator_zoo(spec, lag, routing, adversarial, 7, 1).run(rate);
+        let r = simulator_zoo(spec, lag, routing, adversarial, 7).run(rate);
         println!("ZOO\t{spec}\t{lag}\t{routing:?}\t{adversarial}\t{rate}\t{r:?}");
     }
 }

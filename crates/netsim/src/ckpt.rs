@@ -6,9 +6,10 @@
 //! round-robin cursors, ready lists, watchdog counters (the engine's
 //! `Stats`), the fault-schedule cursor, and observer state via the
 //! `SimObserver::snapshot`/`restore` seam.  The on-disk format is
-//! **canonical**: state is keyed by group/channel/switch ownership, never
-//! by shard id, so a checkpoint written at one shard count restores at any
-//! other valid shard count bit-for-bit.
+//! **canonical**: every section is keyed by group, channel, buffer or
+//! switch id and sorted by that key, and packets are stored with their
+//! routes rather than by pool slot, so the file does not depend on how the
+//! engine happened to lay out its memory.
 //!
 //! Durability mirrors the journal's discipline: tmp-file + rename
 //! atomicity, an FNV-1a content checksum over the payload, floats stored
@@ -16,13 +17,13 @@
 //! file falls back to its predecessor (or a cold start) instead of
 //! diverging.
 
+use std::cell::Cell;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::engine::{Packet, ShardState, Stats};
+use crate::engine::{Packet, SimWorkspace, Stats};
 use crate::journal::Fnv1a;
 use serde::{Deserialize, Serialize};
 use tugal_routing::{Path, MAX_HOPS};
@@ -116,8 +117,6 @@ pub struct CkptEvent {
     /// Cycle the checkpoint resumes at (`next_cycle`; for writes, the
     /// write happened at the end of `cycle - 1`).
     pub cycle: u64,
-    /// Shard count of the running engine at the time of the event.
-    pub shards: u32,
     /// Whole-file size in bytes.
     pub bytes: u64,
     /// FNV-1a checksum of the payload.
@@ -126,22 +125,14 @@ pub struct CkptEvent {
     pub elapsed_ms: u64,
 }
 
-/// Typed non-fatal checkpoint warnings, printed to stderr; mirroring the
-/// fork/absorb fallback, none of them change simulation results — they
-/// only disable or degrade checkpointing for the affected job.
+/// Typed non-fatal checkpoint warnings, printed to stderr; none of them
+/// change simulation results — they only disable or degrade checkpointing
+/// for the affected job.
 #[derive(Debug)]
 pub enum CkptWarning {
     /// The observer does not implement `snapshot`, so checkpointing is
     /// disabled for this job (results are unaffected).
     ObserverSnapshotUnsupported,
-    /// A checkpoint carries per-shard observer blobs for a different
-    /// shard count than the restoring run; the checkpoint is skipped.
-    ObserverShardMismatch {
-        /// Observer blobs stored in the checkpoint.
-        blobs: usize,
-        /// Shards in the restoring run.
-        shards: usize,
-    },
     /// A checkpoint file failed validation (bad magic, checksum,
     /// fingerprint, or shape) and was skipped.
     BadCheckpoint {
@@ -167,11 +158,6 @@ impl std::fmt::Display for CkptWarning {
                 f,
                 "observer does not support snapshot/restore; checkpointing disabled for this job"
             ),
-            CkptWarning::ObserverShardMismatch { blobs, shards } => write!(
-                f,
-                "checkpoint has {blobs} observer snapshot(s) but the run has {shards} shard(s); \
-                 checkpoint skipped"
-            ),
             CkptWarning::BadCheckpoint { path, reason } => {
                 write!(f, "bad checkpoint {}: {reason}", path.display())
             }
@@ -191,8 +177,8 @@ pub(crate) fn fsync_dir(dir: &std::path::Path) -> io::Result<()> {
 }
 
 /// Identity of a run for restore compatibility: topology + routing +
-/// canonical config (shards/watchdog/checkpoint stripped, seed kept) +
-/// rate + fault schedule, hashed with FNV-1a.
+/// canonical config (watchdog/checkpoint stripped, seed kept) + rate +
+/// fault schedule, hashed with FNV-1a.
 pub(crate) fn fingerprint(
     topo_key: &str,
     routing: crate::config::RoutingAlgorithm,
@@ -201,7 +187,6 @@ pub(crate) fn fingerprint(
     rate: f64,
 ) -> u64 {
     let mut canon = cfg.clone();
-    canon.shards = 1;
     canon.watchdog = None;
     canon.checkpoint = None;
     let key = format!(
@@ -529,7 +514,7 @@ impl StatsSnap {
     }
 }
 
-/// Per-channel send-side scalars (owned by the sending shard).
+/// Per-channel send-side scalars.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ChanSend {
     pub(crate) ch: u32,
@@ -538,31 +523,9 @@ pub(crate) struct ChanSend {
     pub(crate) chan_flits: u32,
 }
 
-/// One shard's contribution to a checkpoint: only state the shard owns
-/// (by send/recv channel or switch ownership), with ring-slot calendars
-/// converted to absolute due cycles.
-#[derive(Debug, Default)]
-pub(crate) struct ShardDelta {
-    pub(crate) rngs: Vec<(u32, [u64; 4])>,
-    pub(crate) staging: Vec<(u32, Vec<PkRec>)>,
-    pub(crate) inbufs: Vec<(u32, Vec<PkRec>)>,
-    pub(crate) arrivals: Vec<(u64, PkRec)>,
-    pub(crate) credit_events: Vec<(u64, u32)>,
-    pub(crate) chan_send: Vec<ChanSend>,
-    pub(crate) credits: Vec<(u32, u16)>,
-    pub(crate) wait: Vec<(u32, u32)>,
-    pub(crate) rr: Vec<(u32, u64)>,
-    pub(crate) ready: Vec<(u32, Vec<u32>)>,
-    pub(crate) chan_dead: Vec<u32>,
-    pub(crate) switch_dead: Vec<u32>,
-    pub(crate) stats: StatsSnap,
-    pub(crate) obs_blob: Vec<u8>,
-    pub(crate) next_event: u64,
-    pub(crate) elapsed_ms: u64,
-}
-
-/// The canonical, shard-count-independent simulation state at the end of
-/// a cycle (`next_cycle - 1`), plus identity/shape metadata.
+/// The canonical simulation state at the end of a cycle
+/// (`next_cycle - 1`), plus identity/shape metadata.  Every section is in
+/// ascending key order.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Checkpoint {
     pub(crate) fingerprint: u64,
@@ -590,63 +553,9 @@ pub(crate) struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Merges per-shard deltas (in shard order) into the canonical form:
-    /// every section is sorted by its ownership key, so the result is
-    /// identical no matter how many shards produced it.
-    pub(crate) fn from_deltas(
-        mut deltas: Vec<ShardDelta>,
-        fingerprint: u64,
-        shape: CkptShape,
-        next_cycle: u64,
-    ) -> Self {
-        let mut stats = deltas[0].stats.unpack();
-        for d in &deltas[1..] {
-            stats.merge(&d.stats.unpack());
-        }
-        let next_event = deltas[0].next_event;
-        let elapsed_ms = deltas[0].elapsed_ms;
-        let mut chan_dead = std::mem::take(&mut deltas[0].chan_dead);
-        let mut switch_dead = std::mem::take(&mut deltas[0].switch_dead);
-        chan_dead.sort_unstable();
-        switch_dead.sort_unstable();
-
-        let mut rngs = Vec::new();
-        let mut staging = Vec::new();
-        let mut inbufs = Vec::new();
-        let mut arrivals = Vec::new();
-        let mut credit_events = Vec::new();
-        let mut chan_send = Vec::new();
-        let mut credits = Vec::new();
-        let mut wait = Vec::new();
-        let mut rr = Vec::new();
-        let mut ready = Vec::new();
-        let mut obs_blobs = Vec::with_capacity(deltas.len());
-        for d in &mut deltas {
-            rngs.append(&mut d.rngs);
-            staging.append(&mut d.staging);
-            inbufs.append(&mut d.inbufs);
-            arrivals.append(&mut d.arrivals);
-            credit_events.append(&mut d.credit_events);
-            chan_send.append(&mut d.chan_send);
-            credits.append(&mut d.credits);
-            wait.append(&mut d.wait);
-            rr.append(&mut d.rr);
-            ready.append(&mut d.ready);
-            obs_blobs.push(std::mem::take(&mut d.obs_blob));
-        }
-        rngs.sort_unstable_by_key(|e| e.0);
-        staging.sort_unstable_by_key(|e| e.0);
-        inbufs.sort_unstable_by_key(|e| e.0);
-        // At most one flit arrives per (channel, cycle), so this key is
-        // unique and the canonical order is total.
-        arrivals.sort_unstable_by_key(|(due, p)| (*due, p.cur_chan));
-        credit_events.sort_unstable();
-        chan_send.sort_unstable_by_key(|c| c.ch);
-        credits.sort_unstable_by_key(|e| e.0);
-        wait.sort_unstable_by_key(|e| e.0);
-        rr.sort_unstable_by_key(|e| e.0);
-        ready.sort_unstable_by_key(|e| e.0);
-
+    /// A checkpoint of `shape` with identity `fingerprint`, resuming at
+    /// `next_cycle`, with every state section empty.
+    pub(crate) fn empty(fingerprint: u64, shape: CkptShape, next_cycle: u64) -> Self {
         Checkpoint {
             fingerprint,
             groups: shape.groups,
@@ -654,22 +563,22 @@ impl Checkpoint {
             n_buf: shape.n_buf,
             n_switches: shape.n_switches,
             next_cycle,
-            elapsed_ms,
-            next_event,
-            stats: StatsSnap::pack(&stats),
-            rngs,
-            staging,
-            inbufs,
-            arrivals,
-            credit_events,
-            chan_send,
-            credits,
-            wait,
-            rr,
-            ready,
-            chan_dead,
-            switch_dead,
-            obs_blobs,
+            elapsed_ms: 0,
+            next_event: 0,
+            stats: StatsSnap::default(),
+            rngs: Vec::new(),
+            staging: Vec::new(),
+            inbufs: Vec::new(),
+            arrivals: Vec::new(),
+            credit_events: Vec::new(),
+            chan_send: Vec::new(),
+            credits: Vec::new(),
+            wait: Vec::new(),
+            rr: Vec::new(),
+            ready: Vec::new(),
+            chan_dead: Vec::new(),
+            switch_dead: Vec::new(),
+            obs_blobs: Vec::new(),
         }
     }
 
@@ -899,8 +808,16 @@ impl Checkpoint {
     }
 
     /// Structural validation beyond the checksum: every index in range,
-    /// the RNG section dense over all groups.
+    /// the RNG section dense over all groups, and observer state in at most
+    /// one blob (files written by the removed multi-threaded engine could
+    /// hold one blob per worker; those are only usable when all are empty).
     fn validate(&self) -> Result<(), String> {
+        if self.obs_blobs.len() > 1 && self.obs_blobs.iter().any(|b| !b.is_empty()) {
+            return Err(format!(
+                "observer state split into {} blobs",
+                self.obs_blobs.len()
+            ));
+        }
         if self.rngs.len() != self.groups as usize {
             return Err(format!(
                 "rng section has {} entries for {} groups",
@@ -943,7 +860,7 @@ impl Checkpoint {
     }
 }
 
-/// Builds the resume inputs the engine needs before shard workers start.
+/// The resume inputs the engine needs before its first cycle.
 pub(crate) struct ResumeCtx {
     pub(crate) next_cycle: u64,
     pub(crate) stats: StatsSnap,
@@ -965,14 +882,14 @@ impl ResumeCtx {
     }
 }
 
-/// Replays a checkpoint into one freshly reset shard, taking only the
-/// state that shard owns.  Packets are re-allocated compactly in section
-/// order — pool layout is unobservable (the shard-parity contract), so
-/// this is bit-for-bit safe at any reader shard count.
-pub(crate) fn apply_shard(ck: &Checkpoint, st: &mut ShardState, ring_mask: u64) {
-    fn alloc_rec(st: &mut ShardState, rec: &PkRec) -> u32 {
-        let pi = st.packets.len() as u32;
-        st.packets.push(Packet {
+/// Replays a checkpoint into a freshly reset workspace.  Packets are
+/// re-allocated compactly in section order; pool layout is unobservable
+/// (every order the engine depends on is keyed by channel or packet
+/// contents), so this is bit-for-bit safe.
+pub(crate) fn apply(ck: &Checkpoint, ws: &mut SimWorkspace, ring_mask: u64) {
+    fn alloc_rec(ws: &mut SimWorkspace, rec: &PkRec) -> u32 {
+        let pi = ws.packets.len() as u32;
+        ws.packets.push(Packet {
             dst_node: rec.dst_node,
             src_node: rec.src_node,
             birth: rec.birth,
@@ -986,90 +903,66 @@ pub(crate) fn apply_shard(ck: &Checkpoint, st: &mut ShardState, ring_mask: u64) 
             out_chan: rec.out_chan,
             out_vc: rec.out_vc,
         });
-        st.paths.push(rec.path);
-        st.next_pkt.push(u32::MAX);
+        ws.paths.push(rec.path);
+        ws.next_pkt.push(u32::MAX);
         pi
     }
 
     for (ch, recs) in &ck.staging {
         let ch = *ch as usize;
-        if !st.owns_send[ch] {
-            continue;
-        }
         for rec in recs {
-            let pi = alloc_rec(st, rec);
-            st.stg_push(ch, pi);
+            let pi = alloc_rec(ws, rec);
+            ws.stg_push(ch, pi);
         }
     }
-    for ch in 0..st.stg_len.len() {
-        if st.stg_len[ch] > 0 {
-            st.in_busy[ch] = true;
-            st.busy_list.push(ch as u32);
+    for ch in 0..ws.stg_len.len() {
+        if ws.stg_len[ch] > 0 {
+            ws.in_busy[ch] = true;
+            ws.busy_list.push(ch as u32);
         }
     }
     for (idx, recs) in &ck.inbufs {
         let idx = *idx as usize;
-        let ch = st.chan_of_buf[idx] as usize;
-        if !st.owns_recv[ch] {
-            continue;
-        }
+        let ch = ws.chan_of_buf[idx] as usize;
         for rec in recs {
-            let pi = alloc_rec(st, rec);
-            st.inb_push(idx, pi);
-            st.buf_occ[ch] += 1;
+            let pi = alloc_rec(ws, rec);
+            ws.inb_push(idx, pi);
+            ws.buf_occ[ch] += 1;
         }
     }
     for (sw, list) in &ck.ready {
-        if !(st.switch_lo..st.switch_hi).contains(sw) {
-            continue;
-        }
         for &idx in list {
-            st.in_ready[idx as usize] = true;
+            ws.in_ready[idx as usize] = true;
         }
-        st.ready[*sw as usize] = list.clone();
+        ws.ready[*sw as usize] = list.clone();
     }
     for (due, rec) in &ck.arrivals {
-        if !st.owns_recv[rec.cur_chan as usize] {
-            continue;
-        }
-        let pi = alloc_rec(st, rec);
-        st.arrivals[(due & ring_mask) as usize].push(pi);
+        let pi = alloc_rec(ws, rec);
+        ws.arrivals[(due & ring_mask) as usize].push(pi);
     }
     for (due, idx) in &ck.credit_events {
-        if !st.owns_send[st.chan_of_buf[*idx as usize] as usize] {
-            continue;
-        }
-        st.credit_ring[(due & ring_mask) as usize].push(*idx);
+        ws.credit_ring[(due & ring_mask) as usize].push(*idx);
     }
     for c in &ck.chan_send {
         let ch = c.ch as usize;
-        if !st.owns_send[ch] {
-            continue;
-        }
-        st.next_free[ch] = c.next_free;
-        st.cred_used[ch] = c.cred_used;
-        st.chan_flits[ch] = c.chan_flits;
+        ws.next_free[ch] = c.next_free;
+        ws.cred_used[ch] = c.cred_used;
+        ws.chan_flits[ch] = c.chan_flits;
     }
     for (idx, v) in &ck.credits {
-        if st.owns_send[st.chan_of_buf[*idx as usize] as usize] {
-            st.credits[*idx as usize] = *v;
-        }
+        ws.credits[*idx as usize] = *v;
     }
     for (idx, v) in &ck.wait {
-        if st.owns_recv[st.chan_of_buf[*idx as usize] as usize] {
-            st.wait[*idx as usize] = *v;
-        }
+        ws.wait[*idx as usize] = *v;
     }
     for (sw, v) in &ck.rr {
-        if (st.switch_lo..st.switch_hi).contains(sw) {
-            st.rr[*sw as usize] = *v as usize;
-        }
+        ws.rr[*sw as usize] = *v as usize;
     }
     for &ch in &ck.chan_dead {
-        st.chan_dead[ch as usize] = true;
+        ws.chan_dead[ch as usize] = true;
     }
     for &sw in &ck.switch_dead {
-        st.switch_dead[sw as usize] = true;
+        ws.switch_dead[sw as usize] = true;
     }
 }
 
@@ -1078,31 +971,20 @@ pub(crate) fn apply_shard(ck: &Checkpoint, st: &mut ShardState, ring_mask: u64) 
 // ---------------------------------------------------------------------------
 
 /// Checkpoint coordinator for one simulation run: write cadence, file
-/// naming/retention, the per-shard delta staging area used at the write
-/// barrier, and the event log reported back for trace spans.
+/// naming/retention, and the event log reported back for trace spans.
 pub(crate) struct CkptRun {
     dir: PathBuf,
     stem: String,
     every: u64,
     pub(crate) fingerprint: u64,
     pub(crate) shape: CkptShape,
-    /// Per-shard delta slots, filled before the write barrier and drained
-    /// by shard 0 after it.
-    pub(crate) stage: Vec<Mutex<Option<ShardDelta>>>,
     events: Mutex<Vec<CkptEvent>>,
-    /// Set when a write fails: later writes are skipped, but every shard
-    /// still runs the (deterministic) checkpoint step so barrier counts
-    /// never diverge.
-    dead: AtomicBool,
+    /// Set when a write fails: later writes are skipped.
+    dead: Cell<bool>,
 }
 
 impl CkptRun {
-    pub(crate) fn new(
-        cc: &CkptConfig,
-        fingerprint: u64,
-        shape: CkptShape,
-        shards: usize,
-    ) -> io::Result<Self> {
+    pub(crate) fn new(cc: &CkptConfig, fingerprint: u64, shape: CkptShape) -> io::Result<Self> {
         let dir = PathBuf::from(&cc.dir);
         fs::create_dir_all(&dir)?;
         Ok(CkptRun {
@@ -1111,21 +993,19 @@ impl CkptRun {
             every: cc.every,
             fingerprint,
             shape,
-            stage: (0..shards).map(|_| Mutex::new(None)).collect(),
             events: Mutex::new(Vec::new()),
-            dead: AtomicBool::new(false),
+            dead: Cell::new(false),
         })
     }
 
-    /// Whether the end of cycle `now` is a checkpoint point.  Purely a
-    /// function of `(now, total)` so every shard agrees without
-    /// communication; the last cycle is excluded (nothing left to resume).
+    /// Whether the end of cycle `now` is a checkpoint point; the last
+    /// cycle is excluded (nothing left to resume).
     pub(crate) fn due(&self, now: u64, total: u64) -> bool {
         self.every > 0 && now > 0 && now.is_multiple_of(self.every) && now + 1 < total
     }
 
     pub(crate) fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Relaxed)
+        self.dead.get()
     }
 
     pub(crate) fn push_event(&self, ev: CkptEvent) {
@@ -1191,18 +1071,16 @@ impl CkptRun {
         Ok((buf.len() as u64, checksum))
     }
 
-    /// Merges per-shard deltas into the canonical checkpoint and writes it
-    /// atomically, logging a [`CkptEventKind::Write`] event on success and
-    /// disabling further writes (simulation unaffected) on failure.
-    pub(crate) fn commit(&self, deltas: Vec<ShardDelta>, next_cycle: u64) {
+    /// Writes `ck` atomically, logging a [`CkptEventKind::Write`] event on
+    /// success and disabling further writes (simulation unaffected) on
+    /// failure.
+    pub(crate) fn commit(&self, ck: Checkpoint) {
         let t0 = std::time::Instant::now();
-        let shards = deltas.len() as u32;
-        let ck = Checkpoint::from_deltas(deltas, self.fingerprint, self.shape, next_cycle);
+        let next_cycle = ck.next_cycle;
         match self.write_file(&ck) {
             Ok((bytes, checksum)) => self.push_event(CkptEvent {
                 kind: CkptEventKind::Write,
                 cycle: next_cycle,
-                shards,
                 bytes,
                 checksum,
                 elapsed_ms: t0.elapsed().as_millis() as u64,
@@ -1220,7 +1098,7 @@ impl CkptRun {
                 reason: err.to_string(),
             }
         );
-        self.dead.store(true, Ordering::Relaxed);
+        self.dead.set(true);
     }
 
     /// Loads the newest valid checkpoint, skipping (with a warning) any
@@ -1343,7 +1221,7 @@ mod tests {
             ready: vec![(3, vec![9, 12])],
             chan_dead: vec![6],
             switch_dead: vec![1],
-            obs_blobs: vec![Vec::new(), vec![1, 2, 3]],
+            obs_blobs: vec![vec![1, 2, 3]],
         }
     }
 
@@ -1361,7 +1239,6 @@ mod tests {
                 n_buf: 64,
                 n_switches: 8,
             },
-            1,
         )
         .unwrap()
     }
@@ -1451,33 +1328,14 @@ mod tests {
     }
 
     #[test]
-    fn from_deltas_is_shard_order_independent() {
-        let shape = CkptShape {
-            groups: 2,
-            n_chan: 16,
-            n_buf: 64,
-            n_switches: 8,
-        };
-        let mk = |g: u32, ch: u32| {
-            let mut d = ShardDelta {
-                rngs: vec![(g, [g as u64 + 1; 4])],
-                chan_send: vec![ChanSend {
-                    ch,
-                    next_free: 9,
-                    cred_used: 0,
-                    chan_flits: 1,
-                }],
-                rr: vec![(ch, 2)],
-                ..Default::default()
-            };
-            d.stats = StatsSnap::pack(&Stats::new());
-            d
-        };
-        let a = Checkpoint::from_deltas(vec![mk(0, 1), mk(1, 5)], 1, shape, 50);
-        let mut b = Checkpoint::from_deltas(vec![mk(1, 5), mk(0, 1)], 1, shape, 50);
-        // Observer blobs stay in shard order by design; splice them out of
-        // the canonical comparison.
-        b.obs_blobs = a.obs_blobs.clone();
-        assert_eq!(a, b);
+    fn decode_rejects_observer_state_split_across_blobs() {
+        let mut ck = sample_checkpoint(200);
+        ck.obs_blobs = vec![vec![1], vec![2]];
+        assert!(Checkpoint::decode(&ck.encode())
+            .unwrap_err()
+            .contains("observer state"));
+        // Empty blobs carry no state, however many there are.
+        ck.obs_blobs = vec![Vec::new(), Vec::new()];
+        assert_eq!(Checkpoint::decode(&ck.encode()).unwrap(), ck);
     }
 }

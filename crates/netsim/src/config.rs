@@ -88,19 +88,6 @@ pub struct Config {
     pub vlb_candidates: u8,
     /// RNG seed (traffic, candidate draws, arbitration tie-breaks).
     pub seed: u64,
-    /// Shard workers the cycle engine partitions the network across: each
-    /// shard owns `groups / shards` consecutive dragonfly groups and the
-    /// shards exchange boundary flits/credits through mailboxes inside a
-    /// barrier-synced cycle loop.  Must be ≥ 1, at most the group count,
-    /// and divide it evenly (checked by [`Config::validate_shards`]).  `1`
-    /// (the default) runs the plain sequential loop; any valid count
-    /// produces **bit-identical results** — the determinism contract of
-    /// the partitioned engine, pinned by `tests/shard_parity.rs`.
-    ///
-    /// Defaults to `1` when absent from serialized configs, so capsules
-    /// and journals written before the field existed replay unchanged
-    /// (see the hand-written [`Deserialize`] impl below).
-    pub shards: u32,
     /// Opt-in engine watchdog (`None` = off, the default): periodic flit
     /// conservation, forward-progress/livelock detection and cycle/wall
     /// ceilings — see [`WatchdogConfig`].  All its checks are read-only,
@@ -111,16 +98,18 @@ pub struct Config {
     /// the engine writes a restartable snapshot of the full deterministic
     /// state every [`CkptConfig::every`] cycles, and on startup resumes
     /// from the newest valid checkpoint in [`CkptConfig::dir`].  A
-    /// resumed run is **bit-for-bit identical** to an uninterrupted one,
-    /// at any valid shard count (pinned by `tests/ckpt.rs`); with `None`
-    /// the engine hot path is untouched.
+    /// resumed run is **bit-for-bit identical** to an uninterrupted one
+    /// (pinned by `tests/ckpt.rs`); with `None` the engine hot path is
+    /// untouched.
     pub checkpoint: Option<CkptConfig>,
 }
 
-// Hand-written so a `None` checkpoint field is omitted entirely: the
-// `Debug` rendering of `Config` feeds FNV-1a digests (runner series keys,
-// the perf baseline, checkpoint fingerprints), and appending a field to
-// the derived output would silently invalidate every existing journal.
+// Hand-written so the rendering stays what existing digests were computed
+// from: the `Debug` text of `Config` feeds FNV-1a digests (runner series
+// keys, the perf baseline, checkpoint fingerprints), so a `None`
+// checkpoint field is omitted entirely, and `shards: 1` stays although
+// the engine lost its shard count (every run is sequential, which the
+// old default of 1 described).
 impl std::fmt::Debug for Config {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_struct("Config");
@@ -137,7 +126,7 @@ impl std::fmt::Debug for Config {
             .field("ugal_threshold", &self.ugal_threshold)
             .field("vlb_candidates", &self.vlb_candidates)
             .field("seed", &self.seed)
-            .field("shards", &self.shards)
+            .field("shards", &1u32)
             .field("watchdog", &self.watchdog);
         if let Some(ck) = &self.checkpoint {
             d.field("checkpoint", ck);
@@ -165,7 +154,6 @@ impl Config {
             ugal_threshold: 0,
             vlb_candidates: 1,
             seed: 0xDF17,
-            shards: 1,
             watchdog: None,
             checkpoint: None,
         }
@@ -222,47 +210,7 @@ impl Config {
         if self.vlb_candidates == 0 {
             return Err(ConfigError::NoVlbCandidates);
         }
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
         Ok(())
-    }
-
-    /// Checks `shards` against a concrete topology's group count: a shard
-    /// owns a fixed-size contiguous group range, so the count must be
-    /// non-zero, at most `groups`, and divide it evenly.  (The
-    /// topology-independent checks live in [`Config::validate`]; the
-    /// runner calls this per series once the topology is known.)
-    pub fn validate_shards(&self, groups: u32) -> Result<(), ConfigError> {
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        if self.shards > groups {
-            return Err(ConfigError::ShardsExceedGroups {
-                shards: self.shards,
-                groups,
-            });
-        }
-        if !groups.is_multiple_of(self.shards) {
-            return Err(ConfigError::ShardsDontDivideGroups {
-                shards: self.shards,
-                groups,
-            });
-        }
-        Ok(())
-    }
-
-    /// Applies the `TUGAL_SHARDS` environment override, if set and
-    /// parseable; harness binaries route their configs through this so a
-    /// CI job (or a user) can turn sharding on without touching code.
-    pub fn with_env_shards(mut self) -> Self {
-        if let Some(n) = std::env::var("TUGAL_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-        {
-            self.shards = n;
-        }
-        self
     }
 
     /// Applies the `TUGAL_CKPT` / `TUGAL_CKPT_EVERY` environment override,
@@ -277,11 +225,11 @@ impl Config {
     }
 }
 
-// Hand-written so `shards` can default when the field is missing: the
+// Hand-written so `checkpoint` can default when the field is missing: the
 // vendored minimal serde derive has no `#[serde(default)]`, and configs
-// serialized before the field existed (journals, replay capsules, the
-// perf baseline) must keep deserializing to the same run they described —
-// which is exactly the sequential `shards = 1`.
+// serialized before the field existed (journals, replay capsules) must
+// keep deserializing to the same run they described.  A `shards` key, as
+// older files carry, is ignored: results never depended on it.
 impl Deserialize for Config {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         Ok(Config {
@@ -298,10 +246,6 @@ impl Deserialize for Config {
             ugal_threshold: Deserialize::from_value(serde::obj_field(v, "ugal_threshold")?)?,
             vlb_candidates: Deserialize::from_value(serde::obj_field(v, "vlb_candidates")?)?,
             seed: Deserialize::from_value(serde::obj_field(v, "seed")?)?,
-            shards: match serde::obj_field(v, "shards") {
-                Ok(s) => Deserialize::from_value(s)?,
-                Err(_) => 1,
-            },
             watchdog: Deserialize::from_value(serde::obj_field(v, "watchdog")?)?,
             checkpoint: match serde::obj_field(v, "checkpoint") {
                 Ok(s) => Deserialize::from_value(s)?,
@@ -376,56 +320,32 @@ mod tests {
         let mut c = Config::quick();
         c.vlb_candidates = 0;
         assert_eq!(c.validate(), Err(ConfigError::NoVlbCandidates));
-
-        let mut c = Config::quick();
-        c.shards = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroShards));
     }
 
     #[test]
-    fn validate_shards_enforces_clean_group_division() {
-        let mut c = Config::quick();
-        assert!(c.validate_shards(9).is_ok()); // default 1 divides anything
-
-        c.shards = 0;
-        assert_eq!(c.validate_shards(9), Err(ConfigError::ZeroShards));
-
-        c.shards = 3;
-        assert!(c.validate_shards(9).is_ok());
-        c.shards = 9;
-        assert!(c.validate_shards(9).is_ok());
-
-        c.shards = 12;
+    fn debug_rendering_matches_existing_digests() {
+        // Journal series keys, checkpoint fingerprints and perf baseline
+        // digests hash this exact text; it must not change.
         assert_eq!(
-            c.validate_shards(9),
-            Err(ConfigError::ShardsExceedGroups {
-                shards: 12,
-                groups: 9
-            })
+            format!("{:?}", Config::paper_default()),
+            "Config { num_vcs: 4, buf_size: 32, local_latency: 10, global_latency: 15, \
+             terminal_latency: 1, speedup: 2, vc_scheme: Compact, warmup_windows: 3, \
+             window: 10000, sat_latency: 500.0, ugal_threshold: 0, vlb_candidates: 1, \
+             seed: 57111, shards: 1, watchdog: None }"
         );
-
-        c.shards = 4;
-        assert_eq!(
-            c.validate_shards(9),
-            Err(ConfigError::ShardsDontDivideGroups {
-                shards: 4,
-                groups: 9
-            })
-        );
-        assert!(c.validate_shards(8).is_ok());
     }
 
     #[test]
-    fn shards_field_defaults_to_one_in_old_json() {
-        // Configs serialized before the partitioned engine carry no
-        // `shards` key; they must deserialize to the sequential path.
-        let serde::Value::Object(mut fields) = serde::Serialize::to_value(&Config::quick()) else {
-            panic!("Config serializes to an object");
-        };
-        fields.retain(|(k, _)| k != "shards");
-        let back: Config = serde::Deserialize::from_value(&serde::Value::Object(fields)).unwrap();
-        assert_eq!(back.shards, 1);
+    fn serialized_shard_counts_are_ignored() {
+        // Journals and replay capsules written while the engine had a
+        // shard count carry a `shards` key; each describes the same
+        // sequential run.
+        let json = serde_json::to_string(&Config::quick()).unwrap();
+        assert!(!json.contains("shards"), "{json}");
+        let old = json.replacen('{', "{\"shards\":4,", 1);
+        let back: Config = serde_json::from_str(&old).unwrap();
         assert_eq!(back, Config::quick());
+        assert_eq!(format!("{back:?}"), format!("{:?}", Config::quick()));
     }
 
     #[test]

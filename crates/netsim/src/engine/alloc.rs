@@ -4,25 +4,24 @@
 use super::observer::SimObserver;
 use super::profile::EngineProfiler;
 use super::state::Packet;
-use super::{Engine, Msg, F_REVISABLE, F_ROUTED, SOURCE_QUEUE_CAP};
+use super::{Engine, F_REVISABLE, F_ROUTED, SOURCE_QUEUE_CAP};
 use rand::Rng;
 use tugal_routing::Path;
 use tugal_topology::NodeId;
 
 impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
-    /// Bernoulli injection at the configured rate: each node this shard
-    /// owns draws once per cycle; new packets enter the (capped) source
+    /// Bernoulli injection at the configured rate: each node draws once
+    /// per cycle, in node order; new packets enter the (capped) source
     /// queue modelled by the injection channel's staging + downstream
     /// buffer.  Both draws (the coin and the destination) come from the
-    /// node's *group* RNG stream, so the sequence each group consumes is
-    /// the same at every shard count.
+    /// node's *group* RNG stream.
     pub(crate) fn inject(&mut self) {
         let sim = self.sim;
         let topo = &*sim.topo;
-        let (lo, hi) = (self.ws.node_lo, self.ws.node_hi);
-        let (npg, glo) = (self.ws.nodes_per_group, self.ws.group_lo);
-        for n in lo..hi {
-            let gi = (n / npg - glo) as usize;
+        // Nodes are numbered group by group, `npg` to a group.
+        let npg = (topo.num_nodes() / topo.num_groups()) as u32;
+        for n in 0..topo.num_nodes() as u32 {
+            let gi = (n / npg) as usize;
             if !self.rngs[gi].gen_bool(self.rate) {
                 continue;
             }
@@ -81,13 +80,10 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
 
     /// Switch allocation: `speedup` round-robin rounds per cycle, one
     /// winner per output channel per round, visiting only the non-empty
-    /// input-buffer FIFOs on each router's ready list.  Iterates only the
-    /// switches this shard owns; credits for dequeued boundary flits
-    /// travel back through [`Engine::return_credit`].
+    /// input-buffer FIFOs on each router's ready list.
     pub(crate) fn allocate(&mut self) {
         let speedup = self.sim.cfg.speedup;
-        let (sw_lo, sw_hi) = (self.ws.switch_lo as usize, self.ws.switch_hi as usize);
-        for sw in sw_lo..sw_hi {
+        for sw in 0..self.ws.ready.len() {
             if self.ws.ready[sw].is_empty() {
                 continue;
             }
@@ -223,10 +219,7 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
     }
 
     /// Wire transmission: each busy channel moves at most one staged flit
-    /// per cycle onto the arrival calendar — or, when the receiving switch
-    /// lives in another shard, into that shard's outgoing mailbox batch
-    /// (the packet leaves this shard's pool; the receiver re-allocates it
-    /// on drain).
+    /// per cycle onto the arrival calendar.
     pub(crate) fn transmit(&mut self) {
         let mut i = 0;
         while i < self.ws.busy_list.len() {
@@ -234,20 +227,7 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
             if self.now >= self.ws.next_free[ch] {
                 if let Some(pi) = self.ws.stg_pop(ch) {
                     let due = self.now + self.ws.latency[ch] as u64;
-                    if ch < self.n_network && !self.ws.owns_recv[ch] {
-                        // The route lives in this shard's slab; ship a copy
-                        // with the packet.
-                        self.outbox[self.ws.dst_shard[ch] as usize].push(Msg::Flit {
-                            due,
-                            pkt: self.ws.packets[pi as usize],
-                            path: self.ws.paths[pi as usize],
-                        });
-                        self.free_packet(pi);
-                        self.sent += 1;
-                        self.prof.flit_sent();
-                    } else {
-                        self.ws.arrivals[(due & self.ring_mask) as usize].push(pi);
-                    }
+                    self.ws.arrivals[(due & self.ring_mask) as usize].push(pi);
                     self.ws.next_free[ch] = self.now + 1;
                     self.ws.chan_flits[ch] += 1;
                     if ch < self.n_network {

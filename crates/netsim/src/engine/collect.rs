@@ -52,32 +52,6 @@ impl Stats {
         }
     }
 
-    /// Folds another shard's counters into `self`.  Called in ascending
-    /// shard order, which keeps the floating-point latency sums
-    /// deterministic — and in fact *exact*: latencies are integer cycle
-    /// counts whose sums stay far below 2^53, so the order never matters
-    /// to the value, only to the principle.
-    pub(crate) fn merge(&mut self, o: &Stats) {
-        debug_assert_eq!(self.measuring, o.measuring);
-        self.injected += o.injected;
-        self.delivered += o.delivered;
-        self.latency_sum += o.latency_sum;
-        self.hops_sum += o.hops_sum;
-        self.total_injected += o.total_injected;
-        self.total_delivered += o.total_delivered;
-        self.total_dropped += o.total_dropped;
-        self.total_latency_sum += o.total_latency_sum;
-        self.total_hops_sum += o.total_hops_sum;
-        self.vlb_chosen += o.vlb_chosen;
-        self.routed += o.routed;
-        self.saturated_early |= o.saturated_early;
-        self.last_delivery = self.last_delivery.max(o.last_delivery);
-        self.deadlock_suspected |= o.deadlock_suspected;
-        for (a, b) in self.lat_hist.iter_mut().zip(&o.lat_hist) {
-            *a += *b;
-        }
-    }
-
     /// Opens the measurement window: window counters restart, whole-run
     /// counters keep accumulating.
     pub(crate) fn open_window(&mut self) {

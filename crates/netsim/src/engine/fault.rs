@@ -122,8 +122,8 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
         if self.ws.switch_dead[dsw.index()] {
             return false; // destination died; undeliverable
         }
-        // The packet sits in a buffer of `cur`, so this shard owns it and
-        // its group's RNG stream feeds the reroute draws.
+        // The packet sits in a buffer of `cur`, so `cur`'s group's RNG
+        // stream feeds the reroute draws.
         let gi = self.gi_of_switch(cur);
         let Some(path) = self.sample_alive_path(cur, dsw, gi) else {
             return false; // no surviving candidate from here

@@ -5,6 +5,10 @@
 //! [`NoopObserver`] has empty inline bodies, and the engine is
 //! monomorphized per observer type, so the hot loop pays nothing for the
 //! seam unless an observer actually does work.
+//!
+//! One observer sees one whole run: the engine calls its hooks on the
+//! caller's thread, in simulation order.  The experiment runner builds a
+//! fresh observer per job, so parallel sweeps never share one.
 
 use tugal_topology::{NodeId, SwitchId};
 
@@ -30,50 +34,13 @@ use tugal_topology::{NodeId, SwitchId};
 /// * [`on_link_traverse`](Self::on_link_traverse) fires once per flit per
 ///   switch-to-switch channel traversal (terminal channels are excluded).
 ///
-/// ## Sharded runs
-///
-/// With `Config::shards > 1` the engine asks the observer to
-/// [`fork`](Self::fork) one child per shard worker; each child receives
-/// the hooks of its shard's events and the parent
-/// [`absorb`](Self::absorb)s the children back in shard order before the
-/// single final [`on_run_end`](Self::on_run_end) fires on the parent.
-/// Event *multisets* are shard-count-invariant for packet-level hooks
-/// (injections, routes, traversals, deliveries, drops, occupancy
-/// samples), but the interleaving within a cycle is not, and the
-/// run-level hooks ([`on_cycle`](Self::on_cycle),
-/// [`on_measurement_start`](Self::on_measurement_start)) fire once per
-/// *shard* per event.  The default `fork` returns `None`, which makes the
-/// engine fall back to a sequential run — bit-for-bit identical by the
-/// determinism contract, just not parallel — so existing observers keep
-/// their exact semantics without implementing the seam.  (`Send` is a
-/// supertrait so forks can move onto worker threads.)
+/// Hooks fire on the thread that runs the simulation, in simulation
+/// order.
 #[allow(unused_variables)]
-pub trait SimObserver: Send {
+pub trait SimObserver {
     /// Start of each simulated cycle, before credit returns and arrivals.
     #[inline(always)]
     fn on_cycle(&mut self, now: u64) {}
-
-    /// Creates a shard-local child observer for a parallel run, or `None`
-    /// (the default) to keep the run sequential.  A fork starts empty:
-    /// partially forked children may be dropped unused if any sibling
-    /// fork fails.
-    #[inline]
-    fn fork(&self) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        None
-    }
-
-    /// Folds a shard-local child back into `self`; called once per fork,
-    /// in shard order, after all workers join and before
-    /// [`on_run_end`](Self::on_run_end).
-    #[inline]
-    fn absorb(&mut self, shard: Self)
-    where
-        Self: Sized,
-    {
-    }
 
     /// The measurement window opened (warmup ended) at `now`.
     #[inline(always)]
@@ -142,19 +109,15 @@ pub trait SimObserver: Send {
     /// Serializes the observer's accumulated state for a mid-run
     /// checkpoint, or `None` (the default) if the observer does not
     /// support checkpointing — in which case the engine disables
-    /// checkpointing for the job with a typed warning, mirroring the
-    /// [`fork`](Self::fork) fallback; results are unaffected.
-    ///
-    /// In sharded runs each *fork* is snapshotted, so a stateless
-    /// observer should return `Some(Vec::new())` and accept the empty
-    /// blob in [`restore`](Self::restore).
+    /// checkpointing for the job with a typed warning; results are
+    /// unaffected.  A stateless observer should return `Some(Vec::new())`:
+    /// an empty blob is never passed to [`restore`](Self::restore).
     #[inline]
     fn snapshot(&self) -> Option<Vec<u8>> {
         None
     }
 
-    /// Restores state captured by [`snapshot`](Self::snapshot) on this
-    /// observer (or on the matching fork in a sharded run) before the
+    /// Restores state captured by [`snapshot`](Self::snapshot) before the
     /// resumed run starts.
     #[inline]
     fn restore(&mut self, bytes: &[u8]) {}
@@ -165,12 +128,7 @@ pub trait SimObserver: Send {
 pub struct NoopObserver;
 
 impl SimObserver for NoopObserver {
-    // Stateless, so it forks trivially — unobserved runs parallelize.
-    fn fork(&self) -> Option<Self> {
-        Some(NoopObserver)
-    }
-
-    // ... and checkpoints trivially: no state, empty blob.
+    // Stateless, so it checkpoints trivially: no state, empty blob.
     fn snapshot(&self) -> Option<Vec<u8>> {
         Some(Vec::new())
     }

@@ -1,21 +1,17 @@
-//! Engine self-profiling: per-shard phase timers and boundary counters.
+//! Engine self-profiling: per-phase wall-clock timers.
 //!
 //! The [`EngineProfiler`] seam mirrors the [`super::observer::SimObserver`]
-//! pattern: the engine is monomorphized per profiler type, every hook on
-//! [`NoopProfiler`] is an inline empty body, and the `ENABLED` associated
-//! const compiles the remaining instrumentation (the mailbox `try_lock`
-//! probe) out of the unprofiled loop — so a run without profiling executes
-//! the exact same instructions as before the seam existed, and stays
-//! bit-for-bit identical on every golden fixture.
+//! pattern: the engine is monomorphized per profiler type and every hook on
+//! [`NoopProfiler`] is an inline empty body, so a run without profiling
+//! executes the exact same instructions as before the seam existed, and
+//! stays bit-for-bit identical on every golden fixture.
 //!
-//! With [`EngineProf`] attached, each shard worker attributes its
-//! wall-clock to the named [`Phase`]s of the cycle loop and counts its
-//! boundary traffic (flits/credits sent and received through mailboxes,
-//! lock-acquire stalls, flushed batch sizes).  The phases tile the loop —
-//! every `mark` charges the time since the previous mark — so the summed
-//! phase times account for essentially all of a shard's wall-clock, and
-//! the per-shard [`ShardProfile`]s merge shard-ordered into a
-//! [`ProfileReport`].
+//! With [`EngineProf`] attached, the run attributes its wall-clock to the
+//! named [`Phase`]s of the cycle loop.  The phases tile the loop — every
+//! `mark` charges the time since the previous mark — so the summed phase
+//! times account for essentially all of the run's wall-clock.  The result
+//! is a [`ProfileReport`]; reports of several runs add up with
+//! [`ProfileReport::absorb`].
 //!
 //! Profiling is *observational only*: the hooks never touch simulation
 //! state, so a profiled run returns bit-identical results (pinned by
@@ -27,32 +23,36 @@ use std::time::Instant;
 /// Number of named phases ([`Phase::ALL`] has this length).
 pub const PHASE_COUNT: usize = 10;
 
-/// One phase of the shard worker's cycle loop.  The phases tile the loop
-/// body in this order; sequential (1-shard) runs never enter the
-/// mailbox/publication phases (`Drain`, `Flush`, `Publish`, `Barrier`).
+/// One phase of the engine's cycle loop.  The phases tile the loop body in
+/// this order.
+///
+/// `Drain`, `Flush`, `Publish` and `Barrier` named the exchange steps of
+/// the removed multi-threaded engine.  The sequential engine never marks
+/// them, so they always read zero; they stay so that existing exhaustive
+/// matches over `Phase` (such as the pipeline benchmark's) keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Phase {
-    /// Draining boundary mailboxes from the other shards.
+    /// Never marked (see the type docs).
     Drain,
     /// Cycle bookkeeping: credit returns, arrival sorting, deliveries and
     /// buffer pushes (plus observer occupancy sampling when armed).
     Advance,
     /// Source-queue injection draws.
     Inject,
-    /// Publishing the UGAL-G queue snapshot (including its barrier);
-    /// absent for every other routing algorithm.
+    /// Taking the UGAL-G queue snapshot; absent for every other routing
+    /// algorithm.
     Snapshot,
     /// Switch allocation (routing decisions run here, at queue heads).
     Alloc,
     /// Wire transmission.
     Transmit,
-    /// Flushing this cycle's outgoing boundary batches.
+    /// Never marked (see the type docs).
     Flush,
-    /// Publishing cycle-end counters into the shard's publication cell.
+    /// Never marked (see the type docs).
     Publish,
-    /// Waiting on the end-of-cycle barrier for the other shards.
+    /// Never marked (see the type docs).
     Barrier,
-    /// Evaluating the global stop conditions (saturation cap, deadlock
+    /// Evaluating the stop conditions (saturation cap, deadlock
     /// heuristic, armed watchdog checks, flight-recorder capture).
     Stop,
 }
@@ -92,24 +92,14 @@ impl Phase {
 /// The profiling seam of the cycle engine.  All hooks default to inline
 /// no-ops; [`NoopProfiler`] (the default everywhere) therefore compiles to
 /// the unprofiled engine.  Implementations must be cheap — `mark` runs up
-/// to ten times per simulated cycle.
-///
-/// Like the observer seam, a profiler *forks* one child per shard worker
-/// and *absorbs* the children after the workers join, in shard order.
-/// Unlike observers, forking is infallible (profilers carry no
-/// user-defined state that could refuse to split).
-pub trait EngineProfiler: Send + Sized {
-    /// `true` only for real profilers: gates the few instrumentation
-    /// points that are not pure hook calls (the mailbox `try_lock`
-    /// stall probe), so the disabled engine contains no trace of them.
-    const ENABLED: bool = false;
-
-    /// A shard worker is starting; `shard` is its index.
+/// to six times per simulated cycle.
+pub trait EngineProfiler {
+    /// The run is starting.
     #[inline]
-    fn shard_start(&mut self, _shard: u32) {}
+    fn run_start(&mut self) {}
 
     /// The phase that just ended; charges the time since the previous
-    /// mark (or since `shard_start`) to it.
+    /// mark (or since `run_start`) to it.
     #[inline]
     fn mark(&mut self, _phase: Phase) {}
 
@@ -117,87 +107,27 @@ pub trait EngineProfiler: Send + Sized {
     #[inline]
     fn cycle_done(&mut self) {}
 
-    /// The shard worker is done; closes its wall-clock.
+    /// The run is done; closes its wall-clock.
     #[inline]
-    fn shard_end(&mut self) {}
-
-    /// A mailbox lock was contended (`try_lock` would have blocked).
-    #[inline]
-    fn mailbox_stall(&mut self) {}
-
-    /// A flit was handed to another shard's mailbox.
-    #[inline]
-    fn flit_sent(&mut self) {}
-
-    /// A flit was drained from another shard's mailbox.
-    #[inline]
-    fn flit_recv(&mut self) {}
-
-    /// A credit was handed to another shard's mailbox.
-    #[inline]
-    fn credit_sent(&mut self) {}
-
-    /// A credit was drained from another shard's mailbox.
-    #[inline]
-    fn credit_recv(&mut self) {}
-
-    /// An outgoing boundary batch of `msgs` messages was flushed.
-    #[inline]
-    fn batch_flushed(&mut self, _msgs: usize) {}
-
-    /// Boundary messages left undrained in mailboxes when the run
-    /// stopped (counted once, after the workers join).
-    #[inline]
-    fn note_undrained(&mut self, _flits: u64, _credits: u64) {}
-
-    /// A child profiler for one shard worker.
-    fn fork(&self) -> Self;
-
-    /// Merges a child back, called in shard order after the workers join.
-    fn absorb(&mut self, child: Self);
+    fn run_end(&mut self) {}
 }
 
 /// The do-nothing profiler: every run that does not opt into profiling is
 /// monomorphized against this, compiling the seam away entirely.
 pub struct NoopProfiler;
 
-impl EngineProfiler for NoopProfiler {
-    #[inline]
-    fn fork(&self) -> Self {
-        NoopProfiler
-    }
+impl EngineProfiler for NoopProfiler {}
 
-    #[inline]
-    fn absorb(&mut self, _child: Self) {}
-}
-
-/// One shard's profile: wall-clock attributed to phases, plus boundary
-/// counters.  All times are nanoseconds.
+/// One run's profile: wall-clock attributed to phases.  All times are
+/// nanoseconds.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardProfile {
-    /// Shard index.
-    pub shard: u32,
-    /// Wall-clock of the shard worker, `shard_start` to `shard_end`.
+    /// Wall-clock of the run, `run_start` to `run_end`.
     pub wall_ns: u64,
     /// Full cycles completed (early-break cycles are not counted).
     pub cycles: u64,
     /// Nanoseconds attributed to each phase, indexed like [`Phase::ALL`].
     pub phase_ns: [u64; PHASE_COUNT],
-    /// Flits handed to other shards' mailboxes.
-    pub flits_sent: u64,
-    /// Flits drained from other shards' mailboxes.
-    pub flits_recv: u64,
-    /// Credits handed to other shards' mailboxes.
-    pub credits_sent: u64,
-    /// Credits drained from other shards' mailboxes.
-    pub credits_recv: u64,
-    /// Contended mailbox lock acquisitions (`try_lock` would have blocked).
-    pub mailbox_stalls: u64,
-    /// Outgoing boundary batches flushed.
-    pub batches_flushed: u64,
-    /// Messages across all flushed batches (mean batch size =
-    /// `batch_msgs / batches_flushed`).
-    pub batch_msgs: u64,
 }
 
 impl ShardProfile {
@@ -213,43 +143,33 @@ impl ShardProfile {
         for (a, b) in self.phase_ns.iter_mut().zip(&other.phase_ns) {
             *a += b;
         }
-        self.flits_sent += other.flits_sent;
-        self.flits_recv += other.flits_recv;
-        self.credits_sent += other.credits_sent;
-        self.credits_recv += other.credits_recv;
-        self.mailbox_stalls += other.mailbox_stalls;
-        self.batches_flushed += other.batches_flushed;
-        self.batch_msgs += other.batch_msgs;
     }
 }
 
-/// The merged, shard-ordered profile of one run (or the element-wise sum
-/// of several runs at the same shard count — see [`ProfileReport::absorb`]).
+/// The profile of one run, or the element-wise sum of several runs (see
+/// [`ProfileReport::absorb`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProfileReport {
-    /// Per-shard profiles, in shard order.
+    /// The run's profile: one entry for a report of one or more runs, none
+    /// for an empty report.  (A list because consumers such as the
+    /// pipeline benchmark read it as one.)
     pub shards: Vec<ShardProfile>,
-    /// Flits still sitting in mailboxes when the run stopped (sent but
-    /// never drained): `Σ flits_sent == Σ flits_recv + undrained_flits`.
-    pub undrained_flits: u64,
-    /// Same for credits.
-    pub undrained_credits: u64,
 }
 
 impl ProfileReport {
-    /// Total shard wall-clock (sum over shards — the denominator of the
-    /// attribution table).
+    /// Total profiled wall-clock (the denominator of the attribution
+    /// table).
     pub fn wall_ns(&self) -> u64 {
         self.shards.iter().map(|s| s.wall_ns).sum()
     }
 
-    /// Nanoseconds attributed to `phase`, summed over shards.
+    /// Nanoseconds attributed to `phase`.
     pub fn phase_total(&self, phase: Phase) -> u64 {
         self.shards.iter().map(|s| s.phase_ns[phase as usize]).sum()
     }
 
-    /// Fraction of shard wall-clock attributed to named phases
-    /// (the acceptance bar is ≥ 0.95; misses mean a gap in the marks).
+    /// Fraction of wall-clock attributed to named phases (the acceptance
+    /// bar is ≥ 0.95; misses mean a gap in the marks).
     pub fn attributed_fraction(&self) -> f64 {
         let wall = self.wall_ns();
         if wall == 0 {
@@ -258,9 +178,9 @@ impl ProfileReport {
         self.shards.iter().map(|s| s.attributed_ns()).sum::<u64>() as f64 / wall as f64
     }
 
-    /// Element-wise accumulation of another report (shards matched by
-    /// index; a shape mismatch extends with the extra shards), for
-    /// aggregating the jobs of one scenario into one attribution table.
+    /// Element-wise accumulation of another report (entries matched by
+    /// index; extra entries are appended), for aggregating the jobs of one
+    /// scenario into one attribution table.
     pub fn absorb(&mut self, other: &ProfileReport) {
         for (i, s) in other.shards.iter().enumerate() {
             if i < self.shards.len() {
@@ -269,11 +189,9 @@ impl ProfileReport {
                 self.shards.push(s.clone());
             }
         }
-        self.undrained_flits += other.undrained_flits;
-        self.undrained_credits += other.undrained_credits;
     }
 
-    /// The `k` costliest phases as `"barrier 62% / alloc 21% / advance 9%"`
+    /// The `k` costliest phases as `"alloc 62% / advance 21% / inject 9%"`
     /// (phases with zero share are skipped).
     pub fn top_phases(&self, k: usize) -> String {
         let wall = self.wall_ns().max(1);
@@ -293,15 +211,12 @@ impl ProfileReport {
 }
 
 /// The real profiler: wall-clock phase attribution via monotonic
-/// timestamps, one [`ShardProfile`] per shard worker.
+/// timestamps.
 #[derive(Debug)]
 pub struct EngineProf {
     cur: ShardProfile,
     start: Instant,
     last: Instant,
-    children: Vec<ShardProfile>,
-    undrained_flits: u64,
-    undrained_credits: u64,
 }
 
 impl Default for EngineProf {
@@ -318,34 +233,20 @@ impl EngineProf {
             cur: ShardProfile::default(),
             start: now,
             last: now,
-            children: Vec::new(),
-            undrained_flits: 0,
-            undrained_credits: 0,
         }
     }
 
-    /// The merged report: the absorbed children on multi-shard runs (in
-    /// shard order), this profiler's own shard on sequential ones.
+    /// The run's report.
     pub fn report(&self) -> ProfileReport {
-        let shards = if self.children.is_empty() {
-            vec![self.cur.clone()]
-        } else {
-            self.children.clone()
-        };
         ProfileReport {
-            shards,
-            undrained_flits: self.undrained_flits,
-            undrained_credits: self.undrained_credits,
+            shards: vec![self.cur.clone()],
         }
     }
 }
 
 impl EngineProfiler for EngineProf {
-    const ENABLED: bool = true;
-
     #[inline]
-    fn shard_start(&mut self, shard: u32) {
-        self.cur.shard = shard;
+    fn run_start(&mut self) {
         self.start = Instant::now();
         self.last = self.start;
     }
@@ -363,52 +264,8 @@ impl EngineProfiler for EngineProf {
     }
 
     #[inline]
-    fn shard_end(&mut self) {
+    fn run_end(&mut self) {
         self.cur.wall_ns = self.start.elapsed().as_nanos() as u64;
-    }
-
-    #[inline]
-    fn mailbox_stall(&mut self) {
-        self.cur.mailbox_stalls += 1;
-    }
-
-    #[inline]
-    fn flit_sent(&mut self) {
-        self.cur.flits_sent += 1;
-    }
-
-    #[inline]
-    fn flit_recv(&mut self) {
-        self.cur.flits_recv += 1;
-    }
-
-    #[inline]
-    fn credit_sent(&mut self) {
-        self.cur.credits_sent += 1;
-    }
-
-    #[inline]
-    fn credit_recv(&mut self) {
-        self.cur.credits_recv += 1;
-    }
-
-    #[inline]
-    fn batch_flushed(&mut self, msgs: usize) {
-        self.cur.batches_flushed += 1;
-        self.cur.batch_msgs += msgs as u64;
-    }
-
-    fn note_undrained(&mut self, flits: u64, credits: u64) {
-        self.undrained_flits += flits;
-        self.undrained_credits += credits;
-    }
-
-    fn fork(&self) -> Self {
-        EngineProf::new()
-    }
-
-    fn absorb(&mut self, child: Self) {
-        self.children.push(child.cur);
     }
 }
 
@@ -427,12 +284,12 @@ mod tests {
     #[test]
     fn marks_tile_wallclock() {
         let mut prof = EngineProf::new();
-        prof.shard_start(0);
+        prof.run_start();
         prof.mark(Phase::Advance);
         std::thread::sleep(std::time::Duration::from_millis(2));
         prof.mark(Phase::Alloc);
         prof.cycle_done();
-        prof.shard_end();
+        prof.run_end();
         let rep = prof.report();
         assert_eq!(rep.shards.len(), 1);
         let s = &rep.shards[0];
@@ -447,32 +304,28 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_in_shard_order_and_reports_sum() {
-        let mut root = EngineProf::new();
-        for shard in 0..3u32 {
-            let mut child = root.fork();
-            child.shard_start(shard);
-            child.flit_sent();
-            child.credit_sent();
-            child.shard_end();
-            root.absorb(child);
-        }
-        root.note_undrained(3, 0);
-        let rep = root.report();
-        assert_eq!(rep.shards.len(), 3);
-        assert_eq!(
-            rep.shards.iter().map(|s| s.shard).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        assert_eq!(rep.shards.iter().map(|s| s.flits_sent).sum::<u64>(), 3);
-        assert_eq!(rep.undrained_flits, 3);
-
+    fn reports_of_several_runs_add_up() {
+        let run = |cycles: u64| {
+            let mut prof = EngineProf::new();
+            prof.run_start();
+            for _ in 0..cycles {
+                prof.mark(Phase::Alloc);
+                prof.cycle_done();
+            }
+            prof.run_end();
+            prof.report()
+        };
+        let (a, b) = (run(2), run(3));
         let mut acc = ProfileReport::default();
-        acc.absorb(&rep);
-        acc.absorb(&rep);
-        assert_eq!(acc.shards.len(), 3);
-        assert_eq!(acc.shards[0].flits_sent, 2);
-        assert_eq!(acc.undrained_flits, 6);
+        acc.absorb(&a);
+        acc.absorb(&b);
+        assert_eq!(acc.shards.len(), 1);
+        assert_eq!(acc.shards[0].cycles, 5);
+        assert_eq!(acc.wall_ns(), a.wall_ns() + b.wall_ns());
+        assert_eq!(
+            acc.phase_total(Phase::Alloc),
+            a.phase_total(Phase::Alloc) + b.phase_total(Phase::Alloc)
+        );
     }
 
     #[test]
@@ -482,23 +335,22 @@ mod tests {
             wall_ns: 100,
             ..ShardProfile::default()
         };
-        s.phase_ns[Phase::Barrier as usize] = 60;
-        s.phase_ns[Phase::Alloc as usize] = 30;
+        s.phase_ns[Phase::Alloc as usize] = 60;
+        s.phase_ns[Phase::Advance as usize] = 30;
         rep.shards.push(s);
         let line = rep.top_phases(2);
-        assert!(line.starts_with("barrier 60%"), "{line}");
-        assert!(line.contains("alloc 30%"), "{line}");
-        assert_eq!(rep.phase_total(Phase::Barrier), 60);
+        assert!(line.starts_with("alloc 60%"), "{line}");
+        assert!(line.contains("advance 30%"), "{line}");
+        assert_eq!(rep.phase_total(Phase::Alloc), 60);
         assert!((rep.attributed_fraction() - 0.9).abs() < 1e-9);
     }
 
     #[test]
     fn report_roundtrips_through_json() {
         let mut prof = EngineProf::new();
-        prof.shard_start(1);
+        prof.run_start();
         prof.mark(Phase::Advance);
-        prof.batch_flushed(4);
-        prof.shard_end();
+        prof.run_end();
         let rep = prof.report();
         let json = serde_json::to_string(&rep).unwrap();
         let back: ProfileReport = serde_json::from_str(&json).unwrap();

@@ -26,10 +26,8 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
 
     /// UGAL-G metric of a channel: downstream buffer occupancy plus staged
     /// flits (a global snapshot an implementation could not cheaply have).
-    /// Reads the begin-of-allocation snapshot the owners published after
-    /// injection — identical at every shard count, because the snapshot is
-    /// taken at the same point of the cycle regardless of which shard owns
-    /// the channel.
+    /// Reads the begin-of-allocation snapshot taken after injection, so
+    /// every decision of a cycle sees the same queue state.
     #[inline]
     pub(crate) fn q_global(&self, chan: u32) -> u64 {
         self.snap_q(chan)
@@ -111,8 +109,8 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
             )
         };
         // The routing decision always runs at the head of a buffer of the
-        // source switch, so `s` is owned by this shard and its group keys
-        // the RNG stream the draws consume.
+        // source switch, so `s`'s group keys the RNG stream the draws
+        // consume.
         let gi = self.gi_of_switch(s);
         // `ugal_threshold == i64::MAX` is the documented force-MIN
         // sentinel: the decision is short-circuited *without drawing the

@@ -1,17 +1,11 @@
 //! Flow-control state: the per-run allocations of the engine, owned by a
 //! reusable [`SimWorkspace`].
 //!
-//! Since the engine was partitioned into group-sharded workers, the
-//! workspace is a container of per-shard slabs ([`ShardState`]): shard `k`
-//! of `N` owns `groups / N` consecutive dragonfly groups — their switches,
-//! input buffers, credits, calendar rings and the send side of every
-//! channel leaving an owned switch.  All arrays stay **globally indexed**
-//! (channel/switch/node ids are the dense topology ids); a shard simply
-//! never touches indices it does not own, so the sequential `N = 1` layout
-//! is the same code with one shard owning everything.  The per-channel
-//! ownership tables (`owns_send`/`owns_recv`, `src_shard`/`dst_shard`)
-//! form the boundary index the workers consult when a flit or credit must
-//! cross into another shard's slab via a mailbox.
+//! One workspace holds the complete flow-control state of one run — every
+//! switch, input buffer, credit counter and calendar ring of the network —
+//! and the engine drives it on the caller's thread.  Parallelism lives one
+//! level up: the experiment runner runs independent (series, rate, seed)
+//! jobs side by side, each in its own workspace.
 //!
 //! All per-channel state lives in flat vectors indexed by
 //! [`tugal_topology::ChannelId`]:
@@ -25,7 +19,7 @@
 //!   the channel latency, modelled with a calendar ring.
 //!
 //! The two FIFO families are *intrusive* linked lists threaded through one
-//! shared [`ShardState::next_pkt`] array: a packet sits in at most one
+//! shared [`SimWorkspace::next_pkt`] array: a packet sits in at most one
 //! queue at a time (staging of its current channel, or one input-buffer
 //! FIFO downstream), so a single next-pointer per packet replaces a
 //! `VecDeque` per queue — no per-queue capacity management, no wraparound
@@ -37,23 +31,22 @@
 //! flight, not to topology size.  Each router keeps a *ready list* of
 //! non-empty input-buffer FIFOs; switch allocation visits only those.
 //!
-//! A workspace survives across runs: [`SimWorkspace`]'s crate-internal
-//! `reset` clears every structure *in place* (keeping the backing
-//! capacity) when the engine shape — channel count × VC count × switch
-//! count × calendar ring size × shard count — matches the previous run,
-//! and rebuilds from scratch only when it changes.  A reset workspace is
-//! indistinguishable from a fresh one, so reuse cannot perturb determinism
-//! (asserted by the golden fixtures and the workspace-reuse tests).
+//! A workspace survives across runs: its crate-internal `reset` clears
+//! every structure *in place* (keeping the backing capacity) when the
+//! engine shape — channel count × VC count × switch count × calendar ring
+//! size — matches the previous run, and rebuilds from scratch only when it
+//! changes.  A reset workspace is indistinguishable from a fresh one, so
+//! reuse cannot perturb determinism (asserted by the golden fixtures and
+//! the workspace-reuse tests).
 
 use crate::config::Config;
 use std::sync::Mutex;
 use tugal_routing::Path;
 use tugal_topology::{ChannelKind, Dragonfly, Endpoint};
 
-/// A packet in flight (single-flit, as the paper uses).  `Copy`, so a
-/// boundary handoff to another shard's mailbox is a plain move.  The
-/// packet's source route is not stored here but in its slot of
-/// [`ShardState::paths`], which the hop fields below refer to.
+/// A packet in flight (single-flit, as the paper uses).  The packet's
+/// source route is not stored here but in its slot of
+/// [`SimWorkspace::paths`], which the hop fields below refer to.
 #[derive(Clone, Copy)]
 pub(crate) struct Packet {
     pub(crate) dst_node: u32,
@@ -94,50 +87,17 @@ struct Shape {
     n_switches: usize,
     ring_size: usize,
     buf_size: u16,
-    shards: usize,
 }
 
-/// One shard worker's slab: the complete flow-control state for the
-/// contiguous group range the shard owns, plus the boundary index that
-/// tells it which channels cross into other shards.
+/// Owns every per-run allocation of the engine, so consecutive runs can
+/// reuse the backing memory instead of reallocating it.
 ///
-/// Every array is globally indexed (dense topology ids); entries outside
-/// the owned range stay in their reset state and are never read or
-/// written, except for the replicated read-only geometry (`latency`,
-/// `dst_switch`, `is_global`, the dead masks) which every shard keeps in
-/// full so the hot paths need no index translation.
+/// Create one with [`SimWorkspace::new`] and pass it to
+/// [`crate::Simulator::run_with`]; the sweep layer keeps one workspace per
+/// worker through a [`WorkspacePool`].
 #[derive(Default)]
-pub(crate) struct ShardState {
-    // ---- Shard identity / ownership (rebuilt on every reset) ----
-    /// This shard's index in `0..n_shards`.
-    pub(crate) id: u32,
-    /// Total shard count of the run.
-    pub(crate) n_shards: u32,
-    /// First dragonfly group this shard owns (owns `groups / n_shards`
-    /// consecutive groups from here).
-    pub(crate) group_lo: u32,
-    /// Owned switch range `[switch_lo, switch_hi)`.
-    pub(crate) switch_lo: u32,
-    pub(crate) switch_hi: u32,
-    /// Owned node range `[node_lo, node_hi)`.
-    pub(crate) node_lo: u32,
-    pub(crate) node_hi: u32,
-    /// Nodes per group (`p * a`), for node → group arithmetic.
-    pub(crate) nodes_per_group: u32,
-    /// Per channel: this shard owns the *send* side (staging, credits,
-    /// `cred_used`, `next_free`, `chan_flits`) — true iff the source
-    /// endpoint lives in the owned range.
-    pub(crate) owns_send: Vec<bool>,
-    /// Per channel: this shard owns the *receive* side (input-buffer
-    /// FIFOs, `buf_occ`, ready lists) — true iff the destination endpoint
-    /// lives in the owned range.
-    pub(crate) owns_recv: Vec<bool>,
-    /// Per channel: shard owning the send side (for boundary credit
-    /// returns).
-    pub(crate) src_shard: Vec<u32>,
-    /// Per channel: shard owning the receive side (for boundary flit
-    /// handoff).
-    pub(crate) dst_shard: Vec<u32>,
+pub struct SimWorkspace {
+    shape: Option<Shape>,
 
     // ---- Packet pool ----
     pub(crate) packets: Vec<Packet>,
@@ -217,22 +177,71 @@ pub(crate) struct ShardState {
     /// indirect packet load per comparison (see `Engine::step`).
     pub(crate) arrival_keys: Vec<u64>,
 
-    /// Flits sent per channel during the run (utilization statistic; only
-    /// send-owned channels count, so the per-shard vectors sum disjointly
-    /// into the global view).
+    /// Flits sent per channel during the run (utilization statistic).
     pub(crate) chan_flits: Vec<u32>,
 
-    // ---- Fault state (all false unless a fault schedule is configured).
-    // Replicated in full on every shard: fault events are broadcast, each
-    // shard computes the same degraded view and drains only the buffers it
-    // owns (the others are empty in its slab). ----
+    // ---- Fault state (all false unless a fault schedule is configured) ----
     /// Channels killed by applied fault events, per channel.
     pub(crate) chan_dead: Vec<bool>,
     /// Switches killed by applied fault events, per switch.
     pub(crate) switch_dead: Vec<bool>,
 }
 
-impl ShardState {
+impl SimWorkspace {
+    /// An empty workspace; the first (crate-internal) `reset` sizes it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Calendar ring size for a configuration: enough slots to cover the
+    /// largest latency, rounded up to a power of two so the per-event
+    /// slot computation is a mask instead of a division (the engine
+    /// pushes to a calendar ring for every grant and every wire
+    /// transmission).
+    pub(crate) fn ring_size_for(cfg: &Config) -> usize {
+        let max_lat = cfg
+            .local_latency
+            .max(cfg.global_latency)
+            .max(cfg.terminal_latency) as usize;
+        (max_lat + 2).next_power_of_two()
+    }
+
+    /// Prepares the workspace for a run of `topo` under `cfg`: same-shape
+    /// resets clear in place (keeping capacity), shape changes rebuild.
+    pub(crate) fn reset(&mut self, topo: &Dragonfly, cfg: &Config) {
+        let shape = Shape {
+            n_chan: topo.num_channels(),
+            v: cfg.num_vcs as usize,
+            n_switches: topo.num_switches(),
+            ring_size: Self::ring_size_for(cfg),
+            buf_size: cfg.buf_size,
+        };
+        if self.shape != Some(shape) {
+            self.resize(&shape);
+            self.shape = Some(shape);
+        }
+        self.clear(cfg);
+
+        // Channel geometry is cheap to rederive and may differ between
+        // configs of the same shape (e.g. latencies), so refill it on every
+        // reset; the buffers above keep their capacity either way.
+        self.latency.clear();
+        self.dst_switch.clear();
+        self.is_global.clear();
+        for ch in topo.channels() {
+            self.latency.push(match ch.kind {
+                ChannelKind::Local => cfg.local_latency,
+                ChannelKind::Global => cfg.global_latency,
+                _ => cfg.terminal_latency,
+            });
+            self.dst_switch.push(match ch.dst {
+                Endpoint::Switch(s) => s.0,
+                Endpoint::Node(_) => u32::MAX,
+            });
+            self.is_global.push(ch.kind == ChannelKind::Global);
+        }
+    }
+
     /// Occupancy (in flits) of the downstream input buffer of channel
     /// `chan`, VC `vc`, for an engine with `v` VCs per channel — the
     /// quantity the observer seam samples through
@@ -308,9 +317,8 @@ impl ShardState {
         Some(h)
     }
 
-    /// Clears the slab in place and rebuilds the shard's ownership index
-    /// and channel geometry for shard `id` of `n_shards` over `topo`.
-    fn reset(&mut self, topo: &Dragonfly, cfg: &Config, id: usize, n_shards: usize) {
+    /// Clears every run-state structure in place, keeping its capacity.
+    fn clear(&mut self, cfg: &Config) {
         self.packets.clear();
         self.free.clear();
         self.paths.clear();
@@ -345,55 +353,6 @@ impl ShardState {
         self.chan_flits.fill(0);
         self.chan_dead.fill(false);
         self.switch_dead.fill(false);
-
-        // Ownership: shard `id` owns `groups / n_shards` consecutive
-        // groups and everything inside them.
-        let groups = topo.num_groups() as u32;
-        let gps = groups / n_shards as u32; // validated divisible upstream
-        let a = (topo.num_switches() / topo.num_groups()) as u32;
-        let npg = (topo.num_nodes() / topo.num_groups()) as u32;
-        self.id = id as u32;
-        self.n_shards = n_shards as u32;
-        self.group_lo = id as u32 * gps;
-        self.switch_lo = self.group_lo * a;
-        self.switch_hi = (self.group_lo + gps) * a;
-        self.node_lo = self.group_lo * npg;
-        self.node_hi = (self.group_lo + gps) * npg;
-        self.nodes_per_group = npg;
-
-        // Channel geometry is cheap to rederive and may differ between
-        // configs of the same shape (e.g. latencies), so refill it on every
-        // reset; the buffers above keep their capacity either way.
-        self.latency.clear();
-        self.dst_switch.clear();
-        self.is_global.clear();
-        self.owns_send.clear();
-        self.owns_recv.clear();
-        self.src_shard.clear();
-        self.dst_shard.clear();
-        let shard_of = |e: Endpoint| -> u32 {
-            match e {
-                Endpoint::Switch(s) => topo.group_of(s).0 / gps,
-                Endpoint::Node(n) => topo.group_of_node(n).0 / gps,
-            }
-        };
-        for ch in topo.channels() {
-            self.latency.push(match ch.kind {
-                ChannelKind::Local => cfg.local_latency,
-                ChannelKind::Global => cfg.global_latency,
-                _ => cfg.terminal_latency,
-            });
-            self.dst_switch.push(match ch.dst {
-                Endpoint::Switch(s) => s.0,
-                Endpoint::Node(_) => u32::MAX,
-            });
-            self.is_global.push(ch.kind == ChannelKind::Global);
-            let (ss, ds) = (shard_of(ch.src), shard_of(ch.dst));
-            self.owns_send.push(ss == self.id);
-            self.owns_recv.push(ds == self.id);
-            self.src_shard.push(ss);
-            self.dst_shard.push(ds);
-        }
     }
 
     fn resize(&mut self, s: &Shape) {
@@ -416,10 +375,6 @@ impl ShardState {
         self.cred_used = vec![0; s.n_chan];
         self.dst_switch = Vec::with_capacity(s.n_chan);
         self.is_global = Vec::with_capacity(s.n_chan);
-        self.owns_send = Vec::with_capacity(s.n_chan);
-        self.owns_recv = Vec::with_capacity(s.n_chan);
-        self.src_shard = Vec::with_capacity(s.n_chan);
-        self.dst_shard = Vec::with_capacity(s.n_chan);
         self.ready = vec![Vec::new(); s.n_switches];
         self.in_ready = vec![false; s.n_chan * s.v];
         self.wait = vec![u32::MAX; s.n_chan * s.v];
@@ -433,68 +388,6 @@ impl ShardState {
         self.chan_flits = vec![0; s.n_chan];
         self.chan_dead = vec![false; s.n_chan];
         self.switch_dead = vec![false; s.n_switches];
-    }
-}
-
-/// Owns every per-run allocation of the engine — one `ShardState` slab
-/// per shard worker — so consecutive runs can reuse the backing memory
-/// instead of reallocating it.
-///
-/// Create one with [`SimWorkspace::new`] and pass it to
-/// [`crate::Simulator::run_with`]; the sweep layer keeps one workspace per
-/// worker through a [`WorkspacePool`].
-#[derive(Default)]
-pub struct SimWorkspace {
-    shape: Option<Shape>,
-    /// One slab per shard worker; `shards.len() == 1` on the sequential
-    /// path.
-    pub(crate) shards: Vec<ShardState>,
-}
-
-impl SimWorkspace {
-    /// An empty workspace; the first (crate-internal) `reset` sizes it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Calendar ring size for a configuration: enough slots to cover the
-    /// largest latency, rounded up to a power of two so the per-event
-    /// slot computation is a mask instead of a division (the engine
-    /// pushes to a calendar ring for every grant and every wire
-    /// transmission).
-    pub(crate) fn ring_size_for(cfg: &Config) -> usize {
-        let max_lat = cfg
-            .local_latency
-            .max(cfg.global_latency)
-            .max(cfg.terminal_latency) as usize;
-        (max_lat + 2).next_power_of_two()
-    }
-
-    /// Prepares the workspace for a run of `topo` under `cfg` with
-    /// `n_shards` workers: same-shape resets clear in place (keeping
-    /// capacity), shape changes rebuild.  `n_shards` is the *executed*
-    /// shard count (the orchestrator may fall back to 1 when an observer
-    /// cannot fork), already validated against the topology.
-    pub(crate) fn reset(&mut self, topo: &Dragonfly, cfg: &Config, n_shards: usize) {
-        let shape = Shape {
-            n_chan: topo.num_channels(),
-            v: cfg.num_vcs as usize,
-            n_switches: topo.num_switches(),
-            ring_size: Self::ring_size_for(cfg),
-            buf_size: cfg.buf_size,
-            shards: n_shards,
-        };
-        if self.shape != Some(shape) {
-            self.shards.clear();
-            self.shards.resize_with(n_shards, ShardState::default);
-            for st in &mut self.shards {
-                st.resize(&shape);
-            }
-        }
-        self.shape = Some(shape);
-        for (id, st) in self.shards.iter_mut().enumerate() {
-            st.reset(topo, cfg, id, n_shards);
-        }
     }
 }
 

@@ -40,14 +40,13 @@ pub struct WatchdogConfig {
     /// cycles.  A trip reports [`StallKind::WallClockExceeded`] — the
     /// runner maps it to a timed-out job.
     pub wall_limit_ms: u64,
-    /// Flight-recorder depth: each shard keeps a ring of its last N
-    /// cycles' [`FlightFrame`]s (globals snapshot + boundary traffic) and
-    /// a trip drains them into [`StallReport::recent`] (`0` = off, the
-    /// default).  Recording only happens while some *check* is armed —
-    /// a config whose only non-zero field is this one is still treated
-    /// as no watchdog at all.  Frame capture reads the same globally
-    /// agreed counters every shard already computes, so arming the
-    /// recorder cannot change simulation results.
+    /// Flight-recorder depth: the engine keeps a ring of its last N
+    /// cycles' [`FlightFrame`]s and a trip drains them into
+    /// [`StallReport::recent`] (`0` = off, the default).  Recording only
+    /// happens while some *check* is armed — a config whose only non-zero
+    /// field is this one is still treated as no watchdog at all.  Frame
+    /// capture only reads the counters the stop decisions already
+    /// compute, so arming the recorder cannot change simulation results.
     pub flight_recorder: u64,
 }
 
@@ -197,30 +196,22 @@ pub struct OldestPacket {
     pub cur_chan: u32,
 }
 
-/// One cycle of one shard's flight-recorder ring: the globally agreed
-/// end-of-cycle counters (identical on every shard by the determinism
-/// contract) plus this shard's cumulative boundary traffic.  A trip drains
-/// the last `WatchdogConfig::flight_recorder` of these per shard into
-/// [`StallReport::recent`], so forensics show the cross-shard behavior
+/// One cycle of the flight-recorder ring: the end-of-cycle packet
+/// counters.  A trip drains the last `WatchdogConfig::flight_recorder` of
+/// these into [`StallReport::recent`], so forensics show the behavior
 /// leading up to the stall, not just its final state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlightFrame {
     /// The cycle the frame describes.
     pub cycle: u64,
-    /// The shard that recorded it.
-    pub shard: u32,
-    /// Global in-flight population at cycle end.
+    /// Packets in flight at cycle end.
     pub in_flight: u64,
-    /// Global packets injected so far.
+    /// Packets injected so far.
     pub injected: u64,
-    /// Global packets delivered so far.
+    /// Packets delivered so far.
     pub delivered: u64,
-    /// Global packets dropped so far.
+    /// Packets dropped so far.
     pub dropped: u64,
-    /// Flits this shard has handed to other shards' mailboxes so far.
-    pub boundary_sent: u64,
-    /// Flits this shard has drained from other shards' mailboxes so far.
-    pub boundary_recv: u64,
 }
 
 /// Routing-decision counters at trip time.
@@ -251,75 +242,15 @@ pub struct StallReport {
     /// Routing-decision counters up to the trip.
     pub decisions: RoutingCounters,
     /// Flight-recorder frames: the last `WatchdogConfig::flight_recorder`
-    /// cycles per shard, merged chronologically (then by shard within a
-    /// cycle).  Empty when the recorder is off (the default).
+    /// cycles, oldest first.  Empty when the recorder is off (the
+    /// default).
     pub recent: Vec<FlightFrame>,
-}
-
-/// One shard's contribution to a [`StallReport`]: the occupancy of the
-/// input buffers it owns and its oldest live packet.  Shards own disjoint
-/// receive-side buffers and disjoint packet pools, so concatenating the
-/// partials reconstructs the global view.
-#[derive(Debug)]
-pub(crate) struct StallPartial {
-    pub(crate) occupancy: Vec<VcSnapshot>,
-    pub(crate) oldest: Option<OldestPacket>,
-    /// This shard's flight-recorder ring, drained oldest-first.
-    pub(crate) recent: Vec<FlightFrame>,
 }
 
 impl StallReport {
     /// Cap on the occupancy snapshot so a report from a saturated large
     /// topology stays a report, not a core dump.
     pub const MAX_OCCUPANCY_ENTRIES: usize = 128;
-
-    /// Builds the report from per-shard partials, deterministically:
-    /// occupancy entries are canonically ordered (largest first, then by
-    /// channel and VC) before the cap applies, and the oldest packet is
-    /// the minimum under the shard-count-invariant `(birth, src, dst)`
-    /// key — unique, because a node injects at most one packet per cycle.
-    pub(crate) fn assemble(
-        kind: StallKind,
-        cycle: u64,
-        last_delivery: u64,
-        ledger: ConservationLedger,
-        decisions: RoutingCounters,
-        parts: Vec<StallPartial>,
-    ) -> Self {
-        let mut occupancy = Vec::new();
-        let mut recent = Vec::new();
-        let mut oldest: Option<OldestPacket> = None;
-        for p in parts {
-            occupancy.extend(p.occupancy);
-            recent.extend(p.recent);
-            oldest = match (oldest, p.oldest) {
-                (None, o) | (o, None) => o,
-                (Some(a), Some(b)) => Some(if (b.birth, b.src, b.dst) < (a.birth, a.src, a.dst) {
-                    b
-                } else {
-                    a
-                }),
-            };
-        }
-        occupancy.sort_unstable_by(|a, b| {
-            b.occupancy
-                .cmp(&a.occupancy)
-                .then(a.chan.cmp(&b.chan))
-                .then(a.vc.cmp(&b.vc))
-        });
-        occupancy.truncate(Self::MAX_OCCUPANCY_ENTRIES);
-        recent.sort_unstable_by_key(|f: &FlightFrame| (f.cycle, f.shard));
-        StallReport {
-            kind,
-            cycle,
-            last_delivery,
-            ledger,
-            occupancy,
-            oldest,
-            decisions,
-            recent,
-        }
-    }
 
     /// One-line summary for logs.
     pub fn oneline(&self) -> String {
@@ -450,45 +381,5 @@ mod tests {
             ..WatchdogConfig::disabled()
         };
         assert!(!only_recorder.armed());
-    }
-
-    #[test]
-    fn assemble_merges_flight_frames_chronologically() {
-        let frame = |cycle, shard| FlightFrame {
-            cycle,
-            shard,
-            in_flight: 1,
-            injected: 1,
-            delivered: 0,
-            dropped: 0,
-            boundary_sent: 0,
-            boundary_recv: 0,
-        };
-        let part = |frames: Vec<FlightFrame>| StallPartial {
-            occupancy: vec![],
-            oldest: None,
-            recent: frames,
-        };
-        let rep = StallReport::assemble(
-            StallKind::Livelock,
-            10,
-            2,
-            ConservationLedger {
-                injected: 1,
-                delivered: 0,
-                dropped: 0,
-                in_flight: 1,
-            },
-            RoutingCounters {
-                routed: 0,
-                vlb_chosen: 0,
-            },
-            vec![
-                part(vec![frame(9, 0), frame(10, 0)]),
-                part(vec![frame(8, 1), frame(9, 1), frame(10, 1)]),
-            ],
-        );
-        let order: Vec<(u64, u32)> = rep.recent.iter().map(|f| (f.cycle, f.shard)).collect();
-        assert_eq!(order, vec![(8, 1), (9, 0), (9, 1), (10, 0), (10, 1)]);
     }
 }

@@ -35,25 +35,6 @@ pub enum ConfigError {
     /// replications would be bit-identical and silently over-weight that
     /// seed in the aggregate.
     DuplicateSeed(u64),
-    /// `shards` was zero — at least one shard worker must own the network.
-    ZeroShards,
-    /// More shards than dragonfly groups: shards own whole groups, so a
-    /// shard would be left with nothing to simulate.
-    ShardsExceedGroups {
-        /// The configured shard count.
-        shards: u32,
-        /// Groups in the topology.
-        groups: u32,
-    },
-    /// The shard count does not divide the group count: shard ownership is
-    /// a fixed-size contiguous group range, so uneven splits are rejected
-    /// rather than silently load-imbalanced.
-    ShardsDontDivideGroups {
-        /// The configured shard count.
-        shards: u32,
-        /// Groups in the topology.
-        groups: u32,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -90,23 +71,6 @@ impl fmt::Display for ConfigError {
             ConfigError::EmptySeeds => write!(f, "no replication seeds to sweep"),
             ConfigError::DuplicateSeed(s) => {
                 write!(f, "seed {s} appears more than once in the seed list")
-            }
-            ConfigError::ZeroShards => {
-                write!(f, "shards is 0: at least one shard worker is required")
-            }
-            ConfigError::ShardsExceedGroups { shards, groups } => {
-                write!(
-                    f,
-                    "shards {shards} exceeds the {groups} dragonfly groups: \
-                     each shard must own at least one whole group"
-                )
-            }
-            ConfigError::ShardsDontDivideGroups { shards, groups } => {
-                write!(
-                    f,
-                    "shards {shards} does not divide the {groups} dragonfly \
-                     groups evenly: shard ownership is a fixed-size group range"
-                )
             }
         }
     }
@@ -161,11 +125,7 @@ mod tests {
     fn errors_render_a_diagnostic() {
         let msg = ConfigError::DuplicateSeed(7).to_string();
         assert!(msg.contains("seed 7"), "{msg}");
-        let msg = ConfigError::ShardsDontDivideGroups {
-            shards: 4,
-            groups: 9,
-        }
-        .to_string();
-        assert!(msg.contains('4') && msg.contains('9'), "{msg}");
+        let msg = ConfigError::BadRate(1.5).to_string();
+        assert!(msg.contains("1.5"), "{msg}");
     }
 }

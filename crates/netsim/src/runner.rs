@@ -218,8 +218,6 @@ pub struct RunSummary {
     /// (`std::thread::available_parallelism`), so a summary from a
     /// single-core container is self-describing.
     pub host_threads: usize,
-    /// Largest engine shard count across the batch's series.
-    pub shards: u32,
     /// The slowest job's engine profile (profiled runs only) — the
     /// phase breakdown [`RunSummary::oneline`] prints.
     pub slowest_profile: Option<ProfileReport>,
@@ -249,13 +247,12 @@ impl RunSummary {
             None => String::new(),
         };
         format!(
-            "{} jobs in {:.0} ms wall ({:.1} jobs/s, {:.0} ms simulated, \
-             {} shard(s) on {} host threads){}{}{}{}",
+            "{} jobs in {:.0} ms wall ({:.1} jobs/s, {:.0} ms simulated \
+             on {} host threads){}{}{}{}",
             self.jobs,
             self.wall_ms,
             self.jobs_per_sec,
             self.sim_ms,
-            self.shards,
             self.host_threads,
             slowest,
             phases,
@@ -279,7 +276,6 @@ impl RunSummary {
             0.0
         };
         self.host_threads = self.host_threads.max(other.host_threads);
-        self.shards = self.shards.max(other.shards);
         // A present entry always beats an absent one, regardless of its
         // time: mapping `None` to 0.0 ms would let an empty batch keep its
         // `None` against a real (even 0 ms-rounded) slowest job.  The
@@ -374,15 +370,12 @@ impl ExperimentRunner {
 
     /// Validates the whole experiment up front: the (rates × seeds) grid
     /// via [`crate::validate_sweep`] and every series' [`Config`] via
-    /// [`Config::validate`] plus [`Config::validate_shards`] against this
-    /// runner's topology — so a malformed sweep is rejected before any
+    /// [`Config::validate`] — so a malformed sweep is rejected before any
     /// job is scheduled.
     pub fn validate(&self, rates: &[f64], seeds: &[u64]) -> Result<(), ConfigError> {
         crate::error::validate_sweep(rates, seeds)?;
-        let groups = self.topo.num_groups() as u32;
         for s in &self.series {
             s.cfg.validate()?;
-            s.cfg.validate_shards(groups)?;
         }
         Ok(())
     }
@@ -522,12 +515,10 @@ impl ExperimentRunner {
             })
             .collect();
         let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let batch_shards = self.series.iter().map(|s| s.cfg.shards).max().unwrap_or(1);
         if let Some(trace) = &self.trace {
             let mut span = TraceSpan::new("batch_start");
             span.t_ms = trace.now_ms();
             span.jobs = jobs.len() as u64;
-            span.shards = batch_shards as u64;
             span.host_threads = host_threads as u64;
             trace.emit(&span);
         }
@@ -549,7 +540,6 @@ impl ExperimentRunner {
                     span.rate_bits = rate.to_bits();
                     span.seed = seed;
                     span.digest = digest;
-                    span.shards = cfgs[si].shards as u64;
                     span
                 };
                 let record = |outcome, elapsed_ms, resumed, profile| JobRecord {
@@ -652,9 +642,6 @@ impl ExperimentRunner {
                         let mut span = job_span(e.kind.name());
                         span.t_ms = trace.now_ms();
                         span.cycle = e.cycle;
-                        // The event's own shard count: a restore may have
-                        // read a checkpoint written at a different one.
-                        span.shards = e.shards as u64;
                         span.ckpt_bytes = e.bytes;
                         span.checksum = e.checksum;
                         span.elapsed_ms_bits = (e.elapsed_ms as f64).to_bits();
@@ -694,7 +681,6 @@ impl ExperimentRunner {
             span.t_ms = trace.now_ms();
             span.jobs = jobs.len() as u64;
             span.failed = failed as u64;
-            span.shards = batch_shards as u64;
             span.host_threads = host_threads as u64;
             if self.profiling {
                 let mut agg = ProfileReport::default();
@@ -720,7 +706,6 @@ impl ExperimentRunner {
             failed,
             resumed,
             host_threads,
-            shards: batch_shards,
             slowest_profile,
         };
 
@@ -777,36 +762,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{ExperimentRunner, RunSummary, SeriesSpec};
-    use crate::config::{Config, RoutingAlgorithm};
-    use crate::error::ConfigError;
-    use std::sync::Arc;
-    use tugal_routing::TableProvider;
-    use tugal_topology::{Dragonfly, DragonflyParams};
-    use tugal_traffic::Uniform;
-
-    #[test]
-    fn validate_rejects_shards_that_do_not_fit_the_topology() {
-        // dfly(2,4,2,5) has 5 groups: 3 shards cannot divide them.
-        let topo = Arc::new(Dragonfly::new(DragonflyParams::new(2, 4, 2, 5)).unwrap());
-        let mut cfg = Config::quick().for_routing(RoutingAlgorithm::Min);
-        cfg.shards = 3;
-        let runner = ExperimentRunner::new(topo.clone()).series(SeriesSpec {
-            label: "min".into(),
-            provider: Arc::new(TableProvider::all_paths(topo.clone())),
-            pattern: Arc::new(Uniform::new(&topo)),
-            routing: RoutingAlgorithm::Min,
-            cfg,
-            faults: None,
-        });
-        assert_eq!(
-            runner.validate(&[0.1], &[1]),
-            Err(ConfigError::ShardsDontDivideGroups {
-                shards: 3,
-                groups: 5
-            })
-        );
-    }
+    use super::RunSummary;
 
     fn summary(jobs: usize, wall_ms: f64, slowest: Option<(&str, f64, u64, f64)>) -> RunSummary {
         RunSummary {
@@ -822,7 +778,6 @@ mod tests {
             failed: 0,
             resumed: 0,
             host_threads: 1,
-            shards: 1,
             slowest_profile: None,
         }
     }

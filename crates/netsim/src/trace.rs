@@ -33,12 +33,12 @@ pub const EVENTS: [&str; 6] = [
 ];
 
 /// Nanoseconds attributed to one named phase (a flattened
-/// [`crate::ProfileReport`] entry, summed over shards).
+/// [`crate::ProfileReport`] entry).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTotal {
     /// Phase name (one of [`crate::Phase::ALL`]'s names).
     pub phase: String,
-    /// Nanoseconds attributed to it, summed over shards.
+    /// Nanoseconds attributed to it.
     pub ns: u64,
 }
 
@@ -67,9 +67,6 @@ pub struct TraceSpan {
     pub resumed: bool,
     /// Job wall-clock in milliseconds as IEEE-754 bits (`job_end`).
     pub elapsed_ms_bits: u64,
-    /// Engine shard count of the job's config (job events), or the
-    /// batch-wide maximum (batch events).
-    pub shards: u64,
     /// Jobs in the batch (batch events).
     pub jobs: u64,
     /// Failed jobs (`batch_end`).
@@ -104,7 +101,6 @@ impl TraceSpan {
             outcome: String::new(),
             resumed: false,
             elapsed_ms_bits: 0,
-            shards: 0,
             jobs: 0,
             failed: 0,
             host_threads: 0,
@@ -116,7 +112,7 @@ impl TraceSpan {
     }
 }
 
-/// Flattens a profile into per-phase totals (shards summed), in phase
+/// Flattens a profile into per-phase totals, in phase
 /// order, skipping phases that never accumulated time.
 pub fn phase_totals(report: &ProfileReport) -> Vec<PhaseTotal> {
     Phase::ALL
@@ -146,9 +142,6 @@ pub fn validate_line(line: &str) -> Result<(), String> {
             if span.digest == 0 {
                 return Err(format!("{} without a job digest", span.ev));
             }
-            if span.shards == 0 {
-                return Err(format!("{} without a shard count", span.ev));
-            }
         }
         "batch_start" | "batch_end" => {
             if span.jobs == 0 {
@@ -164,9 +157,6 @@ pub fn validate_line(line: &str) -> Result<(), String> {
             }
             if span.digest == 0 {
                 return Err(format!("{} without a job digest", span.ev));
-            }
-            if span.shards == 0 {
-                return Err(format!("{} without a shard count", span.ev));
             }
             if span.cycle == 0 {
                 return Err(format!("{} without a resume cycle", span.ev));
@@ -269,7 +259,6 @@ mod tests {
         let mut span = TraceSpan::new("job_end");
         span.label = "ref/UR".into();
         span.digest = 42;
-        span.shards = 4;
         span.outcome = "ok".into();
         span.rate_bits = 0.2f64.to_bits();
         span.phase_ns = vec![PhaseTotal {
@@ -300,7 +289,6 @@ mod tests {
         let mut span = TraceSpan::new("job_end");
         span.label = "s".into();
         span.digest = 1;
-        span.shards = 1;
         let json = serde_json::to_string(&span).unwrap();
         assert!(validate_line(&json).unwrap_err().contains("outcome"));
 
@@ -319,7 +307,6 @@ mod tests {
         let mut span = TraceSpan::new("ckpt_write");
         span.label = "ref/UR".into();
         span.digest = 42;
-        span.shards = 4;
         span.cycle = 1000;
         span.ckpt_bytes = 4096;
         span.checksum = 0xdead_beef;

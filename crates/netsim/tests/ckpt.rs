@@ -1,9 +1,8 @@
 //! Checkpoint/restore integration: kill-9-safe resume must be
 //! **bit-for-bit** identical to an uninterrupted run.
 //!
-//! The fixture is the 8-group `dfly(2,7,1,8)` of `shard_parity.rs`, so
-//! shard counts 1/2/4 all exist.  A "kill" is emulated with a watchdog
-//! cycle ceiling: the run dies mid-simulation *after* its last checkpoint
+//! The fixture is the 8-group `dfly(2,7,1,8)` at seed 7.  A "kill" is
+//! emulated with a watchdog cycle ceiling: the run dies mid-simulation *after* its last checkpoint
 //! write and before the next one, exactly like a `SIGKILL` between write
 //! points — retained checkpoint files are untainted either way, because
 //! writes are tmp-file + rename atomic.  Every comparison goes through
@@ -43,7 +42,6 @@ fn ckpt_files(dir: &std::path::Path) -> Vec<String> {
 struct Fixture {
     routing: RoutingAlgorithm,
     adversarial: bool,
-    shards: u32,
     faulted: bool,
     ckpt: Option<CkptConfig>,
     watchdog: Option<WatchdogConfig>,
@@ -54,16 +52,10 @@ impl Fixture {
         Fixture {
             routing,
             adversarial,
-            shards: 1,
             faulted: false,
             ckpt: None,
             watchdog: None,
         }
-    }
-
-    fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards;
-        self
     }
 
     fn faulted(mut self) -> Self {
@@ -113,7 +105,6 @@ impl Fixture {
         };
         let mut cfg = Config::quick().for_routing(self.routing);
         cfg.seed = 7;
-        cfg.shards = self.shards;
         cfg.watchdog = self.watchdog;
         cfg.checkpoint = self.ckpt.clone();
         let sim = Simulator::new(topo.clone(), provider, pattern, self.routing, cfg);
@@ -171,56 +162,26 @@ fn killed_run_resumes_bit_for_bit() {
 }
 
 #[test]
-fn determinism_grid_across_shards_faults_and_watchdogs() {
-    for shards in [1u32, 2, 4] {
-        for scenario in ["pristine", "faulted", "armed"] {
-            let fix = || {
-                let f = Fixture::new(RoutingAlgorithm::UgalL, false).shards(shards);
-                match scenario {
-                    "pristine" => f,
-                    "faulted" => f.faulted(),
-                    "armed" => f.armed(),
-                    _ => unreachable!(),
-                }
-            };
-            let dir = tmp_dir(&format!("ckpt_grid_{shards}_{scenario}"));
-            let golden = fix().run(0.3);
-            // The kill axis replaces the armed watchdog (one watchdog
-            // slot), so the armed scenario verifies its counters through
-            // the golden + resumed runs instead.
-            let _ = fix().ckpt(&dir, 600).killed_at(1900).run(0.3);
-            assert!(!ckpt_files(&dir).is_empty());
-            let resumed = fix().ckpt(&dir, 600).run(0.3);
-            assert_eq!(
-                resumed, golden,
-                "divergent resume at shards={shards}, {scenario}"
-            );
-        }
-    }
-}
-
-#[test]
-fn checkpoint_written_at_four_shards_restores_at_any_shard_count() {
-    for faulted in [false, true] {
-        let dir = tmp_dir(&format!("ckpt_cross_shards_{faulted}"));
-        let base = || {
+fn determinism_grid_across_faults_and_watchdogs() {
+    for scenario in ["pristine", "faulted", "armed"] {
+        let fix = || {
             let f = Fixture::new(RoutingAlgorithm::UgalL, false);
-            if faulted {
-                f.faulted()
-            } else {
-                f
+            match scenario {
+                "pristine" => f,
+                "faulted" => f.faulted(),
+                "armed" => f.armed(),
+                _ => unreachable!(),
             }
         };
-        let golden = base().run(0.3);
-        let _ = base().shards(4).ckpt(&dir, 600).killed_at(1900).run(0.3);
+        let dir = tmp_dir(&format!("ckpt_grid_{scenario}"));
+        let golden = fix().run(0.3);
+        // The kill axis replaces the armed watchdog (one watchdog slot),
+        // so the armed scenario verifies its counters through the golden
+        // + resumed runs instead.
+        let _ = fix().ckpt(&dir, 600).killed_at(1900).run(0.3);
         assert!(!ckpt_files(&dir).is_empty());
-        for shards in [1u32, 2, 4] {
-            let resumed = base().shards(shards).ckpt(&dir, 600).run(0.3);
-            assert_eq!(
-                resumed, golden,
-                "4-shard checkpoint diverged restoring at {shards} shard(s), faulted={faulted}"
-            );
-        }
+        let resumed = fix().ckpt(&dir, 600).run(0.3);
+        assert_eq!(resumed, golden, "divergent resume, {scenario}");
     }
 }
 
@@ -319,6 +280,33 @@ fn version_1_checkpoint_is_skipped_and_the_run_cold_starts() {
     let (first, resumed) = resume_from(&dir);
     assert_eq!(first, Some(0), "the version-1 checkpoint was restored");
     assert_eq!(resumed, golden, "cold start diverged");
+}
+
+/// `fixtures/ckpt_v2.ckpt` is a version-2 checkpoint written by the
+/// engine before it lost its multi-threaded mode, at one shard.  It was
+/// taken at the end of cycle 2800 (inside the measurement window) of the
+/// adversarial UGAL-L fixture at rate 0.15 with `every = 700`.  Today's
+/// engine must resume from it bit for bit to the uninterrupted result.
+#[test]
+fn version_2_checkpoint_from_before_the_sequential_engine_resumes_bit_for_bit() {
+    const RATE: f64 = 0.15;
+    let v2: &[u8] = include_bytes!("fixtures/ckpt_v2.ckpt");
+    assert_eq!(v2[24..28], 2u32.to_le_bytes(), "fixture is not version 2");
+    let golden = Fixture::new(RoutingAlgorithm::UgalL, true).run(RATE);
+
+    let dir = tmp_dir("ckpt_v2_fixture");
+    std::fs::write(dir.join("run.00000000000000002801.ckpt"), v2).unwrap();
+    let mut first = FirstCycle::default();
+    let resumed = Fixture::new(RoutingAlgorithm::UgalL, true)
+        .ckpt(&dir, 700)
+        .build()
+        .run_observed(RATE, &mut SimWorkspace::new(), &mut first);
+    assert_eq!(first.0, Some(2801), "the fixture was not restored");
+    assert_eq!(
+        format!("{resumed:?}"),
+        golden,
+        "resume from the fixture diverged"
+    );
 }
 
 /// Order-sensitive observer with no `snapshot` override: configuring a

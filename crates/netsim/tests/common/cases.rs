@@ -18,15 +18,7 @@ fn golden_topo() -> Arc<Dragonfly> {
     Arc::new(Dragonfly::new(DragonflyParams::new(2, 4, 2, 5)).unwrap())
 }
 
-// Not every includer uses every helper below (golden.rs runs pristine
-// only; shard_parity.rs re-runs everything at several shard counts).
-#[allow(dead_code)]
-fn simulator_sharded(
-    routing: RoutingAlgorithm,
-    adversarial: bool,
-    seed: u64,
-    shards: u32,
-) -> Simulator {
+fn simulator(routing: RoutingAlgorithm, adversarial: bool, seed: u64) -> Simulator {
     let topo = golden_topo();
     let provider = Arc::new(TableProvider::all_paths(topo.clone()));
     let pattern: Arc<dyn TrafficPattern> = if adversarial {
@@ -36,12 +28,7 @@ fn simulator_sharded(
     };
     let mut cfg = Config::quick().for_routing(routing);
     cfg.seed = seed;
-    cfg.shards = shards;
     Simulator::new(topo, provider, pattern, routing, cfg)
-}
-
-fn simulator(routing: RoutingAlgorithm, adversarial: bool, seed: u64) -> Simulator {
-    simulator_sharded(routing, adversarial, seed, 1)
 }
 
 #[allow(dead_code)]
@@ -49,7 +36,7 @@ fn run(routing: RoutingAlgorithm, adversarial: bool, seed: u64, rate: f64) -> Si
     simulator(routing, adversarial, seed).run(rate)
 }
 
-// Degraded-run fixtures, shared by golden_faults.rs and shard_parity.rs.
+// Degraded-run fixtures (golden_faults.rs).
 // Full paths instead of `use` lines so includers that never touch faults
 // pick up no unused imports.
 
@@ -165,7 +152,6 @@ fn simulator_zoo(
     routing: RoutingAlgorithm,
     adversarial: bool,
     seed: u64,
-    shards: u32,
 ) -> Simulator {
     let topo = zoo_topo(spec, lag);
     let provider = Arc::new(TableProvider::all_paths(topo.clone()));
@@ -176,7 +162,6 @@ fn simulator_zoo(
     };
     let mut cfg = Config::quick().for_routing(routing);
     cfg.seed = seed;
-    cfg.shards = shards;
     Simulator::new(topo, provider, pattern, routing, cfg)
 }
 

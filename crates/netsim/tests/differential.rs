@@ -153,9 +153,10 @@ impl PathProvider for OwnedShim {
 }
 
 /// The borrowed and owned sampling forms are interchangeable through the
-/// whole engine: a provider stuck on the owned API (every path goes
-/// through the packet's ephemeral slot) reproduces the interned table
-/// provider bit-for-bit, for every routing algorithm.
+/// whole engine: a provider stuck on the owned API (every draw is an owned
+/// path, copied into the packet's route slot like an interned one)
+/// reproduces the interned table provider bit-for-bit, for every routing
+/// algorithm.
 #[test]
 fn owned_only_provider_matches_interned_table_provider() {
     let topo = topo();

@@ -24,7 +24,7 @@ fn golden_results_bit_for_bit() {
 #[test]
 fn zoo_golden_results_bit_for_bit() {
     for (spec, lag, routing, adversarial, rate, expected) in ZOO_CASES {
-        let r = simulator_zoo(spec, lag, routing, adversarial, 7, 1).run(rate);
+        let r = simulator_zoo(spec, lag, routing, adversarial, 7).run(rate);
         assert_eq!(
             format!("{r:?}"),
             expected,

@@ -1,21 +1,17 @@
 //! The self-profiling contract of the engine: a live [`EngineProf`] never
 //! changes what the simulator computes (bit-for-bit against the committed
-//! goldens and against sequential references at every shard count,
-//! pristine, degraded and watchdog-tripped), its phase marks tile the
-//! shard wall-clock, its boundary counters balance exactly against the
-//! mailbox traffic, and the flight recorder captures the cycles leading
-//! up to a watchdog trip.
+//! goldens and against unprofiled references, pristine, degraded and
+//! watchdog-tripped), its phase marks tile the run's wall-clock, and the
+//! flight recorder captures the cycles leading up to a watchdog trip.
 
 include!("common/cases.rs");
 
 use tugal_netsim::{EngineProf, NoopObserver, Phase, StallKind, WatchdogConfig};
 
-/// An 8-group dragonfly (as in `shard_parity.rs`) so 2-, 4- and 8-way
-/// splits all exist.
+/// An 8-group dragonfly, a different shape from the golden topology.
 fn sim8p(
     routing: RoutingAlgorithm,
     adversarial: bool,
-    shards: u32,
     watchdog: Option<WatchdogConfig>,
 ) -> Simulator {
     let topo = Arc::new(Dragonfly::new(DragonflyParams::new(2, 7, 1, 8)).unwrap());
@@ -27,7 +23,6 @@ fn sim8p(
     };
     let mut cfg = Config::quick().for_routing(routing);
     cfg.seed = 7;
-    cfg.shards = shards;
     cfg.watchdog = watchdog;
     Simulator::new(topo, provider, pattern, routing, cfg)
 }
@@ -48,63 +43,73 @@ fn run_without_prof(sim: &Simulator, rate: f64) -> String {
 #[test]
 fn profiled_runs_reproduce_every_pristine_golden_case() {
     // The committed goldens pin the unprofiled engine; a live profiler
-    // must reproduce them bit-for-bit at both valid shard counts.
-    for shards in [1, 5] {
-        for (routing, adversarial, rate, expected) in CASES {
-            let sim = simulator_sharded(routing, adversarial, 7, shards);
-            let mut prof = EngineProf::new();
-            let mut ws = SimWorkspace::new();
-            let (r, _) = sim.run_profiled(rate, &mut ws, &mut NoopObserver, &mut prof);
-            assert_eq!(
-                format!("{r:?}"),
-                expected,
-                "profiled {shards}-shard mismatch for \
-                 ({routing:?}, adversarial={adversarial}, rate={rate})"
-            );
-        }
+    // must reproduce them bit-for-bit.
+    for (routing, adversarial, rate, expected) in CASES {
+        let sim = simulator(routing, adversarial, 7);
+        let mut prof = EngineProf::new();
+        let mut ws = SimWorkspace::new();
+        let (r, _) = sim.run_profiled(rate, &mut ws, &mut NoopObserver, &mut prof);
+        assert_eq!(
+            format!("{r:?}"),
+            expected,
+            "profiled mismatch for ({routing:?}, adversarial={adversarial}, rate={rate})"
+        );
     }
 }
 
 #[test]
-fn profiled_runs_match_unprofiled_at_every_shard_count() {
-    for shards in [1, 2, 4, 8] {
-        let plain = run_without_prof(&sim8p(RoutingAlgorithm::UgalL, false, shards, None), 0.3);
-        let (profiled, _) =
-            run_with_prof(&sim8p(RoutingAlgorithm::UgalL, false, shards, None), 0.3);
-        assert_eq!(profiled, plain, "{shards}-shard profiled divergence");
-    }
+fn profiled_runs_match_unprofiled() {
+    let plain = run_without_prof(&sim8p(RoutingAlgorithm::UgalL, false, None), 0.3);
+    let (profiled, _) = run_with_prof(&sim8p(RoutingAlgorithm::UgalL, false, None), 0.3);
+    assert_eq!(profiled, plain, "profiled divergence");
 }
 
 #[test]
 fn profiled_runs_match_unprofiled_under_faults() {
     // A mid-run switch death plus global-link attrition, so profiled
-    // drains and reroutes cross shard boundaries.
+    // drains and reroutes run.
     let schedule = || {
         let topo = Arc::new(Dragonfly::new(DragonflyParams::new(2, 7, 1, 8)).unwrap());
         let mut fs = tugal_topology::FaultSet::sample_global_links(&topo, 0.05, 0xBEEF);
         fs.fail_switch(tugal_topology::SwitchId(5));
         tugal_netsim::FaultSchedule::at(2500, fs)
     };
-    for shards in [1, 4] {
-        let plain = {
-            let sim = sim8p(RoutingAlgorithm::UgalL, false, shards, None).with_faults(schedule());
-            run_without_prof(&sim, 0.3)
+    let plain = {
+        let sim = sim8p(RoutingAlgorithm::UgalL, false, None).with_faults(schedule());
+        run_without_prof(&sim, 0.3)
+    };
+    let profiled = {
+        let sim = sim8p(RoutingAlgorithm::UgalL, false, None).with_faults(schedule());
+        run_with_prof(&sim, 0.3).0
+    };
+    assert_eq!(profiled, plain, "degraded profiled divergence");
+
+    // Zoo shapes with parallel global cables, one of which dies mid-run
+    // while its siblings survive.
+    for (spec, lag) in [("palmtree", 2), ("random:0x2007", 2)] {
+        let sibling_fault = || {
+            let topo = zoo_topo(spec, lag);
+            let mut fs = tugal_topology::FaultSet::sample_global_links(&topo, 0.05, 0xBEEF);
+            let (_, v) = topo.global_out(tugal_topology::SwitchId(0))[0];
+            fs.fail_global_sibling(tugal_topology::SwitchId(0), v, 1);
+            tugal_netsim::FaultSchedule::at(2500, fs)
         };
-        let profiled = {
-            let sim = sim8p(RoutingAlgorithm::UgalL, false, shards, None).with_faults(schedule());
-            run_with_prof(&sim, 0.3).0
+        let sim = || {
+            simulator_zoo(spec, lag, RoutingAlgorithm::UgalL, true, 7).with_faults(sibling_fault())
         };
+        let plain = run_without_prof(&sim(), 0.15);
+        let (profiled, _) = run_with_prof(&sim(), 0.15);
         assert_eq!(
             profiled, plain,
-            "{shards}-shard degraded profiled divergence"
+            "{spec} lag{lag}: degraded profiled divergence"
         );
     }
 }
 
 #[test]
 fn profiled_runs_match_unprofiled_on_watchdog_trips() {
-    // The merged StallReport — flight-recorder frames included — must come
-    // out identical with and without a live profiler.
+    // The StallReport — flight-recorder frames included — must come out
+    // identical with and without a live profiler.
     let wd = WatchdogConfig {
         conservation_every: 256,
         stall_cycles: 0,
@@ -112,97 +117,38 @@ fn profiled_runs_match_unprofiled_on_watchdog_trips() {
         wall_limit_ms: 0,
         flight_recorder: 16,
     };
-    for shards in [1, 4] {
-        let plain = run_without_prof(
-            &sim8p(RoutingAlgorithm::UgalL, false, shards, Some(wd)),
-            0.3,
-        );
-        let (profiled, _) = run_with_prof(
-            &sim8p(RoutingAlgorithm::UgalL, false, shards, Some(wd)),
-            0.3,
-        );
-        assert!(plain.contains("CycleCeiling"), "fixture must trip: {plain}");
-        assert_eq!(
-            profiled, plain,
-            "{shards}-shard tripped profiled divergence"
-        );
-    }
+    let plain = run_without_prof(&sim8p(RoutingAlgorithm::UgalL, false, Some(wd)), 0.3);
+    let (profiled, _) = run_with_prof(&sim8p(RoutingAlgorithm::UgalL, false, Some(wd)), 0.3);
+    assert!(plain.contains("CycleCeiling"), "fixture must trip: {plain}");
+    assert_eq!(profiled, plain, "tripped profiled divergence");
 }
 
 #[test]
-fn phase_marks_tile_the_shard_wallclock() {
-    for shards in [1, 4] {
-        let (_, prof) = run_with_prof(&sim8p(RoutingAlgorithm::UgalL, false, shards, None), 0.3);
-        let report = prof.report();
-        assert_eq!(report.shards.len(), shards as usize);
-        for s in &report.shards {
-            assert!(s.cycles > 0, "shard {} profiled no cycles", s.shard);
-            assert!(
-                s.attributed_ns() <= s.wall_ns,
-                "shard {} attributed {} ns of {} ns wall",
-                s.shard,
-                s.attributed_ns(),
-                s.wall_ns
-            );
-        }
-        // The marks bracket everything between shard_start and shard_end,
-        // so attribution is near-total by construction.
-        let frac = report.attributed_fraction();
-        assert!(
-            frac > 0.90,
-            "{shards}-shard run attributed only {:.1}% of wall-clock",
-            100.0 * frac
-        );
-        // Sequential runs never touch the partitioned-only phases.
-        if shards == 1 {
-            for p in [Phase::Drain, Phase::Flush, Phase::Publish, Phase::Barrier] {
-                assert_eq!(report.phase_total(p), 0, "sequential run marked {p:?}");
-            }
-        } else {
-            assert!(report.phase_total(Phase::Barrier) > 0);
-        }
-    }
-}
-
-#[test]
-fn boundary_counters_balance_exactly() {
-    // Every boundary flit/credit sent must be received (or still sitting
-    // in an undrained mailbox when the run stops), shard counts summed.
-    for shards in [2, 4, 8] {
-        let (_, prof) = run_with_prof(&sim8p(RoutingAlgorithm::UgalG, false, shards, None), 0.3);
-        let report = prof.report();
-        let sent: u64 = report.shards.iter().map(|s| s.flits_sent).sum();
-        let recv: u64 = report.shards.iter().map(|s| s.flits_recv).sum();
-        assert!(sent > 0, "{shards}-shard run crossed no boundaries");
-        assert_eq!(
-            sent,
-            recv + report.undrained_flits,
-            "{shards}-shard flit imbalance"
-        );
-        let csent: u64 = report.shards.iter().map(|s| s.credits_sent).sum();
-        let crecv: u64 = report.shards.iter().map(|s| s.credits_recv).sum();
-        assert_eq!(
-            csent,
-            crecv + report.undrained_credits,
-            "{shards}-shard credit imbalance"
-        );
-        assert!(report.shards.iter().map(|s| s.batches_flushed).sum::<u64>() > 0);
-    }
-    // A sequential run has no boundaries at all.
-    let (_, prof) = run_with_prof(&sim8p(RoutingAlgorithm::UgalG, false, 1, None), 0.3);
+fn phase_marks_tile_the_run_wallclock() {
+    let (_, prof) = run_with_prof(&sim8p(RoutingAlgorithm::UgalL, false, None), 0.3);
     let report = prof.report();
+    assert_eq!(report.shards.len(), 1);
     let s = &report.shards[0];
-    assert_eq!(
-        (
-            s.flits_sent,
-            s.flits_recv,
-            s.credits_sent,
-            s.credits_recv,
-            s.batches_flushed
-        ),
-        (0, 0, 0, 0, 0)
+    assert!(s.cycles > 0, "profiled no cycles");
+    assert!(
+        s.attributed_ns() <= s.wall_ns,
+        "attributed {} ns of {} ns wall",
+        s.attributed_ns(),
+        s.wall_ns
     );
-    assert_eq!(report.undrained_flits, 0);
+    // The marks bracket everything between run_start and run_end, so
+    // attribution is near-total by construction.
+    let frac = report.attributed_fraction();
+    assert!(
+        frac > 0.90,
+        "run attributed only {:.1}% of wall-clock",
+        100.0 * frac
+    );
+    // The engine never marks the exchange phases of the removed
+    // multi-threaded engine.
+    for p in [Phase::Drain, Phase::Flush, Phase::Publish, Phase::Barrier] {
+        assert_eq!(report.phase_total(p), 0, "sequential run marked {p:?}");
+    }
 }
 
 #[test]
@@ -214,32 +160,21 @@ fn flight_recorder_captures_the_cycles_before_a_trip() {
         wall_limit_ms: 0,
         flight_recorder: 32,
     };
-    for shards in [1, 4] {
-        let sim = sim8p(RoutingAlgorithm::UgalL, false, shards, Some(wd));
-        let mut ws = SimWorkspace::new();
-        let (_, stall) = sim.run_reported(0.3, &mut ws, &mut NoopObserver);
-        let stall = stall.expect("cycle ceiling must trip");
-        assert_eq!(stall.kind, StallKind::CycleCeiling);
-        assert!(!stall.recent.is_empty());
-        assert!(stall.recent.len() <= 32 * shards as usize);
-        // Chronological, ending at (or just before) the trip cycle.
-        for w in stall.recent.windows(2) {
-            assert!((w[0].cycle, w[0].shard) <= (w[1].cycle, w[1].shard));
-        }
-        let last = stall.recent.last().unwrap();
-        assert!(last.cycle <= stall.cycle);
-        assert!(stall.cycle - last.cycle <= 1, "recorder stopped early");
-        // Each shard contributed its own ring.
-        let shards_seen: std::collections::BTreeSet<u32> =
-            stall.recent.iter().map(|f| f.shard).collect();
-        assert_eq!(shards_seen.len(), shards as usize);
-        // Frames carry the global ledger view: totals are flat across
-        // shards within one cycle (globals are summed identically).
-        let c0 = stall.recent[0].cycle;
-        let first: Vec<_> = stall.recent.iter().filter(|f| f.cycle == c0).collect();
-        for f in &first {
-            assert_eq!(f.injected, first[0].injected);
-            assert_eq!(f.delivered, first[0].delivered);
-        }
+    let sim = sim8p(RoutingAlgorithm::UgalL, false, Some(wd));
+    let mut ws = SimWorkspace::new();
+    let (_, stall) = sim.run_reported(0.3, &mut ws, &mut NoopObserver);
+    let stall = stall.expect("cycle ceiling must trip");
+    assert_eq!(stall.kind, StallKind::CycleCeiling);
+    assert_eq!(stall.recent.len(), 32);
+    // Consecutive cycles, ending at the trip cycle.
+    for w in stall.recent.windows(2) {
+        assert_eq!(w[0].cycle + 1, w[1].cycle);
+        assert!(w[0].injected <= w[1].injected);
     }
+    let last = stall.recent.last().unwrap();
+    assert_eq!(last.cycle, stall.cycle, "recorder stopped early");
+    // The last frame is the ledger of the trip cycle.
+    assert_eq!(last.injected, stall.ledger.injected);
+    assert_eq!(last.delivered, stall.ledger.delivered);
+    assert_eq!(last.in_flight, stall.ledger.in_flight);
 }

@@ -3,8 +3,9 @@
 //! Three contracts:
 //!
 //! * **Zero-cost when armed but not tripping** — a run with a generous
-//!   watchdog reproduces every pristine golden fixture bit-for-bit, and a
-//!   degraded (faulted) run reproduces its unarmed twin exactly.
+//!   watchdog, or with a conservation audit every 64 cycles, reproduces
+//!   every pristine golden fixture bit-for-bit, and a degraded (faulted)
+//!   run reproduces its unarmed twin exactly.
 //! * **Livelock detection** — a provably livelocked network (every global
 //!   cable dead, all-cross-group traffic, so nothing is ever delivered)
 //!   trips the forward-progress check with a well-formed [`StallReport`].
@@ -49,20 +50,36 @@ fn generous() -> WatchdogConfig {
     }
 }
 
+/// A conservation audit every 64 cycles and nothing else: on a healthy
+/// run it checks the injected = delivered + dropped + in-flight ledger
+/// throughout, UGAL-G's snapshot-reading cases included.
+fn audit() -> WatchdogConfig {
+    WatchdogConfig {
+        conservation_every: 64,
+        stall_cycles: 0,
+        max_cycles: 0,
+        wall_limit_ms: 0,
+        flight_recorder: 0,
+    }
+}
+
 #[test]
 fn armed_watchdog_reproduces_pristine_goldens() {
-    for (routing, adversarial, rate, expected) in CASES {
-        let sim = watchdog_sim(routing, adversarial, 7, generous());
-        let (result, stall) = sim.run_reported(rate, &mut SimWorkspace::new(), &mut NoopObserver);
-        assert!(
-            stall.is_none(),
-            "{routing:?} adversarial={adversarial}: generous watchdog tripped: {stall:?}"
-        );
-        assert_eq!(
-            format!("{result:?}"),
-            expected,
-            "{routing:?} adversarial={adversarial}: armed watchdog changed the result"
-        );
+    for wd in [generous(), audit()] {
+        for (routing, adversarial, rate, expected) in CASES {
+            let sim = watchdog_sim(routing, adversarial, 7, wd);
+            let (result, stall) =
+                sim.run_reported(rate, &mut SimWorkspace::new(), &mut NoopObserver);
+            assert!(
+                stall.is_none(),
+                "{routing:?} adversarial={adversarial}: {wd:?} tripped: {stall:?}"
+            );
+            assert_eq!(
+                format!("{result:?}"),
+                expected,
+                "{routing:?} adversarial={adversarial}: {wd:?} changed the result"
+            );
+        }
     }
 }
 
@@ -128,21 +145,30 @@ fn livelock_trips_forward_progress_check() {
 
 #[test]
 fn cycle_ceiling_trips_at_the_configured_cycle() {
-    let wd = WatchdogConfig {
-        conservation_every: 0,
-        stall_cycles: 0,
-        max_cycles: 1_000,
-        wall_limit_ms: 0,
-        flight_recorder: 0,
-    };
-    let (_, stall) = watchdog_sim(RoutingAlgorithm::UgalL, false, 7, wd).run_reported(
-        0.2,
-        &mut SimWorkspace::new(),
-        &mut NoopObserver,
-    );
-    let stall = stall.expect("cycle ceiling must trip");
-    assert_eq!(stall.kind, StallKind::CycleCeiling);
-    assert!(stall.cycle < 1_000, "tripped at {}", stall.cycle);
+    for (routing, ceiling) in [
+        (RoutingAlgorithm::UgalL, 1_000),
+        (RoutingAlgorithm::Min, 500),
+    ] {
+        let wd = WatchdogConfig {
+            conservation_every: 0,
+            stall_cycles: 0,
+            max_cycles: ceiling,
+            wall_limit_ms: 0,
+            flight_recorder: 0,
+        };
+        let (_, stall) = watchdog_sim(routing, false, 7, wd).run_reported(
+            0.2,
+            &mut SimWorkspace::new(),
+            &mut NoopObserver,
+        );
+        let stall = stall.expect("cycle ceiling must trip");
+        assert_eq!(stall.kind, StallKind::CycleCeiling, "{routing:?}");
+        assert!(
+            stall.cycle < ceiling,
+            "{routing:?} tripped at {}",
+            stall.cycle
+        );
+    }
 }
 
 /// A runner over the golden topology with one healthy UGAL-L series.

@@ -102,16 +102,8 @@ pub fn render_stall(report: &StallReport, topo: Option<&Dragonfly>) -> String {
         for f in report.recent.iter().skip(report.recent.len() - shown) {
             let _ = writeln!(
                 out,
-                "    cycle {} shard {}: in flight {}, injected {}, delivered {}, \
-                 dropped {}, boundary {}/{} sent/recv",
-                f.cycle,
-                f.shard,
-                f.in_flight,
-                f.injected,
-                f.delivered,
-                f.dropped,
-                f.boundary_sent,
-                f.boundary_recv
+                "    cycle {}: in flight {}, injected {}, delivered {}, dropped {}",
+                f.cycle, f.in_flight, f.injected, f.delivered, f.dropped
             );
         }
     }
@@ -206,13 +198,10 @@ mod tests {
         r.recent = (0..20)
             .map(|i| FlightFrame {
                 cycle: 4980 + i,
-                shard: (i % 2) as u32,
                 in_flight: 30,
-                injected: 90,
+                injected: 90 + i,
                 delivered: 40,
                 dropped: 20,
-                boundary_sent: i,
-                boundary_recv: i,
             })
             .collect();
         let text = render_stall(&r, None);
@@ -222,8 +211,10 @@ mod tests {
         );
         // The oldest frames are elided, the newest kept.
         assert!(!text.contains("cycle 4980 "), "{text}");
-        assert!(text.contains("cycle 4999 shard 1"), "{text}");
-        assert!(text.contains("boundary 19/19 sent/recv"), "{text}");
+        assert!(
+            text.contains("cycle 4999: in flight 30, injected 109"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -112,8 +112,7 @@ impl FaultSet {
     /// per-sibling alternative to the pair-level
     /// [`FaultSet::fail_global_link`], which kills all parallel cables
     /// together.  Cables are counted in channel-id order from the
-    /// lower-indexed switch, so `k` is stable across shard counts and
-    /// reruns.
+    /// lower-indexed switch, so `k` is stable across reruns.
     pub fn fail_global_sibling(&mut self, u: SwitchId, v: SwitchId, k: u32) -> &mut Self {
         let (lo, hi) = normalize(u, v);
         if !self.global_siblings.contains(&(lo, hi, k)) {
