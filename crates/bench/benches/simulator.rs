@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rayon::prelude::*;
 use std::sync::Arc;
 use tugal_netsim::{
-    latency_curve, Config, RoutingAlgorithm, SimWorkspace, Simulator, SweepOptions,
+    latency_curve, Config, NoopObserver, NoopProfiler, RoutingAlgorithm, SimWorkspace, Simulator,
+    SweepOptions,
 };
 use tugal_routing::{PathProvider, RuleProvider, TableProvider, VlbRule};
 use tugal_topology::{Dragonfly, DragonflyParams};
@@ -105,7 +106,8 @@ fn sweep_workspace_reuse(c: &mut Criterion) {
         let sim = Simulator::new(topo.clone(), provider.clone(), pattern.clone(), routing, c);
         b.iter(|| {
             let mut ws = SimWorkspace::new();
-            sim.run_with(0.2, &mut ws)
+            sim.run_in(0.2, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+                .result
         })
     });
     group.bench_function("one run, reused workspace", |b| {
@@ -113,7 +115,10 @@ fn sweep_workspace_reuse(c: &mut Criterion) {
         c.seed = 1;
         let sim = Simulator::new(topo.clone(), provider.clone(), pattern.clone(), routing, c);
         let mut ws = SimWorkspace::new();
-        b.iter(|| sim.run_with(0.2, &mut ws))
+        b.iter(|| {
+            sim.run_in(0.2, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+                .result
+        })
     });
     group.bench_function("per-run allocation", |b| {
         // The pre-refactor shape: same flat parallel job list, but every

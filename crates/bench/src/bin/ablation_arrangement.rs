@@ -30,7 +30,6 @@ fn main() {
             &pattern,
             &[("UGAL-L", provider, RoutingAlgorithm::UgalL)],
             &rate_grid(0.4),
-            None,
         );
         let sat = saturation_from_curve(&series[0].points);
         println!(

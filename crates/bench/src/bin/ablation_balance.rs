@@ -42,7 +42,7 @@ fn main() {
         .iter()
         .map(|(label, p)| (*label, p.clone(), RoutingAlgorithm::UgalL))
         .collect();
-    let series = run_series(&topo, &pattern, &entries, &rate_grid(0.4), None);
+    let series = run_series(&topo, &pattern, &entries, &rate_grid(0.4));
     print_figure(
         "ablation_balance",
         "load-balance adjustment on/off, 60% 5-hop T-VLB",

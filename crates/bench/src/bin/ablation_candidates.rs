@@ -32,7 +32,7 @@ fn main() {
         RoutingAlgorithm::UgalL,
         cfg,
     ));
-    let series = run_series_cfg(&topo, &pattern, &entries, &rate_grid(0.4));
+    let series = run_series_cfg(&topo, &pattern, &entries, &rate_grid(0.4), None);
     println!("# T-VLB = {chosen}");
     print_figure(
         "ablation_candidates",

@@ -30,7 +30,7 @@ fn main() {
         let provider: Arc<dyn PathProvider> = Arc::new(TableProvider::new(topo.clone(), table));
         entries.push((label, provider, RoutingAlgorithm::UgalL));
     }
-    let series = run_series(&topo, &pattern, &entries, &rate_grid(0.4), None);
+    let series = run_series(&topo, &pattern, &entries, &rate_grid(0.4));
     print_figure(
         "ablation_strategic",
         "random vs strategic 5-hop halves, dfly(4,8,4,9), shift(2,0), UGAL-L",

@@ -23,7 +23,7 @@ fn main() {
             cfg.ugal_threshold = t;
             entries.push((format!("T={t}"), ugal.clone(), RoutingAlgorithm::UgalL, cfg));
         }
-        let series = run_series_cfg(&topo, pattern, &entries, &rate_grid(0.4));
+        let series = run_series_cfg(&topo, pattern, &entries, &rate_grid(0.4), None);
         println!("## pattern {pname}");
         for s in &series {
             println!(

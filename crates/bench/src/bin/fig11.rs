@@ -25,7 +25,6 @@ fn main() {
             ("T-PAR", tvlb, RoutingAlgorithm::Par),
         ],
         &rate_grid(0.45),
-        None,
     );
     println!("# T-VLB = {chosen}");
     print_figure(

@@ -22,7 +22,6 @@ fn main() {
             ("T-PAR", tvlb, RoutingAlgorithm::Par),
         ],
         &rate_grid(0.55),
-        None,
     );
     println!("# T-VLB = {chosen}");
     print_figure(

@@ -31,7 +31,6 @@ fn main() {
             ("T-UGAL-G", tvlb, RoutingAlgorithm::UgalG),
         ],
         &rates,
-        None,
     );
     println!("# T-VLB = {chosen}");
     print_figure(

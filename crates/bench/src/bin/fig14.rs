@@ -29,7 +29,6 @@ fn main() {
             ("T-UGAL-G", tvlb, RoutingAlgorithm::UgalG),
         ],
         &rates,
-        None,
     );
     println!("# T-VLB = {chosen}");
     print_figure(

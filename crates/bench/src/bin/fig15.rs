@@ -28,7 +28,7 @@ fn main() {
             ));
         }
     }
-    let series = run_series_cfg(&topo, &pattern, &entries, &rate_grid(0.8));
+    let series = run_series_cfg(&topo, &pattern, &entries, &rate_grid(0.8), None);
     println!("# T-VLB = {chosen}");
     print_figure(
         "fig15",

@@ -27,7 +27,7 @@ fn main() {
             ));
         }
     }
-    let series = run_series_cfg(&topo, &pattern, &entries, &rate_grid(0.45));
+    let series = run_series_cfg(&topo, &pattern, &entries, &rate_grid(0.45), None);
     println!("# T-VLB = {chosen}");
     print_figure(
         "fig17",

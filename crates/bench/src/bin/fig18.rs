@@ -30,7 +30,7 @@ fn main() {
             ));
         }
     }
-    let series = run_series_cfg(&topo, &pattern, &entries, &rate_grid(0.5));
+    let series = run_series_cfg(&topo, &pattern, &entries, &rate_grid(0.5), None);
     println!("# T-VLB = {chosen}");
     print_figure(
         "fig18",

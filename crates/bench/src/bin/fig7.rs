@@ -20,7 +20,6 @@ fn main() {
             ("T-UGAL-G", tvlb, RoutingAlgorithm::UgalG),
         ],
         &rate_grid(0.5),
-        None,
     );
     println!("# T-VLB = {chosen}");
     print_figure(

@@ -24,7 +24,6 @@ fn main() {
             ("T-PAR", tvlb, RoutingAlgorithm::Par),
         ],
         &rate_grid(0.9),
-        None,
     );
     println!("# T-VLB = {chosen}");
     print_figure(

@@ -22,7 +22,6 @@ fn main() {
             ("T-UGAL-G", tvlb, RoutingAlgorithm::UgalG),
         ],
         &rate_grid(0.9),
-        None,
     );
     println!("# T-VLB = {chosen}");
     print_figure(

@@ -112,7 +112,7 @@ fn main() {
     let mut all_series = Vec::new();
     for (ptag, pattern) in &patterns {
         // Pristine baseline: no fault machinery anywhere.
-        let baseline = run_series_faulted(
+        let baseline = run_series(
             &topo,
             pattern,
             &[
@@ -130,8 +130,6 @@ fn main() {
                 ),
             ],
             &rates,
-            None,
-            None,
         );
 
         for &f in &fractions {
@@ -159,15 +157,15 @@ fn main() {
             let schedule = Arc::new(FaultSchedule::immediate(faults.clone()));
             let label_u = format!("{ptag} UGAL f={:.1}%", 100.0 * f);
             let label_t = format!("{ptag} T-UGAL f={:.1}%", 100.0 * f);
-            let series = run_series_faulted(
+            let cfg = sim_config().for_routing(RoutingAlgorithm::UgalL);
+            let series = run_series_cfg(
                 &topo,
                 pattern,
                 &[
-                    (&label_u, ugal, RoutingAlgorithm::UgalL),
-                    (&label_t, tvlb, RoutingAlgorithm::UgalL),
+                    (label_u, ugal, RoutingAlgorithm::UgalL, cfg.clone()),
+                    (label_t, tvlb, RoutingAlgorithm::UgalL, cfg),
                 ],
                 &rates,
-                None,
                 Some(schedule),
             );
 

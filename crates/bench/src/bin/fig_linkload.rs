@@ -45,7 +45,6 @@ fn main() {
             ("T-UGAL-L", tvlb, RoutingAlgorithm::UgalL),
         ],
         &rates,
-        None,
     );
     println!("# T-VLB = {chosen}");
 

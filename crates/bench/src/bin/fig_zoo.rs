@@ -67,7 +67,6 @@ fn main() {
             ("T-UGAL-L", base_tvlb, RoutingAlgorithm::UgalL),
         ],
         &rates,
-        None,
     );
     println!("# baseline T-VLB = {base_chosen}");
 
@@ -97,7 +96,6 @@ fn main() {
                     (&label_t, tvlb, RoutingAlgorithm::UgalL),
                 ],
                 &rates,
-                None,
             );
 
             if spec == "absolute" && lag == 1 {

@@ -32,7 +32,7 @@
 use std::sync::Arc;
 use tugal_bench::{dfly, fatal, sim_config};
 use tugal_netsim::runner::{ExperimentRunner, RunSummary, SeriesSpec};
-use tugal_netsim::{Config, RoutingAlgorithm};
+use tugal_netsim::{Config, NoopObserver, RoutingAlgorithm};
 use tugal_routing::{PathProvider, PathTable, TableProvider, VlbRule};
 use tugal_topology::Dragonfly;
 use tugal_traffic::{Shift, TrafficPattern, Uniform};
@@ -152,10 +152,13 @@ fn run_scenario(
             faults: None,
         });
     }
-    let (curves, summary) = runner.run_with_summary(rates, seeds);
+    let (curves, summary, _) = match runner.run_recorded(rates, seeds, |_| NoopObserver) {
+        Ok(out) => out,
+        Err(e) => fatal(&format!("invalid experiment in scenario {label}"), e),
+    };
     let delivered: u64 = curves
         .iter()
-        .flat_map(|c| c.points.iter().map(|p| p.result.delivered))
+        .flat_map(|c| c.points.iter().map(|p| p.point.result.delivered))
         .sum();
     let wall_s = summary.wall_ms / 1e3;
     let cycles = summary.jobs as u64 * cfg.total_cycles();

@@ -156,7 +156,7 @@ fn main() {
         ));
     }
     let rates = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30];
-    let series = run_series_cfg(&topo, &pattern, &entries, &rates);
+    let series = run_series_cfg(&topo, &pattern, &entries, &rates, None);
     let title = format!("resilience smoke sweep, {}, shift(1,0)", topo.params());
     print_figure("resilience", &title, &series);
     write_deterministic(&out_path, &series);

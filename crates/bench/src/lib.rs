@@ -25,10 +25,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tugal::{compute_tvlb, conventional_provider, TUgalConfig};
 use tugal_netsim::journal::Journal;
-use tugal_netsim::runner::{ExperimentRunner, JobBudget, JobRecord, RunSummary, SeriesSpec};
+use tugal_netsim::runner::{
+    ExperimentRunner, JobBudget, JobInfo, JobRecord, ObservedCurve, RunSummary, SeriesSpec,
+};
 use tugal_netsim::trace::TraceSink;
 use tugal_netsim::{
-    Config, CurvePoint, FaultSchedule, NoopObserver, RoutingAlgorithm, SweepOptions,
+    Config, CurvePoint, FaultSchedule, NoopObserver, RoutingAlgorithm, SimObserver, SweepOptions,
 };
 use tugal_obs::{render_stall, MetricsConfig, MetricsObserver, MetricsReport};
 use tugal_routing::{PathProvider, RuleProvider, VlbRule};
@@ -397,74 +399,136 @@ pub struct Series {
 }
 
 /// Runs the standard figure body: for each (label, provider, routing),
-/// a latency curve over `rates` under `pattern`.
-///
-/// All entries are expanded into one flat (series × rate × seed) job list
-/// and scheduled through a single parallel batch by the
-/// [`ExperimentRunner`], so a slow series cannot idle the workers finished
-/// with a fast one.
-#[allow(clippy::type_complexity)]
+/// a latency curve over `rates` under `pattern`, with the mode's
+/// simulator configuration ([`sim_config`]) for that routing.
 pub fn run_series(
     topo: &Arc<Dragonfly>,
     pattern: &Arc<dyn TrafficPattern>,
     entries: &[(&str, Arc<dyn PathProvider>, RoutingAlgorithm)],
     rates: &[f64],
-    vcs_override: Option<u8>,
 ) -> Vec<Series> {
-    let mut opts = sweep_options();
-    if topo.num_switches() > 300 && !full_fidelity() {
-        opts.seeds.truncate(1); // the 9k-node runs dominate quick-mode time
-    }
-    let specs: Vec<(String, Arc<dyn PathProvider>, RoutingAlgorithm, Config)> = entries
+    let specs: Vec<_> = entries
         .iter()
         .map(|(label, provider, routing)| {
-            let mut cfg = sim_config().for_routing(*routing);
-            if let Some(v) = vcs_override {
-                cfg.num_vcs = cfg.num_vcs.max(v);
-            }
+            let cfg = sim_config().for_routing(*routing);
             (label.to_string(), provider.clone(), *routing, cfg)
         })
         .collect();
-    run_flat(topo, pattern, &specs, rates, &opts, None)
-}
-
-/// Like [`run_series`], with a fault schedule applied to every series in
-/// the batch — the entry point of the `fig_faults` harness.  `None`
-/// behaves exactly like [`run_series`] (the engine stays on its pristine
-/// fast path).
-#[allow(clippy::type_complexity)]
-pub fn run_series_faulted(
-    topo: &Arc<Dragonfly>,
-    pattern: &Arc<dyn TrafficPattern>,
-    entries: &[(&str, Arc<dyn PathProvider>, RoutingAlgorithm)],
-    rates: &[f64],
-    vcs_override: Option<u8>,
-    faults: Option<Arc<FaultSchedule>>,
-) -> Vec<Series> {
-    let specs: Vec<(String, Arc<dyn PathProvider>, RoutingAlgorithm, Config)> = entries
-        .iter()
-        .map(|(label, provider, routing)| {
-            let mut cfg = sim_config().for_routing(*routing);
-            if let Some(v) = vcs_override {
-                cfg.num_vcs = cfg.num_vcs.max(v);
-            }
-            (label.to_string(), provider.clone(), *routing, cfg)
-        })
-        .collect();
-    run_flat(topo, pattern, &specs, rates, &sweep_options(), faults)
+    run_series_cfg(topo, pattern, &specs, rates, None)
 }
 
 /// Like [`run_series`], but each entry carries its own fully-specified
-/// simulator configuration — used by the sensitivity figures (link
-/// latency, buffer depth, speedup, VC scheme).
+/// simulator configuration (the sensitivity figures vary link latency,
+/// buffer depth, speedup and VC scheme), and `faults`, when given, applies
+/// to every series (`None` keeps the engine on its pristine fast path).
+///
+/// All entries are expanded into one flat (series × rate × seed) job list
+/// and scheduled through a single parallel batch by the
+/// [`ExperimentRunner`], so a slow series cannot idle the workers finished
+/// with a fast one.  Quick mode runs topologies over 300 switches on one
+/// seed: their 9k-node runs dominate quick-mode time.
 #[allow(clippy::type_complexity)]
 pub fn run_series_cfg(
     topo: &Arc<Dragonfly>,
     pattern: &Arc<dyn TrafficPattern>,
     entries: &[(String, Arc<dyn PathProvider>, RoutingAlgorithm, Config)],
     rates: &[f64],
+    faults: Option<Arc<FaultSchedule>>,
 ) -> Vec<Series> {
-    run_flat(topo, pattern, entries, rates, &sweep_options(), None)
+    let mut seeds = sweep_options().seeds;
+    if topo.num_switches() > 300 && !full_fidelity() {
+        seeds.truncate(1);
+    }
+    let budget = job_budget();
+    let mut runner = ExperimentRunner::new(topo.clone())
+        .with_budget(budget)
+        .with_profiling(profiling_on());
+    if let Some(journal) = journal_from_env() {
+        runner = runner.with_journal(journal);
+    }
+    if let Some(trace) = trace_from_env() {
+        runner = runner.with_trace(trace);
+    }
+    for (label, provider, routing, cfg) in entries {
+        runner = runner.series(SeriesSpec {
+            label: label.clone(),
+            provider: provider.clone(),
+            pattern: pattern.clone(),
+            routing: *routing,
+            cfg: cfg.clone(),
+            faults: faults.clone(),
+        });
+    }
+    let report = |records: &[JobRecord]| {
+        report_failures(topo, pattern, entries, faults.as_ref(), budget, records);
+    };
+    let mcfg = metrics_config();
+    if !mcfg.enabled {
+        return run_batch(&runner, rates, &seeds, |_| NoopObserver, report)
+            .into_iter()
+            .map(|curve| Series {
+                label: curve.label,
+                points: curve.points.into_iter().map(|p| p.point).collect(),
+                metrics: Vec::new(),
+            })
+            .collect();
+    }
+    // Instrumented path: one MetricsObserver per job, merged over seeds at
+    // each point; the merged latency histogram upgrades the point's scalar
+    // percentiles from the power-of-two estimate to exact values.  (Jobs
+    // resumed from a journal return empty observers — their results were
+    // simulated by the killed invocation — so resumed points under metrics
+    // report journal results with empty telemetry.)
+    run_batch(
+        &runner,
+        rates,
+        &seeds,
+        |_| MetricsObserver::new(topo, &mcfg),
+        report,
+    )
+    .into_iter()
+    .map(|curve| {
+        let mut points = Vec::with_capacity(curve.points.len());
+        let mut metrics = Vec::with_capacity(curve.points.len());
+        for observed in curve.points {
+            let mut seeds = observed.observers.into_iter();
+            let mut merged = seeds.next().expect("at least one seed per point");
+            for o in seeds {
+                merged.merge(&o);
+            }
+            let rep = merged.report();
+            let mut point = observed.point;
+            point.result = point
+                .result
+                .with_exact_percentiles(rep.latency.p50, rep.latency.p99);
+            points.push(point);
+            metrics.push(rep);
+        }
+        Series {
+            label: curve.label,
+            points,
+            metrics,
+        }
+    })
+    .collect()
+}
+
+/// Runs one batch, exiting through [`fatal`] on an invalid experiment, and
+/// books its summary (see [`run_summary`]) and its failed jobs (`report`).
+fn run_batch<O: SimObserver + Send>(
+    runner: &ExperimentRunner,
+    rates: &[f64],
+    seeds: &[u64],
+    make: impl Fn(&JobInfo) -> O + Sync,
+    report: impl FnOnce(&[JobRecord]),
+) -> Vec<ObservedCurve<O>> {
+    let (curves, summary, records) = match runner.run_recorded(rates, seeds, make) {
+        Ok(out) => out,
+        Err(e) => fatal("invalid experiment configuration", e),
+    };
+    record_run_summary(&summary);
+    report(&records);
+    curves
 }
 
 /// Parses a `u64` environment knob (absent or malformed → 0).
@@ -578,94 +642,6 @@ fn report_failures(
             }
         }
     }
-}
-
-#[allow(clippy::type_complexity)]
-fn run_flat(
-    topo: &Arc<Dragonfly>,
-    pattern: &Arc<dyn TrafficPattern>,
-    entries: &[(String, Arc<dyn PathProvider>, RoutingAlgorithm, Config)],
-    rates: &[f64],
-    opts: &SweepOptions,
-    faults: Option<Arc<FaultSchedule>>,
-) -> Vec<Series> {
-    let budget = job_budget();
-    let mut runner = ExperimentRunner::new(topo.clone())
-        .with_budget(budget)
-        .with_profiling(profiling_on());
-    if let Some(journal) = journal_from_env() {
-        runner = runner.with_journal(journal);
-    }
-    if let Some(trace) = trace_from_env() {
-        runner = runner.with_trace(trace);
-    }
-    for (label, provider, routing, cfg) in entries {
-        runner = runner.series(SeriesSpec {
-            label: label.clone(),
-            provider: provider.clone(),
-            pattern: pattern.clone(),
-            routing: *routing,
-            cfg: cfg.clone(),
-            faults: faults.clone(),
-        });
-    }
-    let mcfg = metrics_config();
-    if !mcfg.enabled {
-        let (curves, summary, records) =
-            match runner.run_recorded(rates, &opts.seeds, |_| NoopObserver) {
-                Ok(out) => out,
-                Err(e) => fatal("invalid experiment configuration", e),
-            };
-        record_run_summary(&summary);
-        report_failures(topo, pattern, entries, faults.as_ref(), budget, &records);
-        return curves
-            .into_iter()
-            .map(|curve| Series {
-                label: curve.label,
-                points: curve.points.into_iter().map(|p| p.point).collect(),
-                metrics: Vec::new(),
-            })
-            .collect();
-    }
-    // Instrumented path: one MetricsObserver per job, merged over seeds at
-    // each point; the merged latency histogram upgrades the point's scalar
-    // percentiles from the power-of-two estimate to exact values.  (Jobs
-    // resumed from a journal return empty observers — their results were
-    // simulated by the killed invocation — so resumed points under metrics
-    // report journal results with empty telemetry.)
-    let (curves, summary, records) =
-        match runner.run_recorded(rates, &opts.seeds, |_job| MetricsObserver::new(topo, &mcfg)) {
-            Ok(out) => out,
-            Err(e) => fatal("invalid experiment configuration", e),
-        };
-    record_run_summary(&summary);
-    report_failures(topo, pattern, entries, faults.as_ref(), budget, &records);
-    curves
-        .into_iter()
-        .map(|curve| {
-            let mut points = Vec::with_capacity(curve.points.len());
-            let mut metrics = Vec::with_capacity(curve.points.len());
-            for observed in curve.points {
-                let mut seeds = observed.observers.into_iter();
-                let mut merged = seeds.next().expect("at least one seed per point");
-                for o in seeds {
-                    merged.merge(&o);
-                }
-                let rep = merged.report();
-                let mut point = observed.point;
-                point.result = point
-                    .result
-                    .with_exact_percentiles(rep.latency.p50, rep.latency.p99);
-                points.push(point);
-                metrics.push(rep);
-            }
-            Series {
-                label: curve.label,
-                points,
-                metrics,
-            }
-        })
-        .collect()
 }
 
 /// Prints a figure: a `#` header, then one row per rate with one latency

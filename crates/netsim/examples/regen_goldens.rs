@@ -19,7 +19,7 @@ fn main() {
     }
     for (scenario, adversarial, rate, _) in FAULT_CASES {
         let r = simulator(RoutingAlgorithm::UgalL, adversarial, 7)
-            .with_faults(schedule_of(scenario))
+            .with_faults(Arc::new(schedule_of(scenario)))
             .run(rate);
         println!("FAULT\t{scenario}\t{adversarial}\t{rate}\t{r:?}");
     }

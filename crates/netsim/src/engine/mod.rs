@@ -112,6 +112,19 @@ struct CycleGlobals {
     elapsed_ms: u64,
 }
 
+/// What one [`Simulator::run_in`] call produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOutput {
+    /// The measurement.
+    pub result: SimResult,
+    /// The watchdog's report when it stopped the run (`None` when the
+    /// watchdog is off or never fired).
+    pub stall: Option<StallReport>,
+    /// Checkpoint writes and restores the run performed, for trace spans
+    /// (empty with `cfg.checkpoint = None`).
+    pub ckpt_events: Vec<CkptEvent>,
+}
+
 /// A configured simulation; [`Simulator::run`] executes it at one offered
 /// load.
 pub struct Simulator {
@@ -153,98 +166,58 @@ impl Simulator {
     }
 
     /// Attaches a fault schedule: the components it names die at their
-    /// configured cycles (see the `fault` module).  An empty schedule
-    /// leaves the engine on the pristine fast path — results are
+    /// configured cycles (see the `fault` module).  The schedule is shared,
+    /// so a sweep attaches one to many jobs without copying it.  An empty
+    /// schedule leaves the engine on the pristine fast path — results are
     /// bit-identical to a simulator without one.
-    pub fn with_faults(self, schedule: FaultSchedule) -> Self {
-        self.with_fault_schedule(Arc::new(schedule))
-    }
-
-    /// [`Simulator::with_faults`] for an already-shared schedule (sweeps
-    /// reuse one schedule across many jobs).
-    pub fn with_fault_schedule(mut self, schedule: Arc<FaultSchedule>) -> Self {
+    pub fn with_faults(mut self, schedule: Arc<FaultSchedule>) -> Self {
         self.faults = Some(schedule);
         self
     }
 
     /// Runs the configured warmup + measurement windows at `rate`
     /// packets/cycle/node (`0 < rate ≤ 1`) in a freshly allocated
-    /// workspace.  Sweeps should prefer [`Simulator::run_with`] with a
-    /// reused [`SimWorkspace`].
+    /// workspace, with no observer or profiler.  Sweeps should prefer
+    /// [`Simulator::run_in`] with a reused [`SimWorkspace`].
     pub fn run(&self, rate: f64) -> SimResult {
-        self.run_with(rate, &mut SimWorkspace::new())
+        self.run_in(
+            rate,
+            &mut SimWorkspace::new(),
+            &mut NoopObserver,
+            &mut NoopProfiler,
+        )
+        .result
     }
 
-    /// Like [`Simulator::run`], but executes inside `ws`, reusing its
-    /// allocations.  The workspace is reset first, so results are
-    /// identical whether `ws` is fresh or previously used (for any
-    /// topology/config — shape changes reallocate transparently).
-    pub fn run_with(&self, rate: f64, ws: &mut SimWorkspace) -> SimResult {
-        self.run_observed(rate, ws, &mut NoopObserver)
-    }
-
-    /// Like [`Simulator::run_with`], with a [`SimObserver`] receiving
-    /// cycle-level events.  The engine is monomorphized per observer type;
-    /// the default [`NoopObserver`] compiles to the unobserved loop.
-    pub fn run_observed<O: SimObserver>(
-        &self,
-        rate: f64,
-        ws: &mut SimWorkspace,
-        obs: &mut O,
-    ) -> SimResult {
-        self.run_reported(rate, ws, obs).0
-    }
-
-    /// Like [`Simulator::run_observed`], additionally returning the
-    /// [`StallReport`] if the configured watchdog tripped (`None` when the
-    /// watchdog is off or never fired).  The `SimResult` is identical to
-    /// the one [`Simulator::run_observed`] returns for the same inputs.
-    pub fn run_reported<O: SimObserver>(
-        &self,
-        rate: f64,
-        ws: &mut SimWorkspace,
-        obs: &mut O,
-    ) -> (SimResult, Option<StallReport>) {
-        self.run_profiled(rate, ws, obs, &mut NoopProfiler)
-    }
-
-    /// Like [`Simulator::run_reported`], with an [`EngineProfiler`]
-    /// attributing the run's wall-clock to the cycle loop's phases.  The
-    /// engine is monomorphized per profiler type; [`NoopProfiler`] (what
-    /// every other entry point passes) compiles to the unprofiled loop,
-    /// and a real profiler ([`EngineProf`]) is observational only — the
-    /// `SimResult` and `StallReport` are bit-identical either way (pinned
-    /// by `tests/profile.rs`).
-    pub fn run_profiled<O: SimObserver, P: EngineProfiler>(
-        &self,
-        rate: f64,
-        ws: &mut SimWorkspace,
-        obs: &mut O,
-        prof: &mut P,
-    ) -> (SimResult, Option<StallReport>) {
-        let (result, stall, _) = self.run_instrumented(rate, ws, obs, prof);
-        (result, stall)
-    }
-
-    /// [`Simulator::run_profiled`] plus the checkpoint events
-    /// (writes/restores) the run performed, for trace-span emission.  With
-    /// `cfg.checkpoint = None` (the default) the event list is empty and
-    /// the run is bit-identical to one on a build without checkpointing.
+    /// Runs at `rate` inside `ws`, with `obs` receiving cycle-level events
+    /// and `prof` attributing wall-clock to the cycle loop's phases.
     ///
-    /// With `Some`, the run first restores from the newest valid
-    /// checkpoint in the configured directory (cold-starting when there is
-    /// none), then writes a checkpoint every `every` cycles.  Restore is
-    /// bit-for-bit: the resumed run's result equals the uninterrupted
-    /// run's.  If the observer does not implement
-    /// [`SimObserver::snapshot`], checkpointing is disabled for the job
-    /// with a warning (results unaffected).
-    pub(crate) fn run_instrumented<O: SimObserver, P: EngineProfiler>(
+    /// * The workspace is reset first, so results are identical whether
+    ///   `ws` is fresh or previously used (for any topology/config — shape
+    ///   changes reallocate transparently).
+    /// * The engine is monomorphized per observer and profiler type:
+    ///   [`NoopObserver`] and [`NoopProfiler`] compile to the
+    ///   uninstrumented loop, and a real observer or profiler
+    ///   ([`EngineProf`]) never changes the result (pinned by
+    ///   `tests/profile.rs`).
+    /// * [`RunOutput::stall`] carries the [`StallReport`] when the
+    ///   configured watchdog tripped.
+    /// * With `cfg.checkpoint = None` (the default)
+    ///   [`RunOutput::ckpt_events`] is empty.  With `Some`, the run first
+    ///   restores from the newest valid checkpoint in the configured
+    ///   directory (cold-starting when there is none), then writes a
+    ///   checkpoint every `every` cycles.  Restore is bit-for-bit: the
+    ///   resumed run's result equals the uninterrupted run's.  If the
+    ///   observer does not implement [`SimObserver::snapshot`],
+    ///   checkpointing is disabled for the job with a warning (results
+    ///   unaffected).
+    pub fn run_in<O: SimObserver, P: EngineProfiler>(
         &self,
         rate: f64,
         ws: &mut SimWorkspace,
         obs: &mut O,
         prof: &mut P,
-    ) -> (SimResult, Option<StallReport>, Vec<CkptEvent>) {
+    ) -> RunOutput {
         assert!(
             rate > 0.0 && rate <= 1.0,
             "injection rate {rate} out of (0,1]"
@@ -255,7 +228,7 @@ impl Simulator {
         // can snapshot, and the directory is usable — otherwise a typed
         // warning and the run proceeds unchanged (checkpointing is purely
         // additive, never load-bearing for results).
-        let mut ck_events: Vec<CkptEvent> = Vec::new();
+        let mut ckpt_events: Vec<CkptEvent> = Vec::new();
         let ckrun = match &self.cfg.checkpoint {
             None => None,
             Some(_) if obs.snapshot().is_none() => {
@@ -297,7 +270,7 @@ impl Simulator {
                 if let Some(blob) = chk.obs_blobs.iter().find(|b| !b.is_empty()) {
                     obs.restore(blob);
                 }
-                ck_events.push(CkptEvent {
+                ckpt_events.push(CkptEvent {
                     kind: CkptEventKind::Restore,
                     cycle: chk.next_cycle,
                     bytes,
@@ -311,9 +284,13 @@ impl Simulator {
         let (result, stall) =
             Engine::new(self, rate, ws, obs, prof, ckrun.as_ref(), resume.as_ref()).run();
         if let Some(ck) = &ckrun {
-            ck_events.extend(ck.take_events());
+            ckpt_events.extend(ck.take_events());
         }
-        (result, stall, ck_events)
+        RunOutput {
+            result,
+            stall,
+            ckpt_events,
+        }
     }
 }
 

@@ -93,7 +93,7 @@ struct Shape {
 /// reuse the backing memory instead of reallocating it.
 ///
 /// Create one with [`SimWorkspace::new`] and pass it to
-/// [`crate::Simulator::run_with`]; the sweep layer keeps one workspace per
+/// [`crate::Simulator::run_in`]; the sweep layer keeps one workspace per
 /// worker through a [`WorkspacePool`].
 #[derive(Default)]
 pub struct SimWorkspace {

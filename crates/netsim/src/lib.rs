@@ -58,16 +58,14 @@ pub use ckpt::{CkptConfig, CkptEvent, CkptEventKind, CkptWarning};
 pub use config::{Config, RoutingAlgorithm};
 pub use engine::{
     ConservationLedger, EngineProf, EngineProfiler, FlightFrame, NoopObserver, NoopProfiler,
-    OldestPacket, Phase, ProfileReport, RoutingCounters, ShardProfile, SimObserver, SimWorkspace,
-    Simulator, StallKind, StallReport, VcSnapshot, WatchdogConfig, WorkspacePool, PHASE_COUNT,
+    OldestPacket, Phase, ProfileReport, RoutingCounters, RunOutput, ShardProfile, SimObserver,
+    SimWorkspace, Simulator, StallKind, StallReport, VcSnapshot, WatchdogConfig, WorkspacePool,
+    PHASE_COUNT,
 };
 pub use error::{validate_sweep, ConfigError};
 pub use fault::{FaultEvent, FaultSchedule};
 pub use stats::SimResult;
-pub use sweep::{
-    aggregate_runs, latency_curve, run_job_observed, run_job_profiled, run_job_reported,
-    saturation_throughput, CurvePoint, SweepOptions,
-};
+pub use sweep::{aggregate_runs, latency_curve, saturation_throughput, CurvePoint, SweepOptions};
 
 #[cfg(test)]
 mod tests;

@@ -10,21 +10,22 @@
 //! with [`aggregate_runs`] — recording per-job wall-clock so harnesses can
 //! report where the time went.
 //!
-//! Instrumented experiments go through
-//! [`ExperimentRunner::run_observed`], which attaches one
-//! [`SimObserver`] per job (built by a caller-supplied factory) and
-//! returns the observers alongside the aggregated curves, so a metrics
-//! consumer can merge per-seed collections into per-point telemetry.
+//! [`ExperimentRunner::run_recorded`] is the one entry point.  It attaches
+//! one [`SimObserver`] per job, built by a caller-supplied factory (a
+//! [`NoopObserver`](crate::NoopObserver) factory runs the uninstrumented
+//! engine), and returns the observers alongside the aggregated curves, so
+//! a metrics consumer can merge per-seed collections into per-point
+//! telemetry.
 
 use crate::config::{Config, RoutingAlgorithm};
 use crate::engine::{
-    EngineProf, NoopObserver, NoopProfiler, ProfileReport, SimObserver, StallKind, StallReport,
-    WorkspacePool,
+    EngineProf, NoopProfiler, ProfileReport, RunOutput, SimObserver, Simulator, StallKind,
+    StallReport, WorkspacePool,
 };
 use crate::error::ConfigError;
 use crate::journal::{job_digest, Journal};
 use crate::stats::SimResult;
-use crate::sweep::{aggregate_runs, run_job_ckpt, CurvePoint};
+use crate::sweep::{aggregate_runs, CurvePoint};
 use crate::trace::{phase_totals, TraceSink, TraceSpan};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,22 +55,6 @@ pub struct SeriesSpec {
     pub faults: Option<Arc<crate::fault::FaultSchedule>>,
 }
 
-/// One series' aggregated sweep, with timing.
-pub struct SeriesCurve {
-    /// Legend label, copied from the [`SeriesSpec`].
-    pub label: String,
-    /// One aggregated point per offered load, each carrying the wall-clock
-    /// its replications cost.
-    pub points: Vec<CurvePoint>,
-}
-
-impl SeriesCurve {
-    /// Total wall-clock of this series' jobs, in milliseconds.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.points.iter().map(|p| p.elapsed_ms).sum()
-    }
-}
-
 /// An aggregated (series, rate) point together with the observers its seed
 /// replications ran under, in seed order.
 pub struct ObservedPoint<O> {
@@ -88,7 +73,7 @@ pub struct ObservedCurve<O> {
 }
 
 /// Identity of one scheduled job, handed to the observer factory of
-/// [`ExperimentRunner::run_observed`].
+/// [`ExperimentRunner::run_recorded`].
 pub struct JobInfo<'a> {
     /// Label of the job's series.
     pub label: &'a str,
@@ -363,7 +348,7 @@ impl ExperimentRunner {
         self
     }
 
-    /// Number of jobs `run` would schedule.
+    /// Number of jobs [`ExperimentRunner::run_recorded`] would schedule.
     pub fn job_count(&self, rates: &[f64], seeds: &[u64]) -> usize {
         self.series.len() * rates.len() * seeds.len()
     }
@@ -433,56 +418,20 @@ impl ExperimentRunner {
         cfg
     }
 
-    /// Expands the full job list, runs it through one parallel batch over
-    /// a shared workspace pool, and folds the per-seed results into one
-    /// [`CurvePoint`] per (series, rate) via [`aggregate_runs`].
-    pub fn run(&self, rates: &[f64], seeds: &[u64]) -> Vec<SeriesCurve> {
-        self.run_with_summary(rates, seeds).0
-    }
-
-    /// Like [`ExperimentRunner::run`], also returning the batch's
-    /// [`RunSummary`] (total wall-clock, jobs/sec, slowest job).
-    pub fn run_with_summary(&self, rates: &[f64], seeds: &[u64]) -> (Vec<SeriesCurve>, RunSummary) {
-        let (curves, summary) = self.run_observed(rates, seeds, |_| NoopObserver);
-        let curves = curves
-            .into_iter()
-            .map(|c| SeriesCurve {
-                label: c.label,
-                points: c.points.into_iter().map(|p| p.point).collect(),
-            })
-            .collect();
-        (curves, summary)
-    }
-
-    /// The instrumented schedule: every job gets its own observer from
-    /// `make` (receiving the job's [`JobInfo`]), the engine feeds it
-    /// cycle-level events, and the per-seed observers come back attached
-    /// to their aggregated [`ObservedPoint`].
+    /// Runs the experiment: validates it up front, expands the full job
+    /// list, runs it through one parallel batch over a shared workspace
+    /// pool with every job isolated (see the type docs), and folds the
+    /// per-seed results into one [`CurvePoint`] per (series, rate) via
+    /// [`aggregate_runs`].
     ///
-    /// [`ExperimentRunner::run`] is this with a [`NoopObserver`] factory —
-    /// the monomorphized no-op engine — so observer-free runs cost
-    /// nothing.
-    pub fn run_observed<O, F>(
-        &self,
-        rates: &[f64],
-        seeds: &[u64],
-        make: F,
-    ) -> (Vec<ObservedCurve<O>>, RunSummary)
-    where
-        O: SimObserver + Send,
-        F: Fn(&JobInfo) -> O + Sync,
-    {
-        let (curves, summary, _) = self
-            .run_recorded(rates, seeds, make)
-            .unwrap_or_else(|e| panic!("invalid experiment: {e}"));
-        (curves, summary)
-    }
-
-    /// The fully-typed schedule: validates the experiment up front, runs
-    /// every job isolated (see the type docs), and returns — besides the
-    /// aggregated curves and summary — one [`JobRecord`] per job in
-    /// schedule order, so harnesses can write replay capsules for the
-    /// failures and choose their exit code.
+    /// Every job gets its own observer from `make` (receiving the job's
+    /// [`JobInfo`]); the per-seed observers come back attached to their
+    /// aggregated [`ObservedPoint`].  A
+    /// [`NoopObserver`](crate::NoopObserver) factory runs the
+    /// monomorphized no-op engine, so observer-free runs cost nothing.
+    /// Besides the curves and the batch [`RunSummary`], the run returns
+    /// one [`JobRecord`] per job in schedule order, so harnesses can write
+    /// replay capsules for the failures and choose their exit code.
     pub fn run_recorded<O, F>(
         &self,
         rates: &[f64],
@@ -573,63 +522,59 @@ impl ExperimentRunner {
                     span.t_ms = trace.now_ms();
                     trace.emit(&span);
                 }
-                // Jobs of one batch share the checkpoint directory; keying
-                // each job's files by its digest (the journal key) keeps
-                // concurrent jobs from clobbering each other's checkpoints
-                // and lets a resumed invocation find exactly its own.
-                let cfg_job = cfgs[si].checkpoint.is_some().then(|| {
-                    let mut c = cfgs[si].clone();
-                    if let Some(ck) = c.checkpoint.as_mut() {
-                        ck.stem = format!("{digest:016x}");
-                    }
-                    c
-                });
-                let cfg = cfg_job.as_ref().unwrap_or(&cfgs[si]);
                 let start = Instant::now();
                 let mut prof = self.profiling.then(EngineProf::new);
-                let run = catch_unwind(AssertUnwindSafe(|| match prof.as_mut() {
-                    Some(p) => run_job_ckpt(
-                        &pool,
-                        &self.topo,
-                        &s.provider,
-                        &s.pattern,
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    let mut cfg = Config {
+                        seed,
+                        ..cfgs[si].clone()
+                    };
+                    // Jobs of one batch share the checkpoint directory;
+                    // keying each job's files by its digest (the journal
+                    // key) keeps concurrent jobs from clobbering each
+                    // other's checkpoints and lets a resumed invocation
+                    // find exactly its own.
+                    if let Some(ck) = cfg.checkpoint.as_mut() {
+                        ck.stem = format!("{digest:016x}");
+                    }
+                    let mut sim = Simulator::new(
+                        self.topo.clone(),
+                        s.provider.clone(),
+                        s.pattern.clone(),
                         s.routing,
                         cfg,
-                        rate,
-                        seed,
-                        s.faults.as_ref(),
-                        &mut obs,
-                        p,
-                    ),
-                    None => run_job_ckpt(
-                        &pool,
-                        &self.topo,
-                        &s.provider,
-                        &s.pattern,
-                        s.routing,
-                        cfg,
-                        rate,
-                        seed,
-                        s.faults.as_ref(),
-                        &mut obs,
-                        &mut NoopProfiler,
-                    ),
+                    );
+                    if let Some(f) = &s.faults {
+                        sim = sim.with_faults(f.clone());
+                    }
+                    pool.with(|ws| match prof.as_mut() {
+                        Some(p) => sim.run_in(rate, ws, &mut obs, p),
+                        None => sim.run_in(rate, ws, &mut obs, &mut NoopProfiler),
+                    })
                 }));
                 let profile = prof.map(|p| p.report());
                 let (outcome, ck_events) = match run {
-                    Ok((result, None, events, _)) => {
+                    Ok(RunOutput {
+                        result,
+                        stall: None,
+                        ckpt_events,
+                    }) => {
                         if let Some(journal) = &self.journal {
                             journal.record(digest, &s.label, rate, seed, &result);
                         }
-                        (JobOutcome::Ok(result), events)
+                        (JobOutcome::Ok(result), ckpt_events)
                     }
-                    Ok((_, Some(stall), events, _)) => (
+                    Ok(RunOutput {
+                        stall: Some(stall),
+                        ckpt_events,
+                        ..
+                    }) => (
                         if stall.kind == StallKind::WallClockExceeded {
                             JobOutcome::TimedOut(stall)
                         } else {
                             JobOutcome::WatchdogTripped(stall)
                         },
-                        events,
+                        ckpt_events,
                     ),
                     Err(payload) => (
                         JobOutcome::Panicked(panic_message(payload.as_ref())),

@@ -7,7 +7,7 @@
 //! reason.
 
 use crate::config::{Config, RoutingAlgorithm};
-use crate::engine::{SimWorkspace, Simulator, WorkspacePool};
+use crate::engine::{NoopObserver, NoopProfiler, Simulator, WorkspacePool};
 use crate::stats::SimResult;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -102,162 +102,32 @@ pub fn aggregate_runs(rate: f64, runs: &[SimResult]) -> SimResult {
     }
 }
 
-/// One simulation job: a (rate, seed) replication run inside a pooled
-/// workspace, returning the result and its wall-clock in milliseconds.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_job(
-    pool: &WorkspacePool,
+/// One simulator per replication seed (the seed overrides `cfg.seed`),
+/// shared by every offered load of a sweep.
+fn seeded(
     topo: &Arc<Dragonfly>,
     provider: &Arc<dyn PathProvider>,
     pattern: &Arc<dyn TrafficPattern>,
     routing: RoutingAlgorithm,
     cfg: &Config,
-    rate: f64,
-    seed: u64,
-) -> (SimResult, f64) {
-    run_job_observed(
-        pool,
-        topo,
-        provider,
-        pattern,
-        routing,
-        cfg,
-        rate,
-        seed,
-        None,
-        &mut crate::engine::NoopObserver,
-    )
-}
-
-/// Like the internal job runner, but feeding cycle-level events to `obs` —
-/// the entry point the metrics layer (`tugal-obs`) uses to instrument a
-/// single (rate, seed) replication.  The per-job seed overrides
-/// `cfg.seed`; a fault schedule (shared across the sweep's jobs) may be
-/// attached; timing is wall-clock milliseconds of the simulation alone.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_observed<O: crate::engine::SimObserver>(
-    pool: &WorkspacePool,
-    topo: &Arc<Dragonfly>,
-    provider: &Arc<dyn PathProvider>,
-    pattern: &Arc<dyn TrafficPattern>,
-    routing: RoutingAlgorithm,
-    cfg: &Config,
-    rate: f64,
-    seed: u64,
-    faults: Option<&Arc<crate::fault::FaultSchedule>>,
-    obs: &mut O,
-) -> (SimResult, f64) {
-    let (result, _, ms) = run_job_reported(
-        pool, topo, provider, pattern, routing, cfg, rate, seed, faults, obs,
-    );
-    (result, ms)
-}
-
-/// Like [`run_job_observed`], additionally returning the engine's
-/// [`crate::StallReport`] when the configured watchdog tripped — the job
-/// primitive of the crash-safe [`crate::runner::ExperimentRunner`] path.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_reported<O: crate::engine::SimObserver>(
-    pool: &WorkspacePool,
-    topo: &Arc<Dragonfly>,
-    provider: &Arc<dyn PathProvider>,
-    pattern: &Arc<dyn TrafficPattern>,
-    routing: RoutingAlgorithm,
-    cfg: &Config,
-    rate: f64,
-    seed: u64,
-    faults: Option<&Arc<crate::fault::FaultSchedule>>,
-    obs: &mut O,
-) -> (SimResult, Option<crate::engine::StallReport>, f64) {
-    run_job_profiled(
-        pool,
-        topo,
-        provider,
-        pattern,
-        routing,
-        cfg,
-        rate,
-        seed,
-        faults,
-        obs,
-        &mut crate::engine::NoopProfiler,
-    )
-}
-
-/// Like [`run_job_reported`], with an [`crate::EngineProfiler`] attached
-/// to the engine — the job primitive of the runner's profiled path and of
-/// the `prof` bench harness.  Passing [`crate::NoopProfiler`] is exactly
-/// [`run_job_reported`]; a real profiler never changes the results.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_profiled<O: crate::engine::SimObserver, P: crate::engine::EngineProfiler>(
-    pool: &WorkspacePool,
-    topo: &Arc<Dragonfly>,
-    provider: &Arc<dyn PathProvider>,
-    pattern: &Arc<dyn TrafficPattern>,
-    routing: RoutingAlgorithm,
-    cfg: &Config,
-    rate: f64,
-    seed: u64,
-    faults: Option<&Arc<crate::fault::FaultSchedule>>,
-    obs: &mut O,
-    prof: &mut P,
-) -> (SimResult, Option<crate::engine::StallReport>, f64) {
-    let (result, stall, _, ms) = run_job_ckpt(
-        pool, topo, provider, pattern, routing, cfg, rate, seed, faults, obs, prof,
-    );
-    (result, stall, ms)
-}
-
-/// [`run_job_profiled`] plus the checkpoint write/restore events the run
-/// performed (empty with `cfg.checkpoint = None`) — the job primitive of
-/// the runner's recorded path, which turns the events into trace spans.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_job_ckpt<O: crate::engine::SimObserver, P: crate::engine::EngineProfiler>(
-    pool: &WorkspacePool,
-    topo: &Arc<Dragonfly>,
-    provider: &Arc<dyn PathProvider>,
-    pattern: &Arc<dyn TrafficPattern>,
-    routing: RoutingAlgorithm,
-    cfg: &Config,
-    rate: f64,
-    seed: u64,
-    faults: Option<&Arc<crate::fault::FaultSchedule>>,
-    obs: &mut O,
-    prof: &mut P,
-) -> (
-    SimResult,
-    Option<crate::engine::StallReport>,
-    Vec<crate::ckpt::CkptEvent>,
-    f64,
-) {
-    let mut c = cfg.clone();
-    c.seed = seed;
-    let mut sim = Simulator::new(topo.clone(), provider.clone(), pattern.clone(), routing, c);
-    if let Some(f) = faults {
-        sim = sim.with_fault_schedule(f.clone());
-    }
-    let start = Instant::now();
-    let (result, stall, events) =
-        pool.with(|ws: &mut SimWorkspace| sim.run_instrumented(rate, ws, obs, prof));
-    (result, stall, events, start.elapsed().as_secs_f64() * 1e3)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_averaged(
-    pool: &WorkspacePool,
-    topo: &Arc<Dragonfly>,
-    provider: &Arc<dyn PathProvider>,
-    pattern: &Arc<dyn TrafficPattern>,
-    routing: RoutingAlgorithm,
-    cfg: &Config,
-    rate: f64,
     seeds: &[u64],
-) -> SimResult {
-    let runs: Vec<SimResult> = seeds
-        .par_iter()
-        .map(|&seed| run_job(pool, topo, provider, pattern, routing, cfg, rate, seed).0)
-        .collect();
-    aggregate_runs(rate, &runs)
+) -> Vec<Simulator> {
+    seeds
+        .iter()
+        .map(|&seed| {
+            let cfg = Config {
+                seed,
+                ..cfg.clone()
+            };
+            Simulator::new(
+                topo.clone(),
+                provider.clone(),
+                pattern.clone(),
+                routing,
+                cfg,
+            )
+        })
+        .collect()
 }
 
 /// Latency as the offered load increases — the x/y data of the paper's
@@ -279,13 +149,18 @@ pub fn latency_curve(
         "latency_curve needs at least one seed"
     );
     let pool = WorkspacePool::new();
-    let jobs: Vec<(f64, u64)> = rates
+    let sims = seeded(topo, provider, pattern, routing, cfg, &opts.seeds);
+    let jobs: Vec<(f64, &Simulator)> = rates
         .iter()
-        .flat_map(|&rate| opts.seeds.iter().map(move |&seed| (rate, seed)))
+        .flat_map(|&rate| sims.iter().map(move |sim| (rate, sim)))
         .collect();
     let outcomes: Vec<(SimResult, f64)> = jobs
         .par_iter()
-        .map(|&(rate, seed)| run_job(&pool, topo, provider, pattern, routing, cfg, rate, seed))
+        .map(|&(rate, sim)| {
+            let start = Instant::now();
+            let out = pool.with(|ws| sim.run_in(rate, ws, &mut NoopObserver, &mut NoopProfiler));
+            (out.result, start.elapsed().as_secs_f64() * 1e3)
+        })
         .collect();
     outcomes
         .chunks(opts.seeds.len())
@@ -314,18 +189,16 @@ pub fn saturation_throughput(
     opts: &SweepOptions,
 ) -> f64 {
     let pool = WorkspacePool::new();
+    let sims = seeded(topo, provider, pattern, routing, cfg, &opts.seeds);
     let sat = |rate: f64| {
-        run_averaged(
-            &pool,
-            topo,
-            provider,
-            pattern,
-            routing,
-            cfg,
-            rate,
-            &opts.seeds,
-        )
-        .saturated
+        let runs: Vec<SimResult> = sims
+            .par_iter()
+            .map(|sim| {
+                pool.with(|ws| sim.run_in(rate, ws, &mut NoopObserver, &mut NoopProfiler))
+                    .result
+            })
+            .collect();
+        aggregate_runs(rate, &runs).saturated
     };
     let mut lo = opts.resolution;
     let mut hi = 1.0;

@@ -12,8 +12,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use tugal_netsim::{
-    CkptConfig, Config, NoopObserver, RoutingAlgorithm, SimObserver, SimWorkspace, Simulator,
-    WatchdogConfig,
+    CkptConfig, Config, NoopObserver, NoopProfiler, RoutingAlgorithm, SimObserver, SimWorkspace,
+    Simulator, WatchdogConfig,
 };
 use tugal_routing::TableProvider;
 use tugal_topology::{Dragonfly, DragonflyParams};
@@ -115,7 +115,7 @@ impl Fixture {
             // cursor.
             let mut fs = tugal_topology::FaultSet::sample_global_links(&topo, 0.05, 0xBEEF);
             fs.fail_switch(tugal_topology::SwitchId(5));
-            sim.with_faults(tugal_netsim::FaultSchedule::at(1000, fs))
+            sim.with_faults(Arc::new(tugal_netsim::FaultSchedule::at(1000, fs)))
         } else {
             sim
         }
@@ -269,7 +269,13 @@ fn version_1_checkpoint_is_skipped_and_the_run_cold_starts() {
         let r = Fixture::new(RoutingAlgorithm::UgalL, true)
             .ckpt(dir, 600)
             .build()
-            .run_observed(RATE, &mut SimWorkspace::new(), &mut first);
+            .run_in(
+                RATE,
+                &mut SimWorkspace::new(),
+                &mut first,
+                &mut NoopProfiler,
+            )
+            .result;
         (first.0, format!("{r:?}"))
     };
     // The observer tells a restore from a cold start.
@@ -300,7 +306,13 @@ fn version_2_checkpoint_from_before_the_sequential_engine_resumes_bit_for_bit() 
     let resumed = Fixture::new(RoutingAlgorithm::UgalL, true)
         .ckpt(&dir, 700)
         .build()
-        .run_observed(RATE, &mut SimWorkspace::new(), &mut first);
+        .run_in(
+            RATE,
+            &mut SimWorkspace::new(),
+            &mut first,
+            &mut NoopProfiler,
+        )
+        .result;
     assert_eq!(first.0, Some(2801), "the fixture was not restored");
     assert_eq!(
         format!("{resumed:?}"),
@@ -332,7 +344,10 @@ fn non_snapshotting_observer_disables_checkpointing_without_perturbing_results()
         }
         let mut obs = NoSnapshot::default();
         let mut ws = SimWorkspace::new();
-        let r = fix.build().run_observed(0.3, &mut ws, &mut obs);
+        let r = fix
+            .build()
+            .run_in(0.3, &mut ws, &mut obs, &mut NoopProfiler)
+            .result;
         (format!("{r:?}"), obs.events)
     };
     let (plain_r, plain_ev) = run_with(None);
@@ -356,19 +371,22 @@ fn restore_resumes_workspace_reuse_and_noop_observer_paths() {
         "{:?}",
         Fixture::new(RoutingAlgorithm::Par, true)
             .build()
-            .run_observed(0.15, &mut ws, &mut NoopObserver)
+            .run_in(0.15, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .result
     );
     let _ = Fixture::new(RoutingAlgorithm::Par, true)
         .ckpt(&dir, 600)
         .killed_at(1900)
         .build()
-        .run_observed(0.15, &mut ws, &mut NoopObserver);
+        .run_in(0.15, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+        .result;
     let resumed = format!(
         "{:?}",
         Fixture::new(RoutingAlgorithm::Par, true)
             .ckpt(&dir, 600)
             .build()
-            .run_observed(0.15, &mut ws, &mut NoopObserver)
+            .run_in(0.15, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .result
     );
     assert_eq!(resumed, golden, "workspace reuse across restore diverged");
 }

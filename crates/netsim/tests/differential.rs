@@ -17,7 +17,9 @@
 //! round-trip exact for `f64`, so a string match is a bit-for-bit match.
 
 use std::sync::Arc;
-use tugal_netsim::{Config, RoutingAlgorithm, SimResult, SimWorkspace, Simulator};
+use tugal_netsim::{
+    Config, NoopObserver, NoopProfiler, RoutingAlgorithm, SimResult, SimWorkspace, Simulator,
+};
 use tugal_routing::{PathProvider, PathRef, TableProvider};
 use tugal_topology::{Dragonfly, DragonflyParams, SwitchId};
 use tugal_traffic::{Shift, TrafficPattern, Uniform};
@@ -185,9 +187,11 @@ fn owned_only_provider_matches_interned_table_provider() {
             routing,
             cfg.clone(),
         )
-        .run_with(rate, &mut ws);
-        let b =
-            Simulator::new(topo.clone(), shimmed, pattern, routing, cfg).run_with(rate, &mut ws);
+        .run_in(rate, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+        .result;
+        let b = Simulator::new(topo.clone(), shimmed, pattern, routing, cfg)
+            .run_in(rate, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .result;
         assert_eq!(
             format!("{a:?}"),
             format!("{b:?}"),

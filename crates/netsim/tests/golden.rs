@@ -9,6 +9,8 @@
 
 include!("common/cases.rs");
 
+use tugal_netsim::{NoopObserver, NoopProfiler};
+
 #[test]
 fn golden_results_bit_for_bit() {
     for (routing, adversarial, rate, expected) in CASES {
@@ -40,10 +42,11 @@ fn zoo_golden_results_bit_for_bit() {
 fn golden_results_with_an_explicit_noop_observer() {
     // The observer seam must be invisible: the monomorphized NoopObserver
     // engine reproduces the pre-refactor fixtures bit-for-bit.
-    use tugal_netsim::NoopObserver;
     let mut ws = SimWorkspace::new();
     for (routing, adversarial, rate, expected) in CASES {
-        let r = simulator(routing, adversarial, 7).run_observed(rate, &mut ws, &mut NoopObserver);
+        let r = simulator(routing, adversarial, 7)
+            .run_in(rate, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .result;
         assert_eq!(
             format!("{r:?}"),
             expected,
@@ -59,7 +62,9 @@ fn golden_results_through_a_reused_workspace() {
     // pre-refactor fixtures bit-for-bit.
     let mut ws = SimWorkspace::new();
     for (routing, adversarial, rate, expected) in CASES {
-        let r = simulator(routing, adversarial, 7).run_with(rate, &mut ws);
+        let r = simulator(routing, adversarial, 7)
+            .run_in(rate, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .result;
         assert_eq!(
             format!("{r:?}"),
             expected,

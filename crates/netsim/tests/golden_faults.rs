@@ -13,12 +13,12 @@
 
 include!("common/cases.rs");
 
-use tugal_netsim::FaultSchedule;
+use tugal_netsim::{FaultSchedule, NoopObserver, NoopProfiler};
 use tugal_topology::FaultSet;
 
 fn run_faulted(adversarial: bool, rate: f64, schedule: FaultSchedule) -> SimResult {
     simulator(RoutingAlgorithm::UgalL, adversarial, 7)
-        .with_faults(schedule)
+        .with_faults(Arc::new(schedule))
         .run(rate)
 }
 
@@ -39,8 +39,9 @@ fn degraded_golden_results_through_a_reused_workspace() {
     let mut ws = SimWorkspace::new();
     for (scenario, adversarial, rate, expected) in FAULT_CASES {
         let r = simulator(RoutingAlgorithm::UgalL, adversarial, 7)
-            .with_faults(schedule_of(scenario))
-            .run_with(rate, &mut ws);
+            .with_faults(Arc::new(schedule_of(scenario)))
+            .run_in(rate, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .result;
         assert_eq!(
             format!("{r:?}"),
             expected,
@@ -55,7 +56,7 @@ fn empty_schedule_reproduces_every_pristine_golden_case() {
     // engine on its pristine fast path — bit-for-bit.
     for (routing, adversarial, rate, expected) in CASES {
         let r = simulator(routing, adversarial, 7)
-            .with_faults(FaultSchedule::immediate(FaultSet::empty()))
+            .with_faults(Arc::new(FaultSchedule::immediate(FaultSet::empty())))
             .run(rate);
         assert_eq!(
             format!("{r:?}"),

@@ -15,7 +15,8 @@
 
 use std::sync::Arc;
 use tugal_netsim::{
-    Config, FaultSchedule, RoutingAlgorithm, SimObserver, SimResult, SimWorkspace, Simulator,
+    Config, FaultSchedule, NoopProfiler, RoutingAlgorithm, SimObserver, SimResult, SimWorkspace,
+    Simulator,
 };
 use tugal_routing::TableProvider;
 use tugal_topology::{Dragonfly, DragonflyParams, FaultSet, NodeId, SwitchId};
@@ -104,7 +105,14 @@ fn run_ledger(routing: RoutingAlgorithm, adversarial: bool, rate: f64) -> (SimRe
     let t = topo();
     let sim = simulator(&t, routing, adversarial);
     let mut ledger = Ledger::default();
-    let result = sim.run_observed(rate, &mut SimWorkspace::new(), &mut ledger);
+    let result = sim
+        .run_in(
+            rate,
+            &mut SimWorkspace::new(),
+            &mut ledger,
+            &mut NoopProfiler,
+        )
+        .result;
     (result, ledger)
 }
 
@@ -194,7 +202,9 @@ fn link_traversals_stay_on_network_channels() {
     let t = topo();
     let sim = simulator(&t, RoutingAlgorithm::UgalL, false);
     let mut l = Ledger::default();
-    let result = sim.run_observed(0.25, &mut SimWorkspace::new(), &mut l);
+    let result = sim
+        .run_in(0.25, &mut SimWorkspace::new(), &mut l, &mut NoopProfiler)
+        .result;
     assert!(l.traversals > 0);
     assert!(
         (l.max_chan as usize) < t.num_network_channels(),
@@ -221,9 +231,16 @@ fn midrun_schedule(t: &Dragonfly) -> FaultSchedule {
 fn run_ledger_faulted(routing: RoutingAlgorithm, rate: f64) -> (SimResult, Ledger) {
     let t = topo();
     let schedule = midrun_schedule(&t);
-    let sim = simulator(&t, routing, false).with_faults(schedule);
+    let sim = simulator(&t, routing, false).with_faults(Arc::new(schedule));
     let mut ledger = Ledger::default();
-    let result = sim.run_observed(rate, &mut SimWorkspace::new(), &mut ledger);
+    let result = sim
+        .run_in(
+            rate,
+            &mut SimWorkspace::new(),
+            &mut ledger,
+            &mut NoopProfiler,
+        )
+        .result;
     (result, ledger)
 }
 

@@ -6,7 +6,9 @@
 
 include!("common/cases.rs");
 
-use tugal_netsim::{EngineProf, NoopObserver, Phase, StallKind, WatchdogConfig};
+use tugal_netsim::{
+    EngineProf, NoopObserver, NoopProfiler, Phase, RunOutput, StallKind, WatchdogConfig,
+};
 
 /// An 8-group dragonfly, a different shape from the golden topology.
 fn sim8p(
@@ -30,13 +32,17 @@ fn sim8p(
 fn run_with_prof(sim: &Simulator, rate: f64) -> (String, EngineProf) {
     let mut prof = EngineProf::new();
     let mut ws = SimWorkspace::new();
-    let (r, stall) = sim.run_profiled(rate, &mut ws, &mut NoopObserver, &mut prof);
+    let RunOutput {
+        result: r, stall, ..
+    } = sim.run_in(rate, &mut ws, &mut NoopObserver, &mut prof);
     (format!("{r:?}|{stall:?}"), prof)
 }
 
 fn run_without_prof(sim: &Simulator, rate: f64) -> String {
     let mut ws = SimWorkspace::new();
-    let (r, stall) = sim.run_reported(rate, &mut ws, &mut NoopObserver);
+    let RunOutput {
+        result: r, stall, ..
+    } = sim.run_in(rate, &mut ws, &mut NoopObserver, &mut NoopProfiler);
     format!("{r:?}|{stall:?}")
 }
 
@@ -48,7 +54,9 @@ fn profiled_runs_reproduce_every_pristine_golden_case() {
         let sim = simulator(routing, adversarial, 7);
         let mut prof = EngineProf::new();
         let mut ws = SimWorkspace::new();
-        let (r, _) = sim.run_profiled(rate, &mut ws, &mut NoopObserver, &mut prof);
+        let r = sim
+            .run_in(rate, &mut ws, &mut NoopObserver, &mut prof)
+            .result;
         assert_eq!(
             format!("{r:?}"),
             expected,
@@ -75,11 +83,11 @@ fn profiled_runs_match_unprofiled_under_faults() {
         tugal_netsim::FaultSchedule::at(2500, fs)
     };
     let plain = {
-        let sim = sim8p(RoutingAlgorithm::UgalL, false, None).with_faults(schedule());
+        let sim = sim8p(RoutingAlgorithm::UgalL, false, None).with_faults(Arc::new(schedule()));
         run_without_prof(&sim, 0.3)
     };
     let profiled = {
-        let sim = sim8p(RoutingAlgorithm::UgalL, false, None).with_faults(schedule());
+        let sim = sim8p(RoutingAlgorithm::UgalL, false, None).with_faults(Arc::new(schedule()));
         run_with_prof(&sim, 0.3).0
     };
     assert_eq!(profiled, plain, "degraded profiled divergence");
@@ -95,7 +103,8 @@ fn profiled_runs_match_unprofiled_under_faults() {
             tugal_netsim::FaultSchedule::at(2500, fs)
         };
         let sim = || {
-            simulator_zoo(spec, lag, RoutingAlgorithm::UgalL, true, 7).with_faults(sibling_fault())
+            simulator_zoo(spec, lag, RoutingAlgorithm::UgalL, true, 7)
+                .with_faults(Arc::new(sibling_fault()))
         };
         let plain = run_without_prof(&sim(), 0.15);
         let (profiled, _) = run_with_prof(&sim(), 0.15);
@@ -162,7 +171,9 @@ fn flight_recorder_captures_the_cycles_before_a_trip() {
     };
     let sim = sim8p(RoutingAlgorithm::UgalL, false, Some(wd));
     let mut ws = SimWorkspace::new();
-    let (_, stall) = sim.run_reported(0.3, &mut ws, &mut NoopObserver);
+    let stall = sim
+        .run_in(0.3, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+        .stall;
     let stall = stall.expect("cycle ceiling must trip");
     assert_eq!(stall.kind, StallKind::CycleCeiling);
     assert_eq!(stall.recent.len(), 32);

@@ -11,12 +11,16 @@
 //!   trips the forward-progress check with a well-formed [`StallReport`].
 //! * **Isolation** — through the [`ExperimentRunner`], a panicking series
 //!   and a cycle-ceiling budget become typed [`JobOutcome`]s and skipped
-//!   aggregates, not aborted sweeps.
+//!   aggregates, not aborted sweeps, while a malformed experiment is
+//!   rejected with a typed [`ConfigError`] before any job runs.
 
 include!("common/cases.rs");
 
-use tugal_netsim::runner::{ExperimentRunner, JobBudget, JobOutcome, SeriesSpec};
-use tugal_netsim::{FaultSchedule, NoopObserver, StallKind, WatchdogConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use tugal_netsim::runner::{ExperimentRunner, JobBudget, JobInfo, JobOutcome, SeriesSpec};
+use tugal_netsim::{
+    ConfigError, FaultSchedule, NoopObserver, NoopProfiler, RunOutput, StallKind, WatchdogConfig,
+};
 use tugal_topology::FaultSet;
 
 /// Like `simulator`, with a watchdog armed.
@@ -68,8 +72,12 @@ fn armed_watchdog_reproduces_pristine_goldens() {
     for wd in [generous(), audit()] {
         for (routing, adversarial, rate, expected) in CASES {
             let sim = watchdog_sim(routing, adversarial, 7, wd);
-            let (result, stall) =
-                sim.run_reported(rate, &mut SimWorkspace::new(), &mut NoopObserver);
+            let RunOutput { result, stall, .. } = sim.run_in(
+                rate,
+                &mut SimWorkspace::new(),
+                &mut NoopObserver,
+                &mut NoopProfiler,
+            );
             assert!(
                 stall.is_none(),
                 "{routing:?} adversarial={adversarial}: {wd:?} tripped: {stall:?}"
@@ -88,11 +96,20 @@ fn armed_watchdog_reproduces_faulted_run() {
     let schedule =
         || FaultSchedule::immediate(FaultSet::sample_global_links(&golden_topo(), 0.05, 0xBEEF));
     let plain = simulator(RoutingAlgorithm::UgalL, true, 7)
-        .with_faults(schedule())
+        .with_faults(Arc::new(schedule()))
         .run(0.15);
-    let (armed, stall) = watchdog_sim(RoutingAlgorithm::UgalL, true, 7, generous())
-        .with_faults(schedule())
-        .run_reported(0.15, &mut SimWorkspace::new(), &mut NoopObserver);
+    let RunOutput {
+        result: armed,
+        stall,
+        ..
+    } = watchdog_sim(RoutingAlgorithm::UgalL, true, 7, generous())
+        .with_faults(Arc::new(schedule()))
+        .run_in(
+            0.15,
+            &mut SimWorkspace::new(),
+            &mut NoopObserver,
+            &mut NoopProfiler,
+        );
     assert!(
         stall.is_none(),
         "watchdog tripped on a degraded run: {stall:?}"
@@ -117,9 +134,14 @@ fn livelock_trips_forward_progress_check() {
         wall_limit_ms: 0,
         flight_recorder: 0,
     };
-    let (result, stall) = watchdog_sim(RoutingAlgorithm::UgalL, true, 7, wd)
-        .with_faults(FaultSchedule::immediate(dead))
-        .run_reported(0.05, &mut SimWorkspace::new(), &mut NoopObserver);
+    let RunOutput { result, stall, .. } = watchdog_sim(RoutingAlgorithm::UgalL, true, 7, wd)
+        .with_faults(Arc::new(FaultSchedule::immediate(dead)))
+        .run_in(
+            0.05,
+            &mut SimWorkspace::new(),
+            &mut NoopObserver,
+            &mut NoopProfiler,
+        );
     let stall = stall.expect("severed network must trip the watchdog");
     assert_eq!(stall.kind, StallKind::Livelock);
     assert!(
@@ -156,11 +178,14 @@ fn cycle_ceiling_trips_at_the_configured_cycle() {
             wall_limit_ms: 0,
             flight_recorder: 0,
         };
-        let (_, stall) = watchdog_sim(routing, false, 7, wd).run_reported(
-            0.2,
-            &mut SimWorkspace::new(),
-            &mut NoopObserver,
-        );
+        let stall = watchdog_sim(routing, false, 7, wd)
+            .run_in(
+                0.2,
+                &mut SimWorkspace::new(),
+                &mut NoopObserver,
+                &mut NoopProfiler,
+            )
+            .stall;
         let stall = stall.expect("cycle ceiling must trip");
         assert_eq!(stall.kind, StallKind::CycleCeiling, "{routing:?}");
         assert!(
@@ -184,6 +209,43 @@ fn runner_with(cfg: Config) -> ExperimentRunner {
         cfg,
         faults: None,
     })
+}
+
+#[test]
+fn invalid_experiments_are_rejected_before_any_job_runs() {
+    // `run_recorded` validates the (rates × seeds) grid and every series
+    // config up front: a rejected experiment schedules nothing, so the
+    // per-job observer factory is never called.
+    let built = AtomicUsize::new(0);
+    let make = |_: &JobInfo| {
+        built.fetch_add(1, Ordering::Relaxed);
+        NoopObserver
+    };
+    let healthy = || runner_with(Config::quick().for_routing(RoutingAlgorithm::UgalL));
+    let mut zero_window = Config::quick().for_routing(RoutingAlgorithm::UgalL);
+    zero_window.window = 0;
+    let cases: [(ExperimentRunner, &[f64], &[u64], ConfigError); 4] = [
+        (healthy(), &[0.1, 1.5], &[1], ConfigError::BadRate(1.5)),
+        (healthy(), &[0.1], &[], ConfigError::EmptySeeds),
+        (healthy(), &[0.1], &[1, 2, 1], ConfigError::DuplicateSeed(1)),
+        (
+            runner_with(zero_window),
+            &[0.1],
+            &[1],
+            ConfigError::ZeroWindow,
+        ),
+    ];
+    for (runner, rates, seeds, expected) in cases {
+        match runner.run_recorded(rates, seeds, make) {
+            Err(e) => assert_eq!(e, expected, "rates {rates:?} seeds {seeds:?}"),
+            Ok(_) => panic!("rates {rates:?} seeds {seeds:?}: accepted, expected {expected}"),
+        }
+    }
+    assert_eq!(
+        built.load(Ordering::Relaxed),
+        0,
+        "a rejected experiment scheduled jobs"
+    );
 }
 
 #[test]

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 use tugal_netsim::runner::{ExperimentRunner, SeriesSpec};
 use tugal_netsim::{
-    aggregate_runs, latency_curve, saturation_throughput, Config, NoopObserver, RoutingAlgorithm,
-    SimObserver, SimResult, SimWorkspace, Simulator, SweepOptions, WorkspacePool,
+    aggregate_runs, latency_curve, saturation_throughput, Config, NoopObserver, NoopProfiler,
+    RoutingAlgorithm, SimObserver, SimResult, SimWorkspace, Simulator, SweepOptions, WorkspacePool,
 };
 use tugal_routing::TableProvider;
 use tugal_topology::{Dragonfly, DragonflyParams, NodeId};
@@ -31,11 +31,17 @@ fn fresh_and_reused_workspace_agree() {
     let fresh = sim.run(0.2);
 
     let mut ws = SimWorkspace::new();
-    let first = sim.run_with(0.2, &mut ws);
+    let first = sim
+        .run_in(0.2, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+        .result;
     // Dirty the workspace with a different routing/rate, then repeat.
     let other = simulator(&t, RoutingAlgorithm::Par, 3);
-    let _ = other.run_with(0.35, &mut ws);
-    let reused = sim.run_with(0.2, &mut ws);
+    let _ = other
+        .run_in(0.35, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+        .result;
+    let reused = sim
+        .run_in(0.2, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+        .result;
 
     assert_eq!(fresh, first, "fresh workspace must match Simulator::run");
     assert_eq!(fresh, reused, "reused workspace must match a fresh one");
@@ -53,9 +59,24 @@ fn workspace_survives_shape_changes() {
     let fresh_large = sim_large.run(0.1);
 
     let mut ws = SimWorkspace::new();
-    assert_eq!(sim_small.run_with(0.1, &mut ws), fresh_small);
-    assert_eq!(sim_large.run_with(0.1, &mut ws), fresh_large);
-    assert_eq!(sim_small.run_with(0.1, &mut ws), fresh_small);
+    assert_eq!(
+        sim_small
+            .run_in(0.1, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .result,
+        fresh_small
+    );
+    assert_eq!(
+        sim_large
+            .run_in(0.1, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .result,
+        fresh_large
+    );
+    assert_eq!(
+        sim_small
+            .run_in(0.1, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .result,
+        fresh_small
+    );
 }
 
 #[test]
@@ -163,7 +184,9 @@ fn runner_matches_per_series_curves() {
         });
     }
     assert_eq!(runner.job_count(&rates, &seeds), 2 * 2 * 2);
-    let curves = runner.run(&rates, &seeds);
+    let (curves, _, _) = runner
+        .run_recorded(&rates, &seeds, |_| NoopObserver)
+        .unwrap();
     assert_eq!(curves.len(), 2);
     let opts = SweepOptions {
         seeds: seeds.to_vec(),
@@ -178,12 +201,13 @@ fn runner_matches_per_series_curves() {
         assert_eq!(curve.label, routing.name());
         for (got, want) in curve.points.iter().zip(&expect) {
             assert_eq!(
-                got.result, want.result,
+                got.point.result, want.result,
                 "{}: flat vs nested schedule",
                 curve.label
             );
         }
-        assert!(curve.elapsed_ms() > 0.0);
+        let elapsed_ms: f64 = curve.points.iter().map(|p| p.point.elapsed_ms).sum();
+        assert!(elapsed_ms > 0.0);
     }
 }
 
@@ -193,9 +217,15 @@ fn workspace_pool_parks_and_reuses() {
     assert_eq!(pool.idle(), 0);
     let t = topo(2, 4, 2, 5);
     let sim = simulator(&t, RoutingAlgorithm::Min, 1);
-    let a = pool.with(|ws| sim.run_with(0.1, ws));
+    let a = pool.with(|ws| {
+        sim.run_in(0.1, ws, &mut NoopObserver, &mut NoopProfiler)
+            .result
+    });
     assert_eq!(pool.idle(), 1, "the workspace must return to the pool");
-    let b = pool.with(|ws| sim.run_with(0.1, ws));
+    let b = pool.with(|ws| {
+        sim.run_in(0.1, ws, &mut NoopObserver, &mut NoopProfiler)
+            .result
+    });
     assert_eq!(pool.idle(), 1, "reused, not duplicated");
     assert_eq!(a, b);
 }
@@ -244,10 +274,14 @@ fn observer_sees_events_without_perturbing_the_run() {
 
     let mut ws = SimWorkspace::new();
     let mut counter = Counter::default();
-    let observed = sim.run_observed(0.2, &mut ws, &mut counter);
+    let observed = sim
+        .run_in(0.2, &mut ws, &mut counter, &mut NoopProfiler)
+        .result;
     assert_eq!(plain, observed, "observation must not change the physics");
 
-    let noop = sim.run_observed(0.2, &mut ws, &mut NoopObserver);
+    let noop = sim
+        .run_in(0.2, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+        .result;
     assert_eq!(plain, noop);
 
     assert!(counter.window_opened);

@@ -23,7 +23,7 @@
 //!
 //! ```no_run
 //! use std::sync::Arc;
-//! use tugal_netsim::{Config, RoutingAlgorithm, Simulator, SimWorkspace};
+//! use tugal_netsim::{Config, NoopProfiler, RoutingAlgorithm, Simulator, SimWorkspace};
 //! use tugal_obs::{MetricsConfig, MetricsObserver};
 //! use tugal_routing::TableProvider;
 //! use tugal_topology::{Dragonfly, DragonflyParams};
@@ -35,7 +35,7 @@
 //! let sim = Simulator::new(topo.clone(), provider, pattern,
 //!     RoutingAlgorithm::UgalL, Config::quick());
 //! let mut obs = MetricsObserver::new(&topo, &MetricsConfig::summary());
-//! let result = sim.run_observed(0.2, &mut SimWorkspace::new(), &mut obs);
+//! let result = sim.run_in(0.2, &mut SimWorkspace::new(), &mut obs, &mut NoopProfiler).result;
 //! let metrics = obs.report();
 //! println!("global mean load {:.3} flits/cycle, exact p99 {:.0} cycles",
 //!     metrics.links.global.mean_load, metrics.latency.p99);

@@ -3,7 +3,7 @@
 //! scalar statistics wherever the two overlap.
 
 use std::sync::Arc;
-use tugal_netsim::{Config, RoutingAlgorithm, SimWorkspace, Simulator};
+use tugal_netsim::{Config, NoopProfiler, RoutingAlgorithm, SimWorkspace, Simulator};
 use tugal_obs::{MetricsConfig, MetricsObserver};
 use tugal_routing::TableProvider;
 use tugal_topology::{ChannelKind, Dragonfly, DragonflyParams};
@@ -45,7 +45,9 @@ fn metrics_observation_is_physics_neutral() {
         let sim = simulator(&t, routing, false);
         let plain = sim.run(0.25);
         let mut obs = MetricsObserver::new(&t, &full_cfg());
-        let observed = sim.run_observed(0.25, &mut SimWorkspace::new(), &mut obs);
+        let observed = sim
+            .run_in(0.25, &mut SimWorkspace::new(), &mut obs, &mut NoopProfiler)
+            .result;
         assert_eq!(plain, observed, "{routing:?}: metrics must not perturb");
     }
 }
@@ -55,7 +57,9 @@ fn link_flits_match_engine_utilization() {
     let t = topo();
     let sim = simulator(&t, RoutingAlgorithm::UgalL, true);
     let mut obs = MetricsObserver::new(&t, &MetricsConfig::summary());
-    let result = sim.run_observed(0.12, &mut SimWorkspace::new(), &mut obs);
+    let result = sim
+        .run_in(0.12, &mut SimWorkspace::new(), &mut obs, &mut NoopProfiler)
+        .result;
     let rep = obs.report();
 
     // The engine's mean utilizations are per-channel flits/(now+1) averaged
@@ -95,7 +99,9 @@ fn conservation_and_decision_mix_match_the_engine() {
     ] {
         let sim = simulator(&t, routing, adversarial);
         let mut obs = MetricsObserver::new(&t, &full_cfg());
-        let result = sim.run_observed(0.2, &mut SimWorkspace::new(), &mut obs);
+        let result = sim
+            .run_in(0.2, &mut SimWorkspace::new(), &mut obs, &mut NoopProfiler)
+            .result;
         let rep = obs.report();
 
         // Every injected packet is dropped, delivered, or still in flight.
@@ -125,7 +131,9 @@ fn window_histogram_counts_match_window_deliveries() {
     let t = topo();
     let sim = simulator(&t, RoutingAlgorithm::Min, false);
     let mut obs = MetricsObserver::new(&t, &MetricsConfig::summary());
-    let result = sim.run_observed(0.2, &mut SimWorkspace::new(), &mut obs);
+    let result = sim
+        .run_in(0.2, &mut SimWorkspace::new(), &mut obs, &mut NoopProfiler)
+        .result;
     let rep = obs.report();
     // Unsaturated run: the histogram restarts at window open, so its count
     // is exactly the engine's window delivery count, and the exact
@@ -160,7 +168,9 @@ fn merge_folds_replications() {
             cfg,
         );
         let mut obs = MetricsObserver::new(&t, &full_cfg());
-        let r = sim.run_observed(0.2, &mut SimWorkspace::new(), &mut obs);
+        let r = sim
+            .run_in(0.2, &mut SimWorkspace::new(), &mut obs, &mut NoopProfiler)
+            .result;
         total_delivered += r.delivered;
         match &mut merged {
             None => merged = Some(obs),
@@ -186,7 +196,9 @@ fn report_serializes_to_json() {
     let t = topo();
     let sim = simulator(&t, RoutingAlgorithm::UgalL, false);
     let mut obs = MetricsObserver::new(&t, &full_cfg());
-    let _ = sim.run_observed(0.15, &mut SimWorkspace::new(), &mut obs);
+    let _ = sim
+        .run_in(0.15, &mut SimWorkspace::new(), &mut obs, &mut NoopProfiler)
+        .result;
     let json = serde_json::to_string(&obs.report()).expect("report must serialize");
     for key in [
         "\"decisions\"",
