@@ -40,6 +40,25 @@ fn table_builds(c: &mut Criterion) {
     c.bench_function("table/build_all dfly(2,4,2,9)", |b| {
         b.iter(|| PathTable::build_all(black_box(&t)))
     });
+    let t9 = Dragonfly::new(DragonflyParams::new(4, 8, 4, 9)).unwrap();
+    c.bench_function("table/build_all dfly(4,8,4,9)", |b| {
+        b.iter(|| PathTable::build_all(black_box(&t9)))
+    });
+    c.bench_function(
+        "table/build_with_rule ClassLimit{4,0.6} dfly(4,8,4,9)",
+        |b| {
+            b.iter(|| {
+                PathTable::build_with_rule(
+                    black_box(&t9),
+                    VlbRule::ClassLimit {
+                        max_hops: 4,
+                        frac_next: 0.6,
+                    },
+                    7,
+                )
+            })
+        },
+    );
     let full = PathTable::build_all(&t);
     c.bench_function("table/apply_rule 50% 5-hop", |b| {
         b.iter_batched(

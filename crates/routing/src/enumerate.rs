@@ -1,7 +1,6 @@
 //! Enumeration of MIN and VLB paths.
 
 use crate::path::Path;
-use std::collections::HashSet;
 use tugal_topology::{Degraded, Dragonfly, GroupId, SwitchId};
 
 /// Problems detected by [`validate_path`](crate::enumerate::validate_path).
@@ -22,27 +21,7 @@ pub enum ValidationError {
 ///   local hop to the gateway (if needed), the global hop, local hop from
 ///   the remote gateway (if needed).  Lengths range from 1 to 3 hops.
 pub fn min_paths(topo: &Dragonfly, s: SwitchId, d: SwitchId) -> Vec<Path> {
-    if s == d {
-        return vec![Path::single(s)];
-    }
-    let (gs, gd) = (topo.group_of(s), topo.group_of(d));
-    if gs == gd {
-        return vec![Path::from_switches(&[s, d])];
-    }
-    let gws = topo.gateways(gs, gd);
-    let mut out = Vec::with_capacity(gws.len());
-    for &(u, v, _) in gws {
-        let mut p = Path::single(s);
-        if u != s {
-            p.push(u);
-        }
-        p.push(v);
-        if v != d {
-            p.push(d);
-        }
-        out.push(p);
-    }
-    out
+    min_paths_in(topo, None, s, d)
 }
 
 /// All VLB paths from `s` to `d` through intermediate switch `i`.
@@ -51,10 +30,83 @@ pub fn min_paths(topo: &Dragonfly, s: SwitchId, d: SwitchId) -> Vec<Path> {
 /// intermediate must lie outside the source and destination groups (§2.2),
 /// so both segments carry exactly one global hop and the composite has two.
 pub fn vlb_paths_via(topo: &Dragonfly, s: SwitchId, d: SwitchId, i: SwitchId) -> Vec<Path> {
+    vlb_paths_via_in(topo, None, s, d, i)
+}
+
+/// True when the local hop `u → v` survives `deg` (always, without one).
+fn local_alive(topo: &Dragonfly, deg: Option<&Degraded>, u: SwitchId, v: SwitchId) -> bool {
+    deg.is_none_or(|dg| {
+        topo.channel_between(u, v)
+            .is_some_and(|c| !dg.channel_dead(c))
+    })
+}
+
+/// The MIN path `s [→ u] → v [→ d]` over the global link `u → v`.
+pub(crate) fn gateway_path(s: SwitchId, u: SwitchId, v: SwitchId, d: SwitchId) -> Path {
+    let mut p = Path::single(s);
+    if u != s {
+        p.push(u);
+    }
+    p.push(v);
+    if v != d {
+        p.push(d);
+    }
+    p
+}
+
+/// The global links `(u, v)` from `s`'s group to `d`'s (a different
+/// group) whose MIN path survives `deg`, in gateway order.
+fn live_links<'a>(
+    topo: &'a Dragonfly,
+    deg: Option<&'a Degraded>,
+    s: SwitchId,
+    d: SwitchId,
+) -> impl Iterator<Item = (SwitchId, SwitchId)> + 'a {
+    let (gs, gd) = (topo.group_of(s), topo.group_of(d));
+    // `deg.gateways` already excludes dead cables and dead gateway
+    // switches; only the endpoint-local hops remain to check.
+    let gws = match deg {
+        Some(dg) => dg.gateways(gs, gd),
+        None => topo.gateways(gs, gd),
+    };
+    gws.iter().map(|&(u, v, _)| (u, v)).filter(move |&(u, v)| {
+        (u == s || local_alive(topo, deg, s, u)) && (v == d || local_alive(topo, deg, v, d))
+    })
+}
+
+/// The one MIN enumeration behind [`min_paths`] and
+/// [`min_paths_degraded`].
+fn min_paths_in(topo: &Dragonfly, deg: Option<&Degraded>, s: SwitchId, d: SwitchId) -> Vec<Path> {
+    if deg.is_some_and(|dg| dg.switch_dead(s) || dg.switch_dead(d)) {
+        return Vec::new();
+    }
+    if s == d {
+        return vec![Path::single(s)];
+    }
+    if topo.group_of(s) == topo.group_of(d) {
+        return if local_alive(topo, deg, s, d) {
+            vec![Path::from_switches(&[s, d])]
+        } else {
+            Vec::new()
+        };
+    }
+    live_links(topo, deg, s, d)
+        .map(|(u, v)| gateway_path(s, u, v, d))
+        .collect()
+}
+
+/// The one body behind [`vlb_paths_via`] and [`vlb_paths_via_degraded`].
+fn vlb_paths_via_in(
+    topo: &Dragonfly,
+    deg: Option<&Degraded>,
+    s: SwitchId,
+    d: SwitchId,
+    i: SwitchId,
+) -> Vec<Path> {
     debug_assert_ne!(topo.group_of(i), topo.group_of(s));
     debug_assert_ne!(topo.group_of(i), topo.group_of(d));
-    let first = min_paths(topo, s, i);
-    let second = min_paths(topo, i, d);
+    let first = min_paths_in(topo, deg, s, i);
+    let second = min_paths_in(topo, deg, i, d);
     let mut out = Vec::with_capacity(first.len() * second.len());
     for a in &first {
         for b in &second {
@@ -67,10 +119,19 @@ pub fn vlb_paths_via(topo: &Dragonfly, s: SwitchId, d: SwitchId, i: SwitchId) ->
 /// All distinct VLB paths from `s` to `d` (the conventional UGAL candidate
 /// set), deduplicated by switch sequence.
 ///
-/// Two different intermediate switches can induce the same switch sequence
-/// (the split point is ambiguous when the sequence has several switches
-/// outside the endpoint groups); such duplicates are removed so path-set
-/// statistics (class counts, link-usage probabilities) are well defined.
+/// The order is that of [`vlb_paths_via`] over the intermediates (groups
+/// ascending, switches ascending within a group), each path kept at the
+/// first intermediate that yields it, so path-set statistics (class counts,
+/// link-usage probabilities) are well defined.
+///
+/// Duplicates are recognised structurally, without hashing. A composite
+/// via `i` crosses `i`'s group as `v [→ i] [→ w]`, where `v` is the first
+/// segment's entry switch and `w` the second segment's exit switch. Only
+/// when that stretch is a single local hop (`v → i` or `i → w`) does
+/// another intermediate yield the same sequence: both ends of the hop do,
+/// and the lower id comes first, so the path is kept there and skipped at
+/// the other end. Parallel cables (`global_lag > 1`) repeat MIN segments
+/// switch for switch; each segment list keeps the first of them.
 ///
 /// Non-simple *walks* are kept: composing MIN segments around an
 /// intermediate can revisit a switch, and on maximal topologies (one global
@@ -78,23 +139,97 @@ pub fn vlb_paths_via(topo: &Dragonfly, s: SwitchId, d: SwitchId, i: SwitchId) ->
 /// and back over the same cable's endpoints.  These walks are exactly what
 /// VLB produces in practice and what the paper's 2–6 hop accounting counts.
 pub fn all_vlb_paths(topo: &Dragonfly, s: SwitchId, d: SwitchId) -> Vec<Path> {
-    let (gs, gd) = (topo.group_of(s), topo.group_of(d));
-    let mut seen = HashSet::new();
     let mut out = Vec::new();
+    vlb_paths_into(topo, None, s, d, &mut VlbBuffers::default(), &mut out);
+    out
+}
+
+/// A MIN segment of a VLB composite and the global link `(u, v)` it
+/// crosses.
+#[derive(Clone, Copy)]
+struct Segment {
+    path: Path,
+    link: (SwitchId, SwitchId),
+}
+
+/// Segment lists of the current intermediate, reused across intermediates
+/// and pairs.
+#[derive(Default)]
+pub(crate) struct VlbBuffers {
+    first: Vec<Segment>,
+    second: Vec<Segment>,
+}
+
+/// Replaces `out` with the distinct MIN paths from `s` to `d` (in different
+/// groups) that survive `deg`, in gateway order. A path repeated by
+/// parallel cables is kept once, at its first cable.
+fn min_segments(
+    topo: &Dragonfly,
+    deg: Option<&Degraded>,
+    s: SwitchId,
+    d: SwitchId,
+    out: &mut Vec<Segment>,
+) {
+    out.clear();
+    for link @ (u, v) in live_links(topo, deg, s, d) {
+        let path = gateway_path(s, u, v, d);
+        if out.iter().all(|q| q.path != path) {
+            out.push(Segment { path, link });
+        }
+    }
+}
+
+/// The one VLB enumeration behind [`all_vlb_paths`] and
+/// [`all_vlb_paths_degraded`]: replaces `out` with the distinct VLB paths
+/// from `s` to `d` that survive `deg` (all of them when `deg` is `None`).
+pub(crate) fn vlb_paths_into(
+    topo: &Dragonfly,
+    deg: Option<&Degraded>,
+    s: SwitchId,
+    d: SwitchId,
+    buf: &mut VlbBuffers,
+    out: &mut Vec<Path>,
+) {
+    out.clear();
+    let dead = |x: SwitchId| deg.is_some_and(|dg| dg.switch_dead(x));
+    if dead(s) || dead(d) {
+        return;
+    }
+    let (gs, gd) = (topo.group_of(s), topo.group_of(d));
     for gi in 0..topo.num_groups() as u32 {
         let gi = GroupId(gi);
         if gi == gs || gi == gd {
             continue;
         }
         for i in topo.switches_in_group(gi) {
-            for p in vlb_paths_via(topo, s, d, i) {
-                if seen.insert(p) {
-                    out.push(p);
+            if dead(i) {
+                continue;
+            }
+            min_segments(topo, deg, s, i, &mut buf.first);
+            if buf.first.is_empty() {
+                continue;
+            }
+            min_segments(topo, deg, i, d, &mut buf.second);
+            for a in &buf.first {
+                for b in &buf.second {
+                    // The stretch in i's group is v [→ i] [→ w]; when it is
+                    // one local hop, the lower-id end of the hop owns it.
+                    let (v, w) = (a.link.1, b.link.0);
+                    let other = if v == i {
+                        w
+                    } else if w == i {
+                        v
+                    } else {
+                        i
+                    };
+                    if other < i {
+                        continue;
+                    }
+                    out.push(a.path.concat(&b.path));
                 }
             }
         }
     }
-    out
 }
 
 /// True when every switch and every hop channel of `p` survives in the
@@ -137,46 +272,7 @@ pub fn path_alive(topo: &Dragonfly, deg: &Degraded, p: &Path) -> bool {
 /// pristine enumeration, so `min_paths_degraded` with a pristine view is
 /// byte-identical to `min_paths` (pinned by the differential tests).
 pub fn min_paths_degraded(topo: &Dragonfly, deg: &Degraded, s: SwitchId, d: SwitchId) -> Vec<Path> {
-    if deg.switch_dead(s) || deg.switch_dead(d) {
-        return Vec::new();
-    }
-    if s == d {
-        return vec![Path::single(s)];
-    }
-    let (gs, gd) = (topo.group_of(s), topo.group_of(d));
-    let local_alive = |u: SwitchId, v: SwitchId| {
-        topo.channel_between(u, v)
-            .is_some_and(|c| !deg.channel_dead(c))
-    };
-    if gs == gd {
-        return if local_alive(s, d) {
-            vec![Path::from_switches(&[s, d])]
-        } else {
-            Vec::new()
-        };
-    }
-    // `deg.gateways` already excludes dead cables and dead gateway
-    // switches; only the endpoint-local hops remain to check.
-    let gws = deg.gateways(gs, gd);
-    let mut out = Vec::with_capacity(gws.len());
-    for &(u, v, _) in gws {
-        if u != s && !local_alive(s, u) {
-            continue;
-        }
-        if v != d && !local_alive(v, d) {
-            continue;
-        }
-        let mut p = Path::single(s);
-        if u != s {
-            p.push(u);
-        }
-        p.push(v);
-        if v != d {
-            p.push(d);
-        }
-        out.push(p);
-    }
-    out
+    min_paths_in(topo, Some(deg), s, d)
 }
 
 /// [`vlb_paths_via`] over the degraded view: every combination of a
@@ -188,17 +284,7 @@ pub fn vlb_paths_via_degraded(
     d: SwitchId,
     i: SwitchId,
 ) -> Vec<Path> {
-    debug_assert_ne!(topo.group_of(i), topo.group_of(s));
-    debug_assert_ne!(topo.group_of(i), topo.group_of(d));
-    let first = min_paths_degraded(topo, deg, s, i);
-    let second = min_paths_degraded(topo, deg, i, d);
-    let mut out = Vec::with_capacity(first.len() * second.len());
-    for a in &first {
-        for b in &second {
-            out.push(a.concat(b));
-        }
-    }
-    out
+    vlb_paths_via_in(topo, Some(deg), s, d, i)
 }
 
 /// [`all_vlb_paths`] over the degraded view: dead intermediates are
@@ -206,37 +292,16 @@ pub fn vlb_paths_via_degraded(
 ///
 /// The result equals `all_vlb_paths` filtered by [`path_alive`], in the
 /// same order: a surviving composite contains every switch and channel
-/// that generated it, so it is (re)produced at exactly the surviving
-/// generation points and first-occurrence deduplication picks the same
-/// representatives.
+/// of each intermediate that yields it, so the structural rule keeps it at
+/// the same (lowest-id) intermediate as the pristine enumeration.
 pub fn all_vlb_paths_degraded(
     topo: &Dragonfly,
     deg: &Degraded,
     s: SwitchId,
     d: SwitchId,
 ) -> Vec<Path> {
-    if deg.switch_dead(s) || deg.switch_dead(d) {
-        return Vec::new();
-    }
-    let (gs, gd) = (topo.group_of(s), topo.group_of(d));
-    let mut seen = HashSet::new();
     let mut out = Vec::new();
-    for gi in 0..topo.num_groups() as u32 {
-        let gi = GroupId(gi);
-        if gi == gs || gi == gd {
-            continue;
-        }
-        for i in topo.switches_in_group(gi) {
-            if deg.switch_dead(i) {
-                continue;
-            }
-            for p in vlb_paths_via_degraded(topo, deg, s, d, i) {
-                if seen.insert(p) {
-                    out.push(p);
-                }
-            }
-        }
-    }
+    vlb_paths_into(topo, Some(deg), s, d, &mut VlbBuffers::default(), &mut out);
     out
 }
 
@@ -332,7 +397,7 @@ mod tests {
         // "A typical minimal path ... 3 hops; may have fewer depending on
         // the positions of the source and the destination."
         let t = topo(4, 8, 4, 9);
-        let mut lens = HashSet::new();
+        let mut lens = std::collections::BTreeSet::new();
         for d in 8..16 {
             for s in 0..8 {
                 for p in min_paths(&t, SwitchId(s), SwitchId(d)) {
@@ -377,8 +442,9 @@ mod tests {
         let s = SwitchId(0);
         let d = SwitchId(4);
         let paths = all_vlb_paths(&t, s, d);
-        let set: HashSet<_> = paths.iter().copied().collect();
-        assert_eq!(set.len(), paths.len(), "duplicates survived dedup");
+        for (k, p) in paths.iter().enumerate() {
+            assert!(!paths[..k].contains(p), "duplicate {p:?} survived dedup");
+        }
     }
 
     #[test]

@@ -118,10 +118,11 @@ impl Path {
     /// If the junction does not match or the result exceeds `MAX_HOPS`.
     pub fn concat(&self, other: &Path) -> Path {
         assert_eq!(self.dst(), other.src(), "paths do not share a junction");
+        let (a, b) = (self.len as usize, other.len as usize);
+        assert!(a + b <= MAX_HOPS, "path overflow");
         let mut out = *self;
-        for i in 1..=other.len as usize {
-            out.push(SwitchId(other.sw[i] as u32));
-        }
+        out.sw[a + 1..=a + b].copy_from_slice(&other.sw[1..=b]);
+        out.len = (a + b) as u8;
         out
     }
 
@@ -174,9 +175,9 @@ impl Path {
     ///
     /// Composing two MIN paths around an intermediate switch can produce a
     /// non-simple *walk* (the second segment may bounce back through the
-    /// first segment's remote gateway).  Every such walk is dominated by a
-    /// strictly shorter VLB path via a different intermediate, so explicit
-    /// path tables keep only simple paths.
+    /// first segment's remote gateway).  Explicit path tables keep such
+    /// walks by design: on maximal topologies every same-group VLB path is
+    /// one (see [`crate::all_vlb_paths`]).
     pub fn is_simple(&self) -> bool {
         let n = self.len as usize + 1;
         for i in 0..n {

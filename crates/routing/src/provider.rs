@@ -6,6 +6,7 @@
 //! UGAL), an explicit T-VLB table, or a rule-described subset sampled on the
 //! fly for networks too large to tabulate.
 
+use crate::enumerate::gateway_path;
 use crate::path::Path;
 use crate::rule::VlbRule;
 use crate::store::{PathId, PathRef, PathStore};
@@ -113,7 +114,7 @@ impl TableProvider {
         assert_eq!(table.num_switches(), topo.num_switches());
         let n = table.num_switches();
         let mean_vlb_hops = table.mean_vlb_hops();
-        let mut store = PathStore::new();
+        let mut store = PathStore::with_capacity(table.total_paths());
         let mut base = Vec::with_capacity(n * n + 1);
         let mut vlb_base = Vec::with_capacity(n * n);
         for s in 0..n as u32 {
@@ -309,15 +310,7 @@ pub fn sample_min_path(t: &Dragonfly, s: SwitchId, d: SwitchId, rng: &mut SmallR
     }
     let gws = t.gateways(gs, gd);
     let (u, v, _) = gws[rng.gen_range(0..gws.len())];
-    let mut p = Path::single(s);
-    if u != s {
-        p.push(u);
-    }
-    p.push(v);
-    if v != d {
-        p.push(d);
-    }
-    p
+    gateway_path(s, u, v, d)
 }
 
 impl PathProvider for RuleProvider {

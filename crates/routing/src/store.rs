@@ -36,6 +36,13 @@ impl PathStore {
         Self::default()
     }
 
+    /// An empty store with room for `n` paths.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            paths: Vec::with_capacity(n),
+        }
+    }
+
     /// Appends a path, returning its id.  Appending does not deduplicate:
     /// tabulated candidate sets are already duplicate-free per pair, and
     /// contiguous per-pair ranges are what make sampling an id O(1).

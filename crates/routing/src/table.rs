@@ -1,13 +1,15 @@
 //! Explicit per-switch-pair path tables.
 
 use crate::enumerate::{
-    all_vlb_paths, all_vlb_paths_degraded, min_paths, min_paths_degraded, path_alive, split_lengths,
+    all_vlb_paths_degraded, min_paths, min_paths_degraded, path_alive, split_lengths,
+    vlb_paths_into, VlbBuffers,
 };
 use crate::path::Path;
 use crate::rule::VlbRule;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use rayon::prelude::*;
 use tugal_topology::{Degraded, Dragonfly, SwitchId};
 
 /// The candidate paths of one (source switch, destination switch) pair.
@@ -121,25 +123,24 @@ pub struct PathTable {
 impl PathTable {
     /// Builds the conventional-UGAL table: all MIN and all VLB paths.
     pub fn build_all(topo: &Dragonfly) -> Self {
-        Self::build_filtered(topo, None, |_, _, _| true)
+        Self::build(topo, None, VlbRule::All, 0)
     }
 
     /// Builds a table whose VLB sets satisfy `rule`.
     ///
     /// `seed` drives the random selection of fractional classes
     /// ("`f`% of the (m+1)-hop paths"); each pair derives an independent
-    /// stream so tables are reproducible.
+    /// stream so tables are reproducible.  The result equals
+    /// [`PathTable::build_all`] followed by [`PathTable::apply_rule`].
     pub fn build_with_rule(topo: &Dragonfly, rule: VlbRule, seed: u64) -> Self {
-        let mut t = Self::build_all(topo);
-        t.apply_rule(topo, rule, seed);
-        t
+        Self::build(topo, None, rule, seed)
     }
 
     /// [`PathTable::build_all`] over a degraded view: every candidate
     /// survives the fault set.  With a pristine view the result is
     /// byte-identical to `build_all` (pinned by the differential tests).
     pub fn build_all_degraded(topo: &Dragonfly, deg: &Degraded) -> Self {
-        Self::build_filtered(topo, Some(deg), |_, _, _| true)
+        Self::build(topo, Some(deg), VlbRule::All, 0)
     }
 
     /// [`PathTable::build_with_rule`] over a degraded view.
@@ -149,40 +150,49 @@ impl PathTable {
         rule: VlbRule,
         seed: u64,
     ) -> Self {
-        let mut t = Self::build_all_degraded(topo, deg);
-        t.apply_rule(topo, rule, seed);
-        t
+        Self::build(topo, Some(deg), rule, seed)
     }
 
-    fn build_filtered(
-        topo: &Dragonfly,
-        deg: Option<&Degraded>,
-        keep: impl Fn(&Dragonfly, &Path, usize) -> bool,
-    ) -> Self {
+    /// Enumerates every pair once and restricts its VLB set to `rule` on
+    /// the spot, under the pair's row-major index as [`Self::apply_rule`]
+    /// does.  Source rows are built in parallel; each pair depends only on
+    /// its own index, so the table is the same at any thread count.
+    fn build(topo: &Dragonfly, deg: Option<&Degraded>, rule: VlbRule, seed: u64) -> Self {
         let n = topo.num_switches();
-        let mut pairs = Vec::with_capacity(n * n);
-        for s in 0..n as u32 {
-            for d in 0..n as u32 {
-                let (s, d) = (SwitchId(s), SwitchId(d));
-                if s == d {
-                    pairs.push(PairPaths::default());
-                    continue;
-                }
-                let min = match deg {
-                    Some(dg) => min_paths_degraded(topo, dg, s, d),
-                    None => min_paths(topo, s, d),
-                };
-                let vlb = match deg {
-                    Some(dg) => all_vlb_paths_degraded(topo, dg, s, d),
-                    None => all_vlb_paths(topo, s, d),
-                }
-                .into_iter()
-                .filter(|p| keep(topo, p, p.hops()))
-                .collect();
-                pairs.push(PairPaths { min, vlb });
-            }
+        let sources: Vec<u32> = (0..n as u32).collect();
+        let rows: Vec<Vec<PairPaths>> = sources
+            .par_iter()
+            .map(|&s| {
+                let mut buf = VlbBuffers::default();
+                let mut vlb = Vec::new();
+                (0..n as u32)
+                    .map(|d| {
+                        let (s, d) = (SwitchId(s), SwitchId(d));
+                        if s == d {
+                            return PairPaths::default();
+                        }
+                        let min = match deg {
+                            Some(dg) => min_paths_degraded(topo, dg, s, d),
+                            None => min_paths(topo, s, d),
+                        };
+                        vlb_paths_into(topo, deg, s, d, &mut buf, &mut vlb);
+                        let mut pp = PairPaths {
+                            min,
+                            vlb: std::mem::take(&mut vlb),
+                        };
+                        apply_rule_pair(topo, &mut pp, rule, seed, s.index() * n + d.index());
+                        // Store an exact-size copy and keep the buffer.
+                        vlb = std::mem::take(&mut pp.vlb);
+                        pp.vlb = vlb.clone();
+                        pp
+                    })
+                    .collect()
+            })
+            .collect();
+        PathTable {
+            n,
+            pairs: rows.into_iter().flatten().collect(),
         }
-        PathTable { n, pairs }
     }
 
     /// Number of switches the table covers.
@@ -308,6 +318,14 @@ impl PathTable {
             }
         }
         counts
+    }
+
+    /// Total number of MIN and VLB candidates stored.
+    pub(crate) fn total_paths(&self) -> usize {
+        self.pairs
+            .iter()
+            .map(|pp| pp.min.len() + pp.vlb.len())
+            .sum()
     }
 
     /// Total number of VLB candidates stored.

@@ -206,10 +206,12 @@ fn rule_provider_min_sampling_spreads_over_gateways() {
     let t = topo(4, 8, 4, 9); // 4 links per group pair
     let provider = RuleProvider::new(t.clone(), VlbRule::All);
     let mut rng = SmallRng::seed_from_u64(5);
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = Vec::new();
     for _ in 0..200 {
         let p = provider.sample_min(SwitchId(0), SwitchId(9), &mut rng);
-        seen.insert(p);
+        if !seen.contains(&p) {
+            seen.push(p);
+        }
         assert_eq!(p.global_hops(&t), 1);
     }
     assert_eq!(seen.len(), 4, "should hit all 4 MIN paths");
