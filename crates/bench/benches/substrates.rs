@@ -5,10 +5,13 @@
 //! on (e.g. "a Step-1 LP solves in well under a second").
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::sync::Arc;
 use tugal_lp::{LinearProgram, Relation};
 use tugal_model::{modeled_throughput, ModelVariant, PairStats};
-use tugal_routing::{all_vlb_paths, min_paths, PathTable, VlbRule};
+use tugal_routing::{all_vlb_paths, min_paths, PathProvider, PathTable, TableProvider, VlbRule};
 use tugal_topology::{Dragonfly, DragonflyParams, SwitchId};
 use tugal_traffic::{Shift, TrafficPattern};
 
@@ -65,7 +68,6 @@ fn table_builds(c: &mut Criterion) {
             || full.clone(),
             |mut table| {
                 table.apply_rule(
-                    &t,
                     VlbRule::ClassLimit {
                         max_hops: 4,
                         frac_next: 0.5,
@@ -76,6 +78,29 @@ fn table_builds(c: &mut Criterion) {
             },
             BatchSize::LargeInput,
         )
+    });
+}
+
+/// One million VLB draws from the all-paths table of dfly(4,8,4,9), each
+/// for a random pair of distinct switches: the per-packet cost of a
+/// table-backed UGAL decision's VLB candidate.
+fn provider_draws(c: &mut Criterion) {
+    let t9 = Arc::new(Dragonfly::new(DragonflyParams::new(4, 8, 4, 9)).unwrap());
+    let n = t9.num_switches() as u32;
+    let provider = TableProvider::all_paths(t9);
+    c.bench_function("provider/sample_vlb dfly(4,8,4,9)", |b| {
+        b.iter(|| {
+            let mut rng = SmallRng::seed_from_u64(0x5A3F);
+            let mut hops = 0usize;
+            for _ in 0..1_000_000 {
+                let s = rng.gen_range(0..n);
+                let d = (s + 1 + rng.gen_range(0..n - 1)) % n;
+                hops += provider
+                    .sample_vlb(SwitchId(s), SwitchId(d), &mut rng)
+                    .hops();
+            }
+            black_box(hops)
+        })
     });
 }
 
@@ -125,6 +150,6 @@ fn lp_solves(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = topology_construction, path_enumeration, table_builds, pair_stats, lp_solves
+    targets = topology_construction, path_enumeration, table_builds, provider_draws, pair_stats, lp_solves
 }
 criterion_main!(benches);

@@ -63,7 +63,7 @@ fn degraded_provider(
     tag: &str,
 ) -> Arc<dyn PathProvider> {
     let mut table = pristine.clone();
-    let rep = table.degrade(topo, deg, rule, seed);
+    let rep = table.degrade(deg, rule, seed);
     println!(
         "#   reachability[{tag}]: {} pairs, removed {} MIN / {} VLB paths, \
          regenerated {} pairs, unreachable {}",

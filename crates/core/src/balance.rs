@@ -88,18 +88,25 @@ pub fn adjust_local(table: &mut PathTable, topo: &Dragonfly, opts: &BalanceOptio
     let n_chan = topo.num_network_channels();
     let mut usage = [vec![0u32; n_chan], vec![0u32; n_chan]];
     let mut seen: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+    // The pair's candidates, decoded once; the rounds trim this copy and
+    // the table keeps what survives.
+    let mut paths = Vec::new();
     for s in 0..n as u32 {
         for d in 0..n as u32 {
             if s == d {
                 continue;
             }
-            let pair = table.pair_mut(SwitchId(s), SwitchId(d));
-            let floor = opts.floor(pair.vlb.len());
+            let (s, d) = (SwitchId(s), SwitchId(d));
+            paths.clear();
+            paths.extend(table.vlb(s, d));
+            let floor = opts.floor(paths.len());
+            let mut pair_removed = 0;
             for _ in 0..opts.max_rounds {
-                if pair.vlb.len() <= floor {
+                let before = paths.len();
+                if before <= floor {
                     break;
                 }
-                for p in &pair.vlb {
+                for p in &paths {
                     let mut gpos = 0;
                     for i in 0..p.hops() {
                         if p.hop_kind(topo, i) == ChannelKind::Global {
@@ -138,11 +145,8 @@ pub fn adjust_local(table: &mut PathTable, topo: &Dragonfly, opts: &BalanceOptio
                     chans.clear();
                 }
                 let Some((pos, hot_ch, _)) = hot else { break };
-                let before = pair.vlb.len();
-                let keep_at_least = floor;
-                let mut kept = Vec::with_capacity(before);
                 let mut dropped = 0;
-                for p in pair.vlb.drain(..) {
+                paths.retain(|p| {
                     let mut gpos = 0;
                     let mut uses_hot = false;
                     for i in 0..p.hops() {
@@ -153,17 +157,21 @@ pub fn adjust_local(table: &mut PathTable, topo: &Dragonfly, opts: &BalanceOptio
                             gpos += 1;
                         }
                     }
-                    if uses_hot && before - dropped > keep_at_least {
-                        dropped += 1;
-                    } else {
-                        kept.push(p);
-                    }
-                }
-                pair.vlb = kept;
-                removed += dropped;
+                    let drop = uses_hot && before - dropped > floor;
+                    dropped += usize::from(drop);
+                    !drop
+                });
+                pair_removed += dropped;
                 if dropped == 0 {
                     break;
                 }
+            }
+            if pair_removed > 0 {
+                // `paths` is an in-order subsequence of the pair's
+                // candidates, which are distinct.
+                let mut kept = paths.iter().peekable();
+                table.retain_vlb(s, d, |p| kept.next_if_eq(&p).is_some());
+                removed += pair_removed;
             }
         }
     }
@@ -180,12 +188,12 @@ fn global_usage(table: &PathTable, topo: &Dragonfly) -> Vec<f64> {
             if s == d {
                 continue;
             }
-            let pair = table.pair(SwitchId(s), SwitchId(d));
-            if pair.vlb.is_empty() {
+            let vlb = table.vlb(SwitchId(s), SwitchId(d));
+            if vlb.len() == 0 {
                 continue;
             }
-            let w = 1.0 / pair.vlb.len() as f64;
-            for p in &pair.vlb {
+            let w = 1.0 / vlb.len() as f64;
+            for p in vlb {
                 for c in p.channels(topo) {
                     usage[c.index()] += w;
                 }
@@ -255,14 +263,14 @@ pub fn adjust_global(table: &mut PathTable, topo: &Dragonfly, opts: &BalanceOpti
                 if s == d {
                     continue;
                 }
-                let pair = table.pair_mut(SwitchId(s), SwitchId(d));
-                let mut len = pair.vlb.len();
+                let (s, d) = (SwitchId(s), SwitchId(d));
+                let mut len = table.vlb(s, d).len();
                 let min_keep = opts.floor(len);
                 if len <= min_keep {
                     continue;
                 }
                 let before = len;
-                pair.vlb.retain(|p| {
+                table.retain_vlb(s, d, |p| {
                     if len <= min_keep {
                         return true;
                     }
@@ -274,7 +282,7 @@ pub fn adjust_global(table: &mut PathTable, topo: &Dragonfly, opts: &BalanceOpti
                         true
                     }
                 });
-                this_round += before - pair.vlb.len();
+                this_round += before - table.vlb(s, d).len();
             }
         }
         removed += this_round;
@@ -342,13 +350,13 @@ mod tests {
                 if s == d {
                     continue;
                 }
-                let pair = table.pair(SwitchId(s), SwitchId(d));
+                let vlb = table.vlb(SwitchId(s), SwitchId(d));
                 assert!(
-                    pair.vlb.len() >= 3.min(pair.vlb.len().max(1)),
+                    vlb.len() >= 3.min(vlb.len().max(1)),
                     "pair ({s},{d}) has {} paths",
-                    pair.vlb.len()
+                    vlb.len()
                 );
-                assert!(!pair.vlb.is_empty(), "pair ({s},{d}) emptied");
+                assert!(vlb.len() != 0, "pair ({s},{d}) emptied");
             }
         }
     }
@@ -426,7 +434,7 @@ mod tests {
         for s in 0..t.num_switches() as u32 {
             for d in 0..t.num_switches() as u32 {
                 let (s, d) = (SwitchId(s), SwitchId(d));
-                assert_eq!(a.pair(s, d).vlb, b.pair(s, d).vlb, "pair ({s:?},{d:?})");
+                assert!(a.vlb(s, d).eq(b.vlb(s, d)), "pair ({s:?},{d:?})");
             }
         }
     }

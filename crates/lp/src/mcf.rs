@@ -381,9 +381,12 @@ mod tests {
         }
     }
 
+    /// Edge capacities and `(demand, candidate paths)` commodities.
+    type Instance = (Vec<f64>, Vec<(f64, Vec<Vec<usize>>)>);
+
     /// A seeded family of random instances shared by the determinism
     /// tests below.
-    fn random_instances() -> Vec<(Vec<f64>, Vec<(f64, Vec<Vec<usize>>)>)> {
+    fn random_instances() -> Vec<Instance> {
         let mut state = 0x5CA1AB1Eu64;
         let mut next = move || {
             state = state

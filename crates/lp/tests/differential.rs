@@ -24,11 +24,14 @@ use tugal_routing::VlbRule;
 use tugal_topology::{ArrangementSpec, Dragonfly, DragonflyParams};
 use tugal_traffic::{Shift, TrafficPattern};
 
+/// One constraint row: `(variable, coefficient)` terms, relation, rhs.
+type Row = (Vec<(usize, f64)>, Relation, f64);
+
 /// A generated program plus the generator-side copy of its rows (the
 /// builder does not expose constraints back, by design).
 struct RandomLp {
     lp: LinearProgram,
-    rows: Vec<(Vec<(usize, f64)>, Relation, f64)>,
+    rows: Vec<Row>,
 }
 
 fn random_lp(seed: u64) -> RandomLp {
@@ -99,7 +102,7 @@ fn assert_close_rel(dense: f64, sparse: f64, what: &str) {
     );
 }
 
-fn assert_primal_feasible(values: &[f64], rows: &[(Vec<(usize, f64)>, Relation, f64)], seed: u64) {
+fn assert_primal_feasible(values: &[f64], rows: &[Row], seed: u64) {
     for (i, v) in values.iter().enumerate() {
         assert!(*v >= -1e-7, "seed {seed}: x{i} = {v} negative");
     }

@@ -361,8 +361,7 @@ fn simplex_and_mcf_agree_on_degraded_instances() {
         if deg.switch_dead(s) || deg.switch_dead(d) {
             continue;
         }
-        let pp = table.pair(s, d);
-        let paths: Vec<&tugal_routing::Path> = pp.min.iter().chain(&pp.vlb).collect();
+        let paths: Vec<tugal_routing::Path> = table.min(s, d).chain(table.vlb(s, d)).collect();
         assert!(!paths.is_empty(), "{s}->{d} lost all candidates");
         let flow_paths: Vec<FlowPath> = paths
             .iter()

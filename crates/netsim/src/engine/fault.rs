@@ -27,7 +27,7 @@
 use super::observer::SimObserver;
 use super::profile::EngineProfiler;
 use super::{Engine, F_REVISABLE};
-use tugal_routing::{Path, PathRef};
+use tugal_routing::Path;
 use tugal_topology::{ChannelKind, FaultSet, NodeId, SwitchId};
 
 /// Reroute attempts per blocked packet: one MIN draw plus this many VLB
@@ -151,21 +151,16 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
 
     /// Samples a surviving path `cur → dst` from the provider: the MIN
     /// draw first, then up to [`REROUTE_VLB_TRIES`] VLB draws.
-    fn sample_alive_path(
-        &mut self,
-        cur: SwitchId,
-        dst: SwitchId,
-        gi: usize,
-    ) -> Option<PathRef<'a>> {
+    fn sample_alive_path(&mut self, cur: SwitchId, dst: SwitchId, gi: usize) -> Option<Path> {
         let sim = self.sim;
         let provider = &*sim.provider;
-        let p = provider.sample_min_ref(cur, dst, &mut self.rngs[gi]);
-        if self.path_usable(p.path(), cur, dst) {
+        let p = provider.sample_min(cur, dst, &mut self.rngs[gi]);
+        if self.path_usable(&p, cur, dst) {
             return Some(p);
         }
         for _ in 0..REROUTE_VLB_TRIES {
-            let p = provider.sample_vlb_ref(cur, dst, &mut self.rngs[gi]);
-            if self.path_usable(p.path(), cur, dst) {
+            let p = provider.sample_vlb(cur, dst, &mut self.rngs[gi]);
+            if self.path_usable(&p, cur, dst) {
                 return Some(p);
             }
         }

@@ -62,7 +62,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 pub(crate) use state::Packet;
 use std::sync::Arc;
-use tugal_routing::{Path, PathProvider, PathRef};
+use tugal_routing::{Path, PathProvider};
 use tugal_topology::Dragonfly;
 use tugal_traffic::TrafficPattern;
 
@@ -414,14 +414,11 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
         &self.ws.paths[pi as usize]
     }
 
-    /// Copies a freshly sampled candidate into the packet's route slot,
-    /// interned or owned alike.  The draw has just loaded the candidate,
-    /// so the 18-byte copy is nearly free; from here on every per-hop
-    /// read stays in the slab instead of dereferencing the provider's
-    /// arena at a random index.
+    /// Stores a freshly sampled candidate in the packet's route slot;
+    /// from here on every per-hop read stays in the slab.
     #[inline]
-    pub(crate) fn set_packet_path(&mut self, pi: u32, path: PathRef<'_>) {
-        self.ws.paths[pi as usize] = *path.path();
+    pub(crate) fn set_packet_path(&mut self, pi: u32, path: Path) {
+        self.ws.paths[pi as usize] = path;
     }
 
     pub(crate) fn free_packet(&mut self, i: u32) {

@@ -1,19 +1,15 @@
 //! Routing decisions: the UGAL-L/G queue metrics, the MIN-vs-VLB choice at
 //! the source switch, and PAR's one-shot in-group revision.
 //!
-//! All candidate draws go through the provider's *borrowed* sampling
-//! (`sample_min_ref`/`sample_vlb_ref`): table-backed providers hand out
-//! arena borrows, so comparing candidates copies nothing and the decision
-//! allocates nothing.  Only the chosen candidate is copied, once, into the
-//! packet's route slot.  The owned and borrowed sampling forms are
-//! RNG-equivalent by the `PathProvider` contract, which keeps the golden
-//! fixtures bit-for-bit.
+//! Each candidate draw returns an inline `Path` by value (table-backed
+//! providers decode the drawn code), so the decision allocates nothing;
+//! the chosen candidate is stored in the packet's route slot.
 
 use super::observer::SimObserver;
 use super::profile::EngineProfiler;
 use super::{Engine, F_REVISABLE, F_ROUTED, F_VLB};
 use crate::config::RoutingAlgorithm;
-use tugal_routing::{vc_class, Path, PathProvider, PathRef};
+use tugal_routing::{vc_class, Path, PathProvider};
 use tugal_topology::NodeId;
 
 impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
@@ -61,16 +57,16 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
     /// the smallest queue metric (`global` selects the UGAL-G metric).
     /// With the default of one candidate this is a single provider draw —
     /// exactly the paper's UGAL.
-    fn best_vlb_candidate<'p>(
+    fn best_vlb_candidate(
         &mut self,
-        provider: &'p dyn PathProvider,
+        provider: &dyn PathProvider,
         s: tugal_topology::SwitchId,
         d: tugal_topology::SwitchId,
         global: bool,
         gi: usize,
-    ) -> PathRef<'p> {
+    ) -> Path {
         let k = self.sim.cfg.vlb_candidates.max(1);
-        let mut best = provider.sample_vlb_ref(s, d, &mut self.rngs[gi]);
+        let mut best = provider.sample_vlb(s, d, &mut self.rngs[gi]);
         if k == 1 {
             return best;
         }
@@ -81,10 +77,10 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
                 e.q_local_path(p)
             }
         };
-        let mut best_q = metric(self, best.path());
+        let mut best_q = metric(self, &best);
         for _ in 1..k {
-            let cand = provider.sample_vlb_ref(s, d, &mut self.rngs[gi]);
-            let q = metric(self, cand.path());
+            let cand = provider.sample_vlb(s, d, &mut self.rngs[gi]);
+            let q = metric(self, &cand);
             if q < best_q {
                 best = cand;
                 best_q = q;
@@ -95,9 +91,9 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
 
     /// The initial routing decision at the source switch.
     pub(crate) fn route(&mut self, pi: u32) {
-        // Copying the `&Simulator` out of `self` detaches the provider's
-        // borrowed candidates from `self`, so no per-packet `Arc` clones
-        // are needed to appease the borrow checker.
+        // Copying the `&Simulator` out of `self` detaches the provider from
+        // `self`, so no per-packet `Arc` clones are needed to appease the
+        // borrow checker.
         let sim = self.sim;
         let topo = &*sim.topo;
         let provider = &*sim.provider;
@@ -119,27 +115,23 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
         // finite threshold draws both candidates as usual.
         let force_min = sim.cfg.ugal_threshold == i64::MAX;
         let (path, used_vlb, revisable) = match sim.routing {
-            RoutingAlgorithm::Min => (
-                provider.sample_min_ref(s, d, &mut self.rngs[gi]),
-                false,
-                false,
-            ),
+            RoutingAlgorithm::Min => (provider.sample_min(s, d, &mut self.rngs[gi]), false, false),
             RoutingAlgorithm::Vlb => {
-                let p = provider.sample_vlb_ref(s, d, &mut self.rngs[gi]);
-                let vlb = p.path().hops() > 0;
+                let p = provider.sample_vlb(s, d, &mut self.rngs[gi]);
+                let vlb = p.hops() > 0;
                 (p, vlb, false)
             }
             RoutingAlgorithm::UgalL | RoutingAlgorithm::Par => {
-                let min = provider.sample_min_ref(s, d, &mut self.rngs[gi]);
+                let min = provider.sample_min(s, d, &mut self.rngs[gi]);
                 if force_min {
                     (min, false, sim.routing == RoutingAlgorithm::Par)
                 } else {
                     let vlb = self.best_vlb_candidate(provider, s, d, false, gi);
-                    if min.path() == vlb.path() || min.path().hops() == 0 {
+                    if min == vlb || min.hops() == 0 {
                         (min, false, false)
                     } else {
-                        let qm = self.q_local_path(min.path()) as i64;
-                        let qv = self.q_local_path(vlb.path()) as i64;
+                        let qm = self.q_local_path(&min) as i64;
+                        let qv = self.q_local_path(&vlb) as i64;
                         if qm <= qv + sim.cfg.ugal_threshold {
                             (min, false, sim.routing == RoutingAlgorithm::Par)
                         } else {
@@ -149,16 +141,16 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
                 }
             }
             RoutingAlgorithm::UgalG => {
-                let min = provider.sample_min_ref(s, d, &mut self.rngs[gi]);
+                let min = provider.sample_min(s, d, &mut self.rngs[gi]);
                 if force_min {
                     (min, false, false)
                 } else {
                     let vlb = self.best_vlb_candidate(provider, s, d, true, gi);
-                    if min.path() == vlb.path() || min.path().hops() == 0 {
+                    if min == vlb || min.hops() == 0 {
                         (min, false, false)
                     } else {
-                        let qm = self.q_global_path(min.path()) as i64;
-                        let qv = self.q_global_path(vlb.path()) as i64;
+                        let qm = self.q_global_path(&min) as i64;
+                        let qv = self.q_global_path(&vlb) as i64;
                         if qm <= qv + sim.cfg.ugal_threshold {
                             (min, false, false)
                         } else {
@@ -206,12 +198,12 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
         // The revision runs at `cur` (the packet sits in one of its
         // buffers), so `cur`'s group keys the draw.
         let gi = self.gi_of_switch(cur);
-        let vlb = provider.sample_vlb_ref(cur, d, &mut self.rngs[gi]);
+        let vlb = provider.sample_vlb(cur, d, &mut self.rngs[gi]);
         // The MIN alternative is the remaining suffix of the current path
         // (the hop already taken is sunk either way).
         let q_min = self.q_local_path_from(self.packet_path(pi), 1) as i64;
-        let q_vlb = self.q_local_path(vlb.path()) as i64;
-        let reroute = q_min > q_vlb + sim.cfg.ugal_threshold && vlb.path().hops() > 0;
+        let q_vlb = self.q_local_path(&vlb) as i64;
+        let reroute = q_min > q_vlb + sim.cfg.ugal_threshold && vlb.hops() > 0;
         let p = &mut self.ws.packets[pi as usize];
         p.flags &= !F_REVISABLE;
         if reroute {

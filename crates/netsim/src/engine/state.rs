@@ -105,9 +105,8 @@ pub struct SimWorkspace {
     /// Route storage, parallel to `packets`: slot `i` holds a copy of the
     /// path packet `i` currently follows (the pre-routing placeholder, the
     /// routing draw, a PAR revision or a fault reroute).  Every routing
-    /// draw copies its candidate here, so the per-hop work never reads
-    /// the provider's arena, whose random-index loads miss cache on
-    /// paper-scale tables.  Stale for free pool slots.
+    /// draw stores its decoded candidate here, so the per-hop work never
+    /// goes back to the provider.  Stale for free pool slots.
     pub(crate) paths: Vec<Path>,
     /// Intrusive FIFO links, parallel to `packets`: the next packet in
     /// whichever queue (staging or input buffer) packet `i` currently

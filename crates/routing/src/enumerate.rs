@@ -1,5 +1,6 @@
 //! Enumeration of MIN and VLB paths.
 
+use crate::code::{self, Codec};
 use crate::path::Path;
 use tugal_topology::{Degraded, Dragonfly, GroupId, SwitchId};
 
@@ -42,56 +43,78 @@ fn local_alive(topo: &Dragonfly, deg: Option<&Degraded>, u: SwitchId, v: SwitchI
 }
 
 /// The MIN path `s [→ u] → v [→ d]` over the global link `u → v`.
+#[inline]
 pub(crate) fn gateway_path(s: SwitchId, u: SwitchId, v: SwitchId, d: SwitchId) -> Path {
     let mut p = Path::single(s);
-    if u != s {
-        p.push(u);
-    }
-    p.push(v);
-    if v != d {
-        p.push(d);
-    }
+    extend_gateway(&mut p, u, v, d);
     p
 }
 
-/// The global links `(u, v)` from `s`'s group to `d`'s (a different
-/// group) whose MIN path survives `deg`, in gateway order.
+/// Extends `p`, which ends at a segment's source, by the MIN segment
+/// `[→ u] → v [→ d]` over the global link `u → v`: the one place MIN
+/// segments are built.
+#[inline]
+pub(crate) fn extend_gateway(p: &mut Path, u: SwitchId, v: SwitchId, d: SwitchId) {
+    p.push_distinct(u);
+    p.push(v);
+    p.push_distinct(d);
+}
+
+/// The global links `(k, u, v)` from `s`'s group to `d`'s (a different
+/// group) whose MIN path survives `deg`, in gateway order.  `k` is the
+/// canonical index of the link in the pristine gateway list: the first
+/// entry with the same `(u, v)`, so parallel cables share it.
 fn live_links<'a>(
     topo: &'a Dragonfly,
     deg: Option<&'a Degraded>,
     s: SwitchId,
     d: SwitchId,
-) -> impl Iterator<Item = (SwitchId, SwitchId)> + 'a {
-    let (gs, gd) = (topo.group_of(s), topo.group_of(d));
-    // `deg.gateways` already excludes dead cables and dead gateway
-    // switches; only the endpoint-local hops remain to check.
-    let gws = match deg {
-        Some(dg) => dg.gateways(gs, gd),
-        None => topo.gateways(gs, gd),
-    };
-    gws.iter().map(|&(u, v, _)| (u, v)).filter(move |&(u, v)| {
-        (u == s || local_alive(topo, deg, s, u)) && (v == d || local_alive(topo, deg, v, d))
-    })
+) -> impl Iterator<Item = (usize, SwitchId, SwitchId)> + 'a {
+    let gws = topo.gateways(topo.group_of(s), topo.group_of(d));
+    // Gateway lists are sorted by `(u, v)`, so parallel cables are
+    // adjacent.  A dead gateway switch kills its global channels, so the
+    // channel check covers it; only the endpoint-local hops remain.
+    gws.iter()
+        .filter(move |&&(u, v, c)| {
+            deg.is_none_or(|dg| !dg.channel_dead(c))
+                && (u == s || local_alive(topo, deg, s, u))
+                && (v == d || local_alive(topo, deg, v, d))
+        })
+        .map(move |&(u, v, _)| (gws.partition_point(|&(x, y, _)| (x, y) < (u, v)), u, v))
 }
 
-/// The one MIN enumeration behind [`min_paths`] and
-/// [`min_paths_degraded`].
-fn min_paths_in(topo: &Dragonfly, deg: Option<&Degraded>, s: SwitchId, d: SwitchId) -> Vec<Path> {
+/// The one MIN enumeration behind [`min_paths`], [`min_paths_degraded`]
+/// and the tables: the codes of the MIN paths from `s` to `d` that survive
+/// `deg`, one per live global link (parallel cables repeat a path).
+pub(crate) fn min_codes(
+    topo: &Dragonfly,
+    deg: Option<&Degraded>,
+    s: SwitchId,
+    d: SwitchId,
+) -> Vec<u32> {
     if deg.is_some_and(|dg| dg.switch_dead(s) || dg.switch_dead(d)) {
         return Vec::new();
     }
     if s == d {
-        return vec![Path::single(s)];
+        return vec![code::min(0)];
     }
     if topo.group_of(s) == topo.group_of(d) {
         return if local_alive(topo, deg, s, d) {
-            vec![Path::from_switches(&[s, d])]
+            vec![code::min(0)]
         } else {
             Vec::new()
         };
     }
     live_links(topo, deg, s, d)
-        .map(|(u, v)| gateway_path(s, u, v, d))
+        .map(|(k, _, _)| code::min(k))
+        .collect()
+}
+
+/// [`min_codes`], decoded.
+fn min_paths_in(topo: &Dragonfly, deg: Option<&Degraded>, s: SwitchId, d: SwitchId) -> Vec<Path> {
+    min_codes(topo, deg, s, d)
+        .into_iter()
+        .map(|c| code::decode_min(topo, s, d, c))
         .collect()
 }
 
@@ -139,16 +162,14 @@ fn vlb_paths_via_in(
 /// and back over the same cable's endpoints.  These walks are exactly what
 /// VLB produces in practice and what the paper's 2–6 hop accounting counts.
 pub fn all_vlb_paths(topo: &Dragonfly, s: SwitchId, d: SwitchId) -> Vec<Path> {
-    let mut out = Vec::new();
-    vlb_paths_into(topo, None, s, d, &mut VlbBuffers::default(), &mut out);
-    out
+    vlb_paths_in(topo, None, s, d)
 }
 
-/// A MIN segment of a VLB composite and the global link `(u, v)` it
-/// crosses.
+/// A MIN segment of a VLB composite: the canonical gateway index `k` of
+/// the global link `(u, v)` it crosses.
 #[derive(Clone, Copy)]
 struct Segment {
-    path: Path,
+    k: usize,
     link: (SwitchId, SwitchId),
 }
 
@@ -160,9 +181,9 @@ pub(crate) struct VlbBuffers {
     second: Vec<Segment>,
 }
 
-/// Replaces `out` with the distinct MIN paths from `s` to `d` (in different
-/// groups) that survive `deg`, in gateway order. A path repeated by
-/// parallel cables is kept once, at its first cable.
+/// Replaces `out` with the distinct MIN segments from `s` to `d` (in
+/// different groups) that survive `deg`, in gateway order. A path repeated
+/// by parallel cables is kept once, at its first cable.
 fn min_segments(
     topo: &Dragonfly,
     deg: Option<&Degraded>,
@@ -171,24 +192,25 @@ fn min_segments(
     out: &mut Vec<Segment>,
 ) {
     out.clear();
-    for link @ (u, v) in live_links(topo, deg, s, d) {
-        let path = gateway_path(s, u, v, d);
-        if out.iter().all(|q| q.path != path) {
-            out.push(Segment { path, link });
+    for (k, u, v) in live_links(topo, deg, s, d) {
+        // Parallel cables are adjacent, so a repeat follows its first.
+        if out.last().is_none_or(|q| q.k != k) {
+            out.push(Segment { k, link: (u, v) });
         }
     }
 }
 
-/// The one VLB enumeration behind [`all_vlb_paths`] and
-/// [`all_vlb_paths_degraded`]: replaces `out` with the distinct VLB paths
-/// from `s` to `d` that survive `deg` (all of them when `deg` is `None`).
-pub(crate) fn vlb_paths_into(
+/// The one VLB enumeration behind [`all_vlb_paths`],
+/// [`all_vlb_paths_degraded`] and the tables: replaces `out` with the codes
+/// of the distinct VLB paths from `s` to `d` that survive `deg` (all of
+/// them when `deg` is `None`).
+pub(crate) fn vlb_codes_into(
     topo: &Dragonfly,
     deg: Option<&Degraded>,
     s: SwitchId,
     d: SwitchId,
     buf: &mut VlbBuffers,
-    out: &mut Vec<Path>,
+    out: &mut Vec<u32>,
 ) {
     out.clear();
     let dead = |x: SwitchId| deg.is_some_and(|dg| dg.switch_dead(x));
@@ -225,11 +247,22 @@ pub(crate) fn vlb_paths_into(
                     if other < i {
                         continue;
                     }
-                    out.push(a.path.concat(&b.path));
+                    out.push(code::vlb(i, a.k, b.k));
                 }
             }
         }
     }
+}
+
+/// [`vlb_codes_into`], decoded.
+fn vlb_paths_in(topo: &Dragonfly, deg: Option<&Degraded>, s: SwitchId, d: SwitchId) -> Vec<Path> {
+    let mut codes = Vec::new();
+    vlb_codes_into(topo, deg, s, d, &mut VlbBuffers::default(), &mut codes);
+    let codec = Codec::new(topo);
+    codes
+        .into_iter()
+        .map(|c| codec.decode_vlb(s, d, c))
+        .collect()
 }
 
 /// True when every switch and every hop channel of `p` survives in the
@@ -300,9 +333,7 @@ pub fn all_vlb_paths_degraded(
     s: SwitchId,
     d: SwitchId,
 ) -> Vec<Path> {
-    let mut out = Vec::new();
-    vlb_paths_into(topo, Some(deg), s, d, &mut VlbBuffers::default(), &mut out);
-    out
+    vlb_paths_in(topo, Some(deg), s, d)
 }
 
 /// All positions `k` at which a VLB path can be split into

@@ -11,10 +11,15 @@
 //! * **Path tables** — explicit per-switch-pair candidate path sets
 //!   ([`PathTable`]).  Conventional UGAL uses *all* VLB paths; T-UGAL
 //!   restricts each pair's VLB set to a shorter-on-average subset (T-VLB).
+//!   A table stores each candidate as a 4-byte packed code — a MIN
+//!   candidate by its gateway link, a VLB candidate by its intermediate
+//!   switch and the gateway links of its two segments — and decodes it to
+//!   a [`Path`] only when it is drawn or inspected.
 //! * **Path providers** — the sampling interface the simulator's routing
 //!   functions use to draw one MIN and one VLB candidate per packet
-//!   ([`PathProvider`]); an explicit-table provider for small networks and
-//!   an on-the-fly rejection sampler ([`RuleProvider`]) whose memory is O(1)
+//!   ([`PathProvider`]); an explicit-table provider ([`TableProvider`],
+//!   one `gen_range` and one decode per draw) for small networks and an
+//!   on-the-fly rejection sampler ([`RuleProvider`]) whose memory is O(1)
 //!   for networks too large to tabulate (e.g. `dfly(13,26,13,27)` has ~10⁵
 //!   VLB paths per pair).
 //! * **Virtual-channel classes** — per-hop VC assignment that keeps the
@@ -24,11 +29,11 @@
 
 #![warn(missing_docs)]
 
+mod code;
 mod enumerate;
 mod path;
 mod provider;
 mod rule;
-mod store;
 mod table;
 mod vc;
 
@@ -39,8 +44,7 @@ pub use enumerate::{
 pub use path::{Path, MAX_HOPS};
 pub use provider::{PathProvider, RuleProvider, TableProvider};
 pub use rule::VlbRule;
-pub use store::{PathId, PathRef, PathStore};
-pub use table::{PairPaths, PathTable, ReachabilityReport};
+pub use table::{PathTable, ReachabilityReport};
 pub use vc::{required_vcs, vc_class, VcScheme};
 
 #[cfg(test)]

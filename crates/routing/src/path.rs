@@ -29,6 +29,7 @@ pub struct Path {
 
 impl Path {
     /// A zero-hop path at a single switch.
+    #[inline]
     pub fn single(s: SwitchId) -> Self {
         let mut sw = [0u16; MAX_HOPS + 1];
         sw[0] = Self::narrow(s);
@@ -105,10 +106,28 @@ impl Path {
     ///
     /// # Panics
     /// If the path is already `MAX_HOPS` long.
+    #[inline]
     pub fn push(&mut self, s: SwitchId) {
         assert!((self.len as usize) < MAX_HOPS, "path overflow");
         self.len += 1;
         self.sw[self.len as usize] = Self::narrow(s);
+    }
+
+    /// Appends `s` unless it is already the last switch.  Branch-free:
+    /// decoding a table candidate does this at data-dependent junctions,
+    /// where a branch would mispredict.
+    ///
+    /// # Panics
+    /// If the path is already `MAX_HOPS` long.
+    #[inline]
+    pub(crate) fn push_distinct(&mut self, s: SwitchId) {
+        let n = self.len as usize;
+        assert!(n < MAX_HOPS, "path overflow");
+        let s = Self::narrow(s);
+        let new = s != self.sw[n];
+        // Slots past the end stay zero, as `PartialEq` compares them.
+        self.sw[n + 1] = if new { s } else { 0 };
+        self.len += u8::from(new);
     }
 
     /// Concatenates two paths sharing a junction switch

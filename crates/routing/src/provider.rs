@@ -9,7 +9,6 @@
 use crate::enumerate::gateway_path;
 use crate::path::Path;
 use crate::rule::VlbRule;
-use crate::store::{PathId, PathRef, PathStore};
 use crate::table::PathTable;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -19,21 +18,9 @@ use tugal_topology::{Dragonfly, GroupId, SwitchId};
 /// Source of candidate paths for routing decisions.
 ///
 /// Implementations must be cheap: `sample_*` runs once per packet in the
-/// simulator's hot loop.
-///
-/// ## Borrowed sampling
-///
-/// The `sample_*_ref` methods are the allocation-free form of the same
-/// draws: a provider backed by an interned [`PathStore`] returns
-/// [`PathRef::Interned`] borrows of its arena, so comparing candidates
-/// copies nothing; the engine copies only the chosen one into the packet.
-/// The contract is strict: for any RNG state, `sample_min(s, d, rng)` and
-/// `*sample_min_ref(s, d, rng).path()` must return the same path *and*
-/// leave the RNG in the same state (likewise for VLB), so a simulation is
-/// bit-for-bit identical whichever form the engine calls.  The default
-/// implementations delegate to the owned samplers, which satisfies the
-/// contract for free; table-backed providers override them (and the owned
-/// forms delegate the other way around).
+/// simulator's hot loop, and returns the drawn candidate by value (a
+/// [`Path`] is an 18-byte inline copy), which the engine stores in the
+/// packet's route slot.
 pub trait PathProvider: Send + Sync {
     /// The topology the paths live in.
     fn topo(&self) -> &Dragonfly;
@@ -48,97 +35,40 @@ pub trait PathProvider: Send + Sync {
     /// UGAL does for intra-switch traffic).
     fn sample_vlb(&self, s: SwitchId, d: SwitchId, rng: &mut SmallRng) -> Path;
 
-    /// Borrowed form of [`PathProvider::sample_min`] (same draw, same RNG
-    /// consumption; see the trait docs for the contract).
-    fn sample_min_ref(&self, s: SwitchId, d: SwitchId, rng: &mut SmallRng) -> PathRef<'_> {
-        PathRef::Owned(self.sample_min(s, d, rng))
-    }
-
-    /// Borrowed form of [`PathProvider::sample_vlb`].
-    fn sample_vlb_ref(&self, s: SwitchId, d: SwitchId, rng: &mut SmallRng) -> PathRef<'_> {
-        PathRef::Owned(self.sample_vlb(s, d, rng))
-    }
-
-    /// The interned arena behind this provider's [`PathRef::Interned`]
-    /// candidates, if it has one.  Providers that return only
-    /// [`PathRef::Owned`] (the default sampling) report `None`.
-    fn path_store(&self) -> Option<&PathStore> {
-        None
-    }
-
-    /// Resolves an id previously issued by this provider's borrowed
-    /// sampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the provider has no [`PathStore`] — only ids obtained
-    /// from this provider's own `sample_*_ref` draws are resolvable.
-    #[inline]
-    fn resolve(&self, id: PathId) -> &Path {
-        self.path_store()
-            .expect("resolve() on a provider without a PathStore")
-            .get(id)
-    }
-
     /// Average number of VLB hops (used in reports; an estimate is fine).
     fn mean_vlb_hops(&self) -> f64;
 }
 
 /// Provider backed by an explicit [`PathTable`].
 ///
-/// Construction compiles the table into an interned [`PathStore`]: every
-/// pair's candidates become one contiguous arena range (MIN paths first,
-/// then VLB), so borrowed sampling is an index draw plus an arena borrow —
-/// no per-draw copies, no pointer chasing through per-pair `Vec`s.  The
-/// table itself is consumed; [`Self::pair`] views a pair's candidates in
-/// the arena.
+/// The provider owns the table as built: each pair's candidates stay
+/// packed codes, and a draw picks one with a single
+/// `gen_range(0..len)` over the pair's MIN or VLB list and decodes only
+/// that one.  The draw contract: `sample_min` and `sample_vlb` return the
+/// candidate at that index of [`PathTable::min`] or [`PathTable::vlb`]
+/// and consume the RNG exactly as that one `gen_range` call does, so a
+/// simulation is bit-for-bit the same whatever the table's storage.
 pub struct TableProvider {
     topo: Arc<Dragonfly>,
-    /// Switch count (pair `(s, d)` is index `s * n + d`).
-    n: usize,
-    /// [`PathTable::mean_vlb_hops`] of the consumed table.
-    mean_vlb_hops: f64,
-    store: PathStore,
-    /// Arena start of pair `i`'s candidates (`n² + 1` entries); pair `i`
-    /// owns `base[i]..base[i+1]`.
-    base: Vec<u32>,
-    /// Arena start of pair `i`'s VLB candidates within its range: MIN is
-    /// `base[i]..vlb_base[i]`, VLB is `vlb_base[i]..base[i+1]`.
-    vlb_base: Vec<u32>,
+    table: PathTable,
 }
 
 impl TableProvider {
-    /// Compiles a prebuilt table into the interned arena, freeing each
-    /// pair's candidate `Vec`s as they are copied in.
-    pub fn new(topo: Arc<Dragonfly>, mut table: PathTable) -> Self {
-        assert_eq!(table.num_switches(), topo.num_switches());
-        let n = table.num_switches();
-        let mean_vlb_hops = table.mean_vlb_hops();
-        let mut store = PathStore::with_capacity(table.total_paths());
-        let mut base = Vec::with_capacity(n * n + 1);
-        let mut vlb_base = Vec::with_capacity(n * n);
-        for s in 0..n as u32 {
-            for d in 0..n as u32 {
-                let pp = std::mem::take(table.pair_mut(SwitchId(s), SwitchId(d)));
-                base.push(store.len() as u32);
-                for p in pp.min {
-                    store.push(p);
-                }
-                vlb_base.push(store.len() as u32);
-                for p in pp.vlb {
-                    store.push(p);
-                }
-            }
-        }
-        base.push(store.len() as u32);
-        Self {
-            topo,
-            n,
-            mean_vlb_hops,
-            store,
-            base,
-            vlb_base,
-        }
+    /// Wraps a prebuilt table (a move: nothing is copied or decoded).
+    ///
+    /// # Panics
+    /// If the table was built for another topology.
+    pub fn new(topo: Arc<Dragonfly>, table: PathTable) -> Self {
+        let t = table.topo();
+        assert!(
+            t.params() == topo.params() && t.shape_suffix() == topo.shape_suffix(),
+            "table built for {}{}, provider topology is {}{}",
+            t.params(),
+            t.shape_suffix(),
+            topo.params(),
+            topo.shape_suffix()
+        );
+        Self { topo, table }
     }
 
     /// Conventional UGAL: all MIN and all VLB paths.
@@ -147,24 +77,15 @@ impl TableProvider {
         Self::new(topo, table)
     }
 
-    /// The `(MIN, VLB)` candidates of pair `(s, d)`, in table order.
-    pub fn pair(&self, s: SwitchId, d: SwitchId) -> (&[Path], &[Path]) {
-        let i = s.index() * self.n + d.index();
-        let paths = self.store.as_slice();
-        (
-            &paths[self.base[i] as usize..self.vlb_base[i] as usize],
-            &paths[self.vlb_base[i] as usize..self.base[i + 1] as usize],
-        )
+    /// The table the candidates are drawn from.
+    pub fn table(&self) -> &PathTable {
+        &self.table
     }
-}
 
-impl TableProvider {
-    /// Draws an id from the arena range `lo..hi` (one `gen_range` call —
-    /// the same RNG consumption as indexing the uncompiled `Vec<Path>`).
+    /// Draws one of `codes` (one `gen_range` call).
     #[inline]
-    fn draw(&self, lo: u32, hi: u32, rng: &mut SmallRng) -> PathRef<'_> {
-        let id = PathId(lo + rng.gen_range(0..hi - lo));
-        PathRef::Interned(id, self.store.get(id))
+    fn draw(codes: &[u32], rng: &mut SmallRng) -> u32 {
+        codes[rng.gen_range(0..codes.len())]
     }
 }
 
@@ -174,55 +95,41 @@ impl PathProvider for TableProvider {
     }
 
     fn sample_min(&self, s: SwitchId, d: SwitchId, rng: &mut SmallRng) -> Path {
-        *self.sample_min_ref(s, d, rng).path()
-    }
-
-    fn sample_vlb(&self, s: SwitchId, d: SwitchId, rng: &mut SmallRng) -> Path {
-        *self.sample_vlb_ref(s, d, rng).path()
-    }
-
-    fn sample_min_ref(&self, s: SwitchId, d: SwitchId, rng: &mut SmallRng) -> PathRef<'_> {
         if s == d {
-            return PathRef::Owned(Path::single(s));
+            return Path::single(s);
         }
-        let i = s.index() * self.n + d.index();
-        let (lo, mid, hi) = (self.base[i], self.vlb_base[i], self.base[i + 1]);
+        let (pp, codec) = (self.table.codes(s, d), self.table.codec());
         // A degraded table can lose every MIN candidate of a pair; fall
         // back to VLB, or to the zero-hop unreachable sentinel (dst != d,
         // which the engine drops) when the pair has no candidates at all.
         // Pristine tables never hit these branches, so the RNG draw
         // sequence of fault-free runs is unchanged.
-        if lo == mid {
-            if mid == hi {
-                return PathRef::Owned(Path::single(s));
+        if pp.min.is_empty() {
+            if pp.vlb.is_empty() {
+                return Path::single(s);
             }
-            return self.draw(mid, hi, rng);
+            return codec.decode_vlb(s, d, Self::draw(&pp.vlb, rng));
         }
-        self.draw(lo, mid, rng)
+        codec.decode_min(s, d, Self::draw(&pp.min, rng))
     }
 
-    fn sample_vlb_ref(&self, s: SwitchId, d: SwitchId, rng: &mut SmallRng) -> PathRef<'_> {
+    fn sample_vlb(&self, s: SwitchId, d: SwitchId, rng: &mut SmallRng) -> Path {
         if s == d {
-            return PathRef::Owned(Path::single(s));
+            return Path::single(s);
         }
-        let i = s.index() * self.n + d.index();
-        let (lo, mid, hi) = (self.base[i], self.vlb_base[i], self.base[i + 1]);
-        if mid == hi {
-            if lo == mid {
-                // Unreachable pair of a degraded table (see `sample_min_ref`).
-                return PathRef::Owned(Path::single(s));
+        let (pp, codec) = (self.table.codes(s, d), self.table.codec());
+        if pp.vlb.is_empty() {
+            if pp.min.is_empty() {
+                // Unreachable pair of a degraded table (see `sample_min`).
+                return Path::single(s);
             }
-            return self.draw(lo, mid, rng);
+            return codec.decode_min(s, d, Self::draw(&pp.min, rng));
         }
-        self.draw(mid, hi, rng)
-    }
-
-    fn path_store(&self) -> Option<&PathStore> {
-        Some(&self.store)
+        codec.decode_vlb(s, d, Self::draw(&pp.vlb, rng))
     }
 
     fn mean_vlb_hops(&self) -> f64 {
-        self.mean_vlb_hops
+        self.table.mean_vlb_hops()
     }
 }
 

@@ -1,25 +1,27 @@
 //! Explicit per-switch-pair path tables.
 
-use crate::enumerate::{
-    all_vlb_paths_degraded, min_paths, min_paths_degraded, path_alive, split_lengths,
-    vlb_paths_into, VlbBuffers,
-};
+use crate::code::{self, Codec};
+use crate::enumerate::{min_codes, path_alive, vlb_codes_into, VlbBuffers};
 use crate::path::Path;
 use crate::rule::VlbRule;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use std::fmt;
+use std::sync::Arc;
 use tugal_topology::{Degraded, Dragonfly, SwitchId};
 
-/// The candidate paths of one (source switch, destination switch) pair.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
-pub struct PairPaths {
-    /// MIN candidates (one per global link between the endpoint groups).
-    pub min: Vec<Path>,
+/// The candidates of one (source switch, destination switch) pair, as
+/// packed codes (see `code.rs`); only this crate reads them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PairPaths {
+    /// MIN candidates (one per live global link between the endpoint
+    /// groups).
+    pub(crate) min: Vec<u32>,
     /// VLB candidates — all of them for conventional UGAL, a topology-custom
     /// subset (T-VLB) for T-UGAL.
-    pub vlb: Vec<Path>,
+    pub(crate) vlb: Vec<u32>,
 }
 
 /// Summary of how a fault set reshaped a [`PathTable`], produced by
@@ -47,29 +49,32 @@ pub struct ReachabilityReport {
     pub unreachable_pairs: usize,
 }
 
-/// Applies `rule` to one pair's VLB set; `pair_idx` must be the pair's
-/// row-major index so the per-pair RNG stream matches
+/// Applies `rule` to the VLB codes of the pair `(s, d)`; `pair_idx` must
+/// be the pair's row-major index so the per-pair RNG stream matches
 /// [`PathTable::apply_rule`].
 fn apply_rule_pair(
-    topo: &Dragonfly,
-    pp: &mut PairPaths,
+    codec: &Codec,
+    (s, d): (SwitchId, SwitchId),
+    vlb: &mut Vec<u32>,
     rule: VlbRule,
     seed: u64,
     pair_idx: usize,
 ) {
+    let hops = |c: u32| codec.vlb_hops(s, d, c);
     match rule {
         VlbRule::All => {}
         VlbRule::ClassLimit {
             max_hops,
             frac_next,
         } => {
-            let mut keep: Vec<Path> = Vec::with_capacity(pp.vlb.len());
-            let mut next: Vec<Path> = Vec::new();
-            for &p in &pp.vlb {
-                if p.hops() <= max_hops as usize {
-                    keep.push(p);
-                } else if p.hops() == max_hops as usize + 1 {
-                    next.push(p);
+            let mut keep: Vec<u32> = Vec::with_capacity(vlb.len());
+            let mut next: Vec<u32> = Vec::new();
+            for &c in vlb.iter() {
+                let h = hops(c);
+                if h <= max_hops as usize {
+                    keep.push(c);
+                } else if h == max_hops as usize + 1 {
+                    next.push(c);
                 }
             }
             if frac_next > 0.0 && !next.is_empty() {
@@ -83,41 +88,53 @@ fn apply_rule_pair(
             }
             // Never leave a pair without VLB candidates: keep the
             // shortest class if the cutoff removed everything.
-            if keep.is_empty() && !pp.vlb.is_empty() {
-                let shortest = pp.vlb.iter().map(|p| p.hops()).min().unwrap();
-                keep.extend(pp.vlb.iter().copied().filter(|p| p.hops() == shortest));
+            if keep.is_empty() && !vlb.is_empty() {
+                let shortest = vlb.iter().map(|&c| hops(c)).min().unwrap();
+                keep.extend(vlb.iter().copied().filter(|&c| hops(c) == shortest));
             }
-            pp.vlb = keep;
+            *vlb = keep;
         }
         VlbRule::Strategic { first_seg } => {
-            pp.vlb.retain(|p| {
-                p.hops() <= 4
-                    || (p.hops() == 5 && split_lengths(topo, p).contains(&(first_seg as usize)))
+            let want = first_seg as usize;
+            vlb.retain(|&c| match hops(c) {
+                ..=4 => true,
+                5 => {
+                    let (first, other) = codec.first_segment_hops(s, d, c);
+                    first == want || other == Some(want)
+                }
+                _ => false,
             });
         }
-    }
-}
-
-impl PairPaths {
-    /// Average hop count of the VLB candidates (`None` when empty).
-    pub fn mean_vlb_hops(&self) -> Option<f64> {
-        if self.vlb.is_empty() {
-            return None;
-        }
-        Some(self.vlb.iter().map(|p| p.hops() as f64).sum::<f64>() / self.vlb.len() as f64)
     }
 }
 
 /// Explicit path table: candidate MIN and VLB paths for every ordered pair
 /// of distinct switches.
 ///
+/// Each candidate is stored as a 4-byte packed code and decoded to a
+/// [`Path`] only when it is inspected ([`Self::min`], [`Self::vlb`]) or
+/// drawn ([`crate::TableProvider`]).  A code means nothing without its
+/// topology, so the table holds the topology it was built for.
+///
 /// Memory is O(#pairs × #paths); the paper's `dfly(4,8,4,17)` (136 switches)
 /// fits comfortably, while `dfly(13,26,13,27)` does not and uses the
 /// on-the-fly [`crate::RuleProvider`] instead.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Clone)]
 pub struct PathTable {
-    n: usize,
+    topo: Arc<Dragonfly>,
+    codec: Codec,
     pairs: Vec<PairPaths>,
+}
+
+impl fmt::Debug for PathTable {
+    /// The codes of every pair (the topology is left out: two tables of
+    /// one topology print alike iff they hold the same candidates).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PathTable")
+            .field("n", &self.num_switches())
+            .field("pairs", &self.pairs)
+            .finish()
+    }
 }
 
 impl PathTable {
@@ -159,6 +176,7 @@ impl PathTable {
     /// its own index, so the table is the same at any thread count.
     fn build(topo: &Dragonfly, deg: Option<&Degraded>, rule: VlbRule, seed: u64) -> Self {
         let n = topo.num_switches();
+        let codec = Codec::new(topo);
         let sources: Vec<u32> = (0..n as u32).collect();
         let rows: Vec<Vec<PairPaths>> = sources
             .par_iter()
@@ -171,63 +189,96 @@ impl PathTable {
                         if s == d {
                             return PairPaths::default();
                         }
-                        let min = match deg {
-                            Some(dg) => min_paths_degraded(topo, dg, s, d),
-                            None => min_paths(topo, s, d),
-                        };
-                        vlb_paths_into(topo, deg, s, d, &mut buf, &mut vlb);
-                        let mut pp = PairPaths {
-                            min,
-                            vlb: std::mem::take(&mut vlb),
-                        };
-                        apply_rule_pair(topo, &mut pp, rule, seed, s.index() * n + d.index());
+                        vlb_codes_into(topo, deg, s, d, &mut buf, &mut vlb);
+                        apply_rule_pair(
+                            &codec,
+                            (s, d),
+                            &mut vlb,
+                            rule,
+                            seed,
+                            s.index() * n + d.index(),
+                        );
                         // Store an exact-size copy and keep the buffer.
-                        vlb = std::mem::take(&mut pp.vlb);
-                        pp.vlb = vlb.clone();
-                        pp
+                        PairPaths {
+                            min: min_codes(topo, deg, s, d),
+                            vlb: vlb.clone(),
+                        }
                     })
                     .collect()
             })
             .collect();
         PathTable {
-            n,
+            topo: Arc::new(topo.clone()),
+            codec,
             pairs: rows.into_iter().flatten().collect(),
         }
     }
 
+    /// The topology the table's candidates belong to.
+    pub(crate) fn topo(&self) -> &Dragonfly {
+        &self.topo
+    }
+
     /// Number of switches the table covers.
     pub fn num_switches(&self) -> usize {
-        self.n
+        self.topo.num_switches()
     }
 
     #[inline]
     fn idx(&self, s: SwitchId, d: SwitchId) -> usize {
-        s.index() * self.n + d.index()
+        s.index() * self.num_switches() + d.index()
     }
 
-    /// Candidate paths of a pair.
+    /// The packed candidates of a pair.
     #[inline]
-    pub fn pair(&self, s: SwitchId, d: SwitchId) -> &PairPaths {
+    pub(crate) fn codes(&self, s: SwitchId, d: SwitchId) -> &PairPaths {
         &self.pairs[self.idx(s, d)]
     }
 
-    /// Mutable candidate paths of a pair.
+    /// The decoding table of the table's topology.
     #[inline]
-    pub fn pair_mut(&mut self, s: SwitchId, d: SwitchId) -> &mut PairPaths {
+    pub(crate) fn codec(&self) -> &Codec {
+        &self.codec
+    }
+
+    /// The MIN candidates of a pair, in table order.
+    pub fn min(&self, s: SwitchId, d: SwitchId) -> impl ExactSizeIterator<Item = Path> + '_ {
+        self.codes(s, d)
+            .min
+            .iter()
+            .map(move |&c| self.codec.decode_min(s, d, c))
+    }
+
+    /// The VLB candidates of a pair, in table order.
+    pub fn vlb(&self, s: SwitchId, d: SwitchId) -> impl ExactSizeIterator<Item = Path> + '_ {
+        self.codes(s, d)
+            .vlb
+            .iter()
+            .map(move |&c| self.codec.decode_vlb(s, d, c))
+    }
+
+    /// Keeps the VLB candidates of a pair for which `keep` returns true,
+    /// visiting them once each, in order, and preserving their order.
+    pub fn retain_vlb(&mut self, s: SwitchId, d: SwitchId, mut keep: impl FnMut(&Path) -> bool) {
         let i = self.idx(s, d);
-        &mut self.pairs[i]
+        let codec = &self.codec;
+        self.pairs[i]
+            .vlb
+            .retain(|&c| keep(&codec.decode_vlb(s, d, c)));
     }
 
     /// Restricts every pair's VLB set to `rule`.
     ///
     /// The rule is applied to the *current* VLB sets, so it can only shrink
     /// them; build a fresh table to widen.
-    pub fn apply_rule(&mut self, topo: &Dragonfly, rule: VlbRule, seed: u64) {
+    pub fn apply_rule(&mut self, rule: VlbRule, seed: u64) {
         if rule.is_all() {
             return;
         }
+        let n = self.num_switches();
         for (i, pp) in self.pairs.iter_mut().enumerate() {
-            apply_rule_pair(topo, pp, rule, seed, i);
+            let pair = (SwitchId((i / n) as u32), SwitchId((i % n) as u32));
+            apply_rule_pair(&self.codec, pair, &mut pp.vlb, rule, seed, i);
         }
     }
 
@@ -244,38 +295,35 @@ impl PathTable {
     /// losing adaptivity for that pair.
     ///
     /// Returns a [`ReachabilityReport`] summarizing what changed.
-    pub fn degrade(
-        &mut self,
-        topo: &Dragonfly,
-        deg: &Degraded,
-        rule: VlbRule,
-        seed: u64,
-    ) -> ReachabilityReport {
+    pub fn degrade(&mut self, deg: &Degraded, rule: VlbRule, seed: u64) -> ReachabilityReport {
         let mut rep = ReachabilityReport::default();
-        for s in 0..self.n as u32 {
-            for d in 0..self.n as u32 {
+        let n = self.num_switches();
+        let (topo, codec) = (&*self.topo, &self.codec);
+        let mut buf = VlbBuffers::default();
+        for s in 0..n as u32 {
+            for d in 0..n as u32 {
                 if s == d {
                     continue;
                 }
                 let (s, d) = (SwitchId(s), SwitchId(d));
-                let i = self.idx(s, d);
+                let i = s.index() * n + d.index();
                 let pp = &mut self.pairs[i];
                 rep.pairs += 1;
                 let before_min = pp.min.len();
                 let before_vlb = pp.vlb.len();
-                pp.min.retain(|p| path_alive(topo, deg, p));
-                pp.vlb.retain(|p| path_alive(topo, deg, p));
+                pp.min
+                    .retain(|&c| path_alive(topo, deg, &codec.decode_min(s, d, c)));
+                pp.vlb
+                    .retain(|&c| path_alive(topo, deg, &codec.decode_vlb(s, d, c)));
                 rep.removed_min += before_min - pp.min.len();
                 rep.removed_vlb += before_vlb - pp.vlb.len();
                 if pp.vlb.is_empty() && before_vlb > 0 && !deg.switch_dead(s) && !deg.switch_dead(d)
                 {
-                    let mut fresh = PairPaths {
-                        min: Vec::new(),
-                        vlb: all_vlb_paths_degraded(topo, deg, s, d),
-                    };
-                    apply_rule_pair(topo, &mut fresh, rule, seed, i);
-                    if !fresh.vlb.is_empty() {
-                        pp.vlb = fresh.vlb;
+                    let mut fresh = Vec::new();
+                    vlb_codes_into(topo, Some(deg), s, d, &mut buf, &mut fresh);
+                    apply_rule_pair(codec, (s, d), &mut fresh, rule, seed, i);
+                    if !fresh.is_empty() {
+                        pp.vlb = fresh;
                         rep.regenerated_pairs += 1;
                     }
                 }
@@ -293,13 +341,24 @@ impl PathTable {
         rep
     }
 
+    /// Hop counts of every pair's VLB candidates, pair by pair in
+    /// row-major order.
+    fn vlb_hops(&self) -> impl Iterator<Item = impl ExactSizeIterator<Item = usize> + '_> + '_ {
+        let n = self.num_switches();
+        let codec = &self.codec;
+        self.pairs.iter().enumerate().map(move |(i, pp)| {
+            let (s, d) = (SwitchId((i / n) as u32), SwitchId((i % n) as u32));
+            pp.vlb.iter().map(move |&c| codec.vlb_hops(s, d, c))
+        })
+    }
+
     /// Average VLB hop count over all pairs with at least one VLB path.
     pub fn mean_vlb_hops(&self) -> f64 {
         let mut sum = 0.0;
         let mut count = 0usize;
-        for pp in &self.pairs {
-            sum += pp.vlb.iter().map(|p| p.hops() as f64).sum::<f64>();
-            count += pp.vlb.len();
+        for hops in self.vlb_hops() {
+            count += hops.len();
+            sum += hops.map(|h| h as f64).sum::<f64>();
         }
         if count == 0 {
             0.0
@@ -312,20 +371,10 @@ impl PathTable {
     /// (`counts[h]` = number of h-hop VLB candidates).
     pub fn vlb_class_counts(&self) -> [u64; 8] {
         let mut counts = [0u64; 8];
-        for pp in &self.pairs {
-            for p in &pp.vlb {
-                counts[p.hops()] += 1;
-            }
+        for h in self.vlb_hops().flatten() {
+            counts[h] += 1;
         }
         counts
-    }
-
-    /// Total number of MIN and VLB candidates stored.
-    pub(crate) fn total_paths(&self) -> usize {
-        self.pairs
-            .iter()
-            .map(|pp| pp.min.len() + pp.vlb.len())
-            .sum()
     }
 
     /// Total number of VLB candidates stored.
@@ -336,41 +385,62 @@ impl PathTable {
     /// Serializes the table into a compact binary blob (a computed T-VLB
     /// is a design-time artifact the paper expects to ship with the
     /// network; this is the shipping format).
+    ///
+    /// Layout (little-endian): the switch count `n` as `u64`, then for
+    /// each pair in row-major order its MIN and then its VLB list, each a
+    /// `u32` count followed by the paths, each a `u8` switch count and the
+    /// switch ids as `u16`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.n as u64).to_le_bytes());
-        for pp in &self.pairs {
-            for list in [&pp.min, &pp.vlb] {
-                out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-                for p in list {
-                    let switches: Vec<u16> = p.switches().map(|s| s.0 as u16).collect();
-                    out.push(switches.len() as u8);
-                    for sw in switches {
-                        out.extend_from_slice(&sw.to_le_bytes());
-                    }
+        fn put(out: &mut Vec<u8>, paths: impl ExactSizeIterator<Item = Path>) {
+            out.extend_from_slice(&(paths.len() as u32).to_le_bytes());
+            for p in paths {
+                out.push(p.hops() as u8 + 1);
+                for sw in p.switches() {
+                    out.extend_from_slice(&(sw.0 as u16).to_le_bytes());
                 }
+            }
+        }
+        let n = self.num_switches();
+        let mut out = Vec::new();
+        out.extend_from_slice(&(n as u64).to_le_bytes());
+        for s in 0..n as u32 {
+            for d in 0..n as u32 {
+                let (s, d) = (SwitchId(s), SwitchId(d));
+                put(&mut out, self.min(s, d));
+                put(&mut out, self.vlb(s, d));
             }
         }
         out
     }
 
-    /// Reverses [`PathTable::to_bytes`].  Returns `None` on malformed
-    /// input.
-    pub fn from_bytes(data: &[u8]) -> Option<Self> {
+    /// Reverses [`PathTable::to_bytes`] for the topology `topo`.  Returns
+    /// `None` on malformed input, and for a table that does not belong to
+    /// `topo`: a switch count other than `topo`'s, or any path that is not
+    /// a MIN (in a MIN list) or VLB (in a VLB list) candidate of its pair
+    /// in `topo`.
+    pub fn from_bytes(topo: &Dragonfly, data: &[u8]) -> Option<Self> {
         let mut cur = 0usize;
-        let take = |cur: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = data.get(*cur..*cur + n)?;
-            *cur += n;
+        let take = |cur: &mut usize, k: usize| -> Option<&[u8]> {
+            let s = data.get(*cur..cur.checked_add(k)?)?;
+            *cur += k;
             Some(s)
         };
-        let n = u64::from_le_bytes(take(&mut cur, 8)?.try_into().ok()?) as usize;
-        let mut pairs = Vec::with_capacity(n * n);
-        for _ in 0..n * n {
+        let n = usize::try_from(u64::from_le_bytes(take(&mut cur, 8)?.try_into().ok()?)).ok()?;
+        // Every pair holds two 4-byte counts: bound the table by the data
+        // before allocating for it.
+        let pairs_len = n.checked_mul(n)?;
+        if n != topo.num_switches() || pairs_len.checked_mul(8)? > data.len() - cur {
+            return None;
+        }
+        let mut pairs = Vec::with_capacity(pairs_len);
+        for idx in 0..pairs_len {
+            let (s, d) = (SwitchId((idx / n) as u32), SwitchId((idx % n) as u32));
             let mut pp = PairPaths::default();
             for which in 0..2 {
                 let count = u32::from_le_bytes(take(&mut cur, 4)?.try_into().ok()?) as usize;
                 let list = if which == 0 { &mut pp.min } else { &mut pp.vlb };
-                list.reserve(count);
+                // A path takes at least 3 bytes.
+                list.reserve(count.min((data.len() - cur) / 3));
                 for _ in 0..count {
                     let len = *take(&mut cur, 1)?.first()? as usize;
                     if len == 0 || len > crate::MAX_HOPS + 1 {
@@ -379,13 +449,25 @@ impl PathTable {
                     let mut switches = Vec::with_capacity(len);
                     for _ in 0..len {
                         let sw = u16::from_le_bytes(take(&mut cur, 2)?.try_into().ok()?);
-                        switches.push(tugal_topology::SwitchId(sw as u32));
+                        if sw as usize >= n {
+                            return None;
+                        }
+                        switches.push(SwitchId(sw as u32));
                     }
-                    list.push(Path::from_switches(&switches));
+                    let p = Path::from_switches(&switches);
+                    list.push(if which == 0 {
+                        code::encode_min(topo, s, d, &p)?
+                    } else {
+                        code::encode_vlb(topo, s, d, &p)?
+                    });
                 }
             }
             pairs.push(pp);
         }
-        (cur == data.len()).then_some(PathTable { n, pairs })
+        (cur == data.len()).then(|| PathTable {
+            topo: Arc::new(topo.clone()),
+            codec: Codec::new(topo),
+            pairs,
+        })
     }
 }

@@ -16,11 +16,11 @@ fn table_build_all_small() {
     let t = topo(2, 4, 2, 9);
     let table = PathTable::build_all(&t);
     assert_eq!(table.num_switches(), 36);
-    let pp = table.pair(SwitchId(0), SwitchId(4));
-    assert_eq!(pp.min.len(), 1); // maximal topology: one link per pair
-    assert!(!pp.vlb.is_empty());
+    let (s, d) = (SwitchId(0), SwitchId(4));
+    assert_eq!(table.min(s, d).len(), 1); // maximal topology: one link per pair
+    assert!(table.vlb(s, d).len() > 0);
     // Intra-switch pair has no candidates.
-    assert!(table.pair(SwitchId(0), SwitchId(0)).min.is_empty());
+    assert_eq!(table.min(s, s).len(), 0);
 }
 
 #[test]
@@ -36,15 +36,13 @@ fn class_limit_rule_shrinks_and_keeps_fraction() {
         7,
     );
     let (s, d) = (SwitchId(0), SwitchId(4));
-    let full_p = full.pair(s, d);
-    let lim_p = limited.pair(s, d);
-    let full5 = full_p.vlb.iter().filter(|p| p.hops() == 5).count();
-    let lim5 = lim_p.vlb.iter().filter(|p| p.hops() == 5).count();
-    let full_le4 = full_p.vlb.iter().filter(|p| p.hops() <= 4).count();
-    let lim_le4 = lim_p.vlb.iter().filter(|p| p.hops() <= 4).count();
+    let full5 = full.vlb(s, d).filter(|p| p.hops() == 5).count();
+    let lim5 = limited.vlb(s, d).filter(|p| p.hops() == 5).count();
+    let full_le4 = full.vlb(s, d).filter(|p| p.hops() <= 4).count();
+    let lim_le4 = limited.vlb(s, d).filter(|p| p.hops() <= 4).count();
     assert_eq!(full_le4, lim_le4, "<=4-hop paths must all be kept");
     assert_eq!(lim5, (full5 as f64 * 0.5).round() as usize);
-    assert!(lim_p.vlb.iter().all(|p| p.hops() <= 5));
+    assert!(limited.vlb(s, d).all(|p| p.hops() <= 5));
     assert!(limited.mean_vlb_hops() < full.mean_vlb_hops());
 }
 
@@ -59,11 +57,13 @@ fn class_limit_rule_is_reproducible() {
     let b = PathTable::build_with_rule(&t, rule, 42);
     let c = PathTable::build_with_rule(&t, rule, 43);
     let (s, d) = (SwitchId(0), SwitchId(5));
-    assert_eq!(a.pair(s, d).vlb, b.pair(s, d).vlb);
+    assert!(a.vlb(s, d).eq(b.vlb(s, d)));
     // Different seed almost surely picks a different 5-hop subset somewhere.
     let same_everywhere = (0..t.num_switches() as u32).all(|s| {
-        (0..t.num_switches() as u32)
-            .all(|d| a.pair(SwitchId(s), SwitchId(d)).vlb == c.pair(SwitchId(s), SwitchId(d)).vlb)
+        (0..t.num_switches() as u32).all(|d| {
+            a.vlb(SwitchId(s), SwitchId(d))
+                .eq(c.vlb(SwitchId(s), SwitchId(d)))
+        })
     });
     assert!(!same_everywhere);
 }
@@ -72,9 +72,9 @@ fn class_limit_rule_is_reproducible() {
 fn strategic_rule_fixes_first_segment() {
     let t = topo(4, 8, 4, 9);
     let table = PathTable::build_with_rule(&t, VlbRule::Strategic { first_seg: 2 }, 0);
-    let pp = table.pair(SwitchId(0), SwitchId(9));
-    assert!(!pp.vlb.is_empty());
-    for p in &pp.vlb {
+    let vlb: Vec<Path> = table.vlb(SwitchId(0), SwitchId(9)).collect();
+    assert!(!vlb.is_empty());
+    for p in &vlb {
         assert!(p.hops() <= 5);
         if p.hops() == 5 {
             assert!(
@@ -108,7 +108,7 @@ fn rule_never_empties_a_pair() {
                 continue;
             }
             assert!(
-                !table.pair(SwitchId(s), SwitchId(d)).vlb.is_empty(),
+                table.vlb(SwitchId(s), SwitchId(d)).len() > 0,
                 "pair ({s},{d}) lost all VLB candidates"
             );
         }
@@ -121,11 +121,12 @@ fn table_provider_samples_from_table() {
     let provider = TableProvider::all_paths(t.clone());
     let mut rng = SmallRng::seed_from_u64(1);
     let (s, d) = (SwitchId(0), SwitchId(7));
+    let table = provider.table();
     for _ in 0..100 {
         let m = provider.sample_min(s, d, &mut rng);
-        assert!(provider.pair(s, d).0.contains(&m));
+        assert!(table.min(s, d).any(|p| p == m));
         let v = provider.sample_vlb(s, d, &mut rng);
-        assert!(provider.pair(s, d).1.contains(&v));
+        assert!(table.vlb(s, d).any(|p| p == v));
     }
     // Degenerate pair.
     let p = provider.sample_vlb(s, s, &mut rng);
@@ -148,9 +149,8 @@ fn table_provider_pair_view_matches_consumed_table() {
     for s in 0..t.num_switches() as u32 {
         for d in 0..t.num_switches() as u32 {
             let (s, d) = (SwitchId(s), SwitchId(d));
-            let (min, vlb) = provider.pair(s, d);
-            assert_eq!(min, &table.pair(s, d).min[..]);
-            assert_eq!(vlb, &table.pair(s, d).vlb[..]);
+            assert!(provider.table().min(s, d).eq(table.min(s, d)));
+            assert!(provider.table().vlb(s, d).eq(table.vlb(s, d)));
         }
     }
 }
@@ -258,8 +258,7 @@ proptest! {
             let s = SwitchId(rng.gen_range(0..20));
             let d = SwitchId(rng.gen_range(0..20));
             if s == d { continue; }
-            let pp = table.pair(s, d);
-            for p in pp.min.iter().chain(pp.vlb.iter()) {
+            for p in table.min(s, d).chain(table.vlb(s, d)) {
                 prop_assert!(p.is_wired(&t));
                 prop_assert_eq!(p.src(), s);
                 prop_assert_eq!(p.dst(), d);
@@ -302,30 +301,91 @@ fn path_table_binary_roundtrip() {
         9,
     );
     let bytes = table.to_bytes();
-    let back = PathTable::from_bytes(&bytes).expect("roundtrip");
+    let back = PathTable::from_bytes(&t, &bytes).expect("roundtrip");
     assert_eq!(back.num_switches(), table.num_switches());
     assert_eq!(back.total_vlb_paths(), table.total_vlb_paths());
     for s in 0..12u32 {
         for d in 0..12u32 {
-            let a = table.pair(SwitchId(s), SwitchId(d));
-            let b = back.pair(SwitchId(s), SwitchId(d));
-            assert_eq!(a.min, b.min);
-            assert_eq!(a.vlb, b.vlb);
+            let (s, d) = (SwitchId(s), SwitchId(d));
+            assert!(table.min(s, d).eq(back.min(s, d)));
+            assert!(table.vlb(s, d).eq(back.vlb(s, d)));
         }
     }
 }
 
 #[test]
 fn path_table_from_bytes_rejects_garbage() {
-    assert!(PathTable::from_bytes(&[]).is_none());
-    assert!(PathTable::from_bytes(&[1, 2, 3]).is_none());
-    // Valid header, truncated body.
     let t = topo(2, 4, 2, 3);
+    assert!(PathTable::from_bytes(&t, &[]).is_none());
+    assert!(PathTable::from_bytes(&t, &[1, 2, 3]).is_none());
+    // A header claiming n = 20000 and nothing behind it: n² pairs of
+    // counts cannot fit, so the blob is rejected before any allocation.
+    let mut bytes = 20_000u64.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&[0; 4]);
+    assert!(PathTable::from_bytes(&topo(2, 4, 2, 5), &bytes).is_none());
+    let big = topo(4, 8, 4, 9);
+    let mut bytes = (big.num_switches() as u64).to_le_bytes().to_vec();
+    bytes.extend_from_slice(&[0; 4]);
+    assert!(PathTable::from_bytes(&big, &bytes).is_none());
+    // n² overflows.
+    assert!(PathTable::from_bytes(&t, &u64::MAX.to_le_bytes()).is_none());
+    // Valid header, truncated body.
     let mut bytes = PathTable::build_all(&t).to_bytes();
     bytes.truncate(bytes.len() / 2);
-    assert!(PathTable::from_bytes(&bytes).is_none());
+    assert!(PathTable::from_bytes(&t, &bytes).is_none());
     // Trailing junk.
     let mut bytes = PathTable::build_all(&t).to_bytes();
     bytes.push(0);
-    assert!(PathTable::from_bytes(&bytes).is_none());
+    assert!(PathTable::from_bytes(&t, &bytes).is_none());
+}
+
+/// The draw contract of `TableProvider`: each draw is one
+/// `gen_range(0..len)` over the pair's decoded MIN (or VLB) candidates, in
+/// table order, with the documented fallbacks, so it returns the same path
+/// and leaves the RNG in the same state as indexing the decoded list.
+/// Checked draw by draw over every pair of a pristine and a degraded
+/// table.
+#[test]
+fn table_provider_draws_index_the_decoded_candidates() {
+    use rand::{Rng, RngCore};
+    use tugal_topology::FaultSet;
+    let t = topo(2, 4, 2, 5);
+    let mut faults = FaultSet::sample_global_links(&t, 0.3, 0xD1CE);
+    faults.fail_switch(SwitchId(5));
+    let deg = t.degrade(&faults);
+    for (table, degraded) in [
+        (PathTable::build_all(&t), false),
+        (PathTable::build_all_degraded(&t, &deg), true),
+    ] {
+        let provider = TableProvider::new(t.clone(), table.clone());
+        let mut fallbacks = 0;
+        let (mut rng, mut want_rng) = (SmallRng::seed_from_u64(99), SmallRng::seed_from_u64(99));
+        // The reference draw: index the decoded list; an empty list falls
+        // back to the other one, and a pair with neither (or s == d) gets
+        // the zero-hop sentinel without a draw.
+        let mut pick = |first: Vec<Path>, second: Vec<Path>, s: SwitchId, d: SwitchId| {
+            let list = if first.is_empty() { second } else { first };
+            if s == d || list.is_empty() {
+                Path::single(s)
+            } else {
+                list[want_rng.gen_range(0..list.len())]
+            }
+        };
+        let n = t.num_switches() as u32;
+        for _ in 0..3 {
+            for (s, d) in (0..n).flat_map(|s| (0..n).map(move |d| (SwitchId(s), SwitchId(d)))) {
+                let (min, vlb): (Vec<Path>, Vec<Path>) =
+                    (table.min(s, d).collect(), table.vlb(s, d).collect());
+                fallbacks += usize::from(s != d && (min.is_empty() || vlb.is_empty()));
+                let want = pick(min.clone(), vlb.clone(), s, d);
+                assert_eq!(provider.sample_min(s, d, &mut rng), want, "MIN {s}->{d}");
+                let want = pick(vlb, min, s, d);
+                assert_eq!(provider.sample_vlb(s, d, &mut rng), want, "VLB {s}->{d}");
+            }
+        }
+        assert_eq!(rng.next_u64(), want_rng.next_u64());
+        // The degraded table exercises the fallbacks; the pristine one
+        // never needs them.
+        assert_eq!(fallbacks > 0, degraded);
+    }
 }

@@ -12,12 +12,15 @@
 //!   and under sampled cable faults plus one dead switch;
 //! * `build_with_rule` (and `_degraded`), which restricts each pair as it
 //!   is enumerated, serializes byte for byte like `build_all` followed by
-//!   `apply_rule`.
+//!   `apply_rule`;
+//! * the `Strategic` rule, which reads split points from packed codes,
+//!   keeps exactly the paths that `split_lengths` admits;
+//! * `from_bytes` re-encodes what `to_bytes` writes, on the zoo grid.
 
 use std::collections::HashSet;
 use tugal_routing::{
-    all_vlb_paths, all_vlb_paths_degraded, vlb_paths_via, vlb_paths_via_degraded, Path, PathTable,
-    VlbRule,
+    all_vlb_paths, all_vlb_paths_degraded, split_lengths, vlb_paths_via, vlb_paths_via_degraded,
+    Path, PathTable, VlbRule,
 };
 use tugal_topology::{
     ArrangementSpec, Degraded, Dragonfly, DragonflyParams, FaultSet, GroupId, SwitchId,
@@ -107,7 +110,11 @@ fn structural_enumeration_equals_the_hash_set_oracle() {
         for (s, d) in pairs(&t).filter(|(s, d)| s != d) {
             let want = oracle(&t, None, s, d);
             assert_eq!(all_vlb_paths(&t, s, d), want, "{tag}: {s}->{d}");
-            assert_eq!(table.pair(s, d).vlb, want, "{tag} table: {s}->{d}");
+            assert_eq!(
+                table.vlb(s, d).collect::<Vec<_>>(),
+                want,
+                "{tag} table: {s}->{d}"
+            );
             let want = oracle(&t, Some(&deg), s, d);
             assert_eq!(
                 all_vlb_paths_degraded(&t, &deg, s, d),
@@ -115,7 +122,7 @@ fn structural_enumeration_equals_the_hash_set_oracle() {
                 "{tag} degraded: {s}->{d}"
             );
             assert_eq!(
-                table_deg.pair(s, d).vlb,
+                table_deg.vlb(s, d).collect::<Vec<_>>(),
                 want,
                 "{tag} degraded table: {s}->{d}"
             );
@@ -150,18 +157,60 @@ fn rule_per_pair_equals_build_all_then_apply_rule() {
         let all_deg = PathTable::build_all_degraded(&t, &deg);
         for rule in RULES {
             let mut want = all.clone();
-            want.apply_rule(&t, rule, 0x5EED);
+            want.apply_rule(rule, 0x5EED);
             assert!(
                 PathTable::build_with_rule(&t, rule, 0x5EED).to_bytes() == want.to_bytes(),
                 "dfly({p},{a},{h},{g}) {rule:?}"
             );
             let mut want = all_deg.clone();
-            want.apply_rule(&t, rule, 0x5EED);
+            want.apply_rule(rule, 0x5EED);
             assert!(
                 PathTable::build_with_rule_degraded(&t, &deg, rule, 0x5EED).to_bytes()
                     == want.to_bytes(),
                 "dfly({p},{a},{h},{g}) degraded {rule:?}"
             );
+        }
+    }
+}
+
+#[test]
+fn strategic_rule_keeps_exactly_the_split_length_filter() {
+    for (p, a, h, g) in SHAPES {
+        let t = Dragonfly::new(DragonflyParams::new(p, a, h, g)).unwrap();
+        let all = PathTable::build_all(&t);
+        for first_seg in [2u8, 3] {
+            let table = PathTable::build_with_rule(&t, VlbRule::Strategic { first_seg }, 0);
+            for (s, d) in pairs(&t).filter(|(s, d)| s != d) {
+                let want: Vec<Path> = all
+                    .vlb(s, d)
+                    .filter(|p| {
+                        p.hops() <= 4
+                            || (p.hops() == 5
+                                && split_lengths(&t, p).contains(&(first_seg as usize)))
+                    })
+                    .collect();
+                assert_eq!(
+                    table.vlb(s, d).collect::<Vec<_>>(),
+                    want,
+                    "dfly({p},{a},{h},{g}) strategic {first_seg}: {s}->{d}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn shipping_format_round_trips_on_the_zoo() {
+    for (tag, t) in zoo() {
+        let deg = t.degrade(&faults(&t));
+        for table in [
+            PathTable::build_all(&t),
+            PathTable::build_all_degraded(&t, &deg),
+        ] {
+            let bytes = table.to_bytes();
+            let back = PathTable::from_bytes(&t, &bytes).unwrap_or_else(|| panic!("{tag}"));
+            assert!(back.to_bytes() == bytes, "{tag}");
+            assert_eq!(format!("{back:?}"), format!("{table:?}"), "{tag}");
         }
     }
 }

@@ -110,15 +110,8 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
 fn provider_from_rule(rule: &str, topo: &Arc<Dragonfly>) -> Result<Arc<dyn PathProvider>, String> {
     if std::path::Path::new(rule).exists() {
         let bytes = std::fs::read(rule).map_err(|e| format!("reading {rule}: {e}"))?;
-        let table =
-            PathTable::from_bytes(&bytes).ok_or_else(|| format!("{rule}: not a T-VLB table"))?;
-        if table.num_switches() != topo.num_switches() {
-            return Err(format!(
-                "{rule}: table is for {} switches, topology has {}",
-                table.num_switches(),
-                topo.num_switches()
-            ));
-        }
+        let table = PathTable::from_bytes(topo, &bytes)
+            .ok_or_else(|| format!("{rule}: not a T-VLB table for {}", topo.params()))?;
         return Ok(Arc::new(TableProvider::new(topo.clone(), table)));
     }
     let rule = parse_rule(rule)?;
