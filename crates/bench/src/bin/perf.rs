@@ -15,7 +15,7 @@
 //!
 //! Environment knobs:
 //!
-//! * `TUGAL_PERF_TINY=1` — run only the tiny suite (CI smoke mode).
+//! * `TUGAL_TINY=1` — run only the tiny suite (CI smoke mode).
 //! * `TUGAL_PERF_CHECK=<baseline.json>` — after running, compare each
 //!   scenario's jobs/sec against the same-label scenario of the baseline
 //!   file and exit non-zero on a regression beyond the tolerance.
@@ -30,6 +30,7 @@
 //! never silently compared against.
 
 use std::sync::Arc;
+use tugal_bench::env::HarnessEnv;
 use tugal_bench::{dfly, fatal, sim_config};
 use tugal_netsim::runner::{ExperimentRunner, RunSummary, SeriesSpec};
 use tugal_netsim::{Config, NoopObserver, RoutingAlgorithm};
@@ -47,19 +48,6 @@ const TVLB_RULE: VlbRule = VlbRule::ClassLimit {
     max_hops: 4,
     frac_next: 0.6,
 };
-
-fn tiny_only() -> bool {
-    std::env::var("TUGAL_PERF_TINY")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-fn tolerance() -> f64 {
-    std::env::var("TUGAL_PERF_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.25)
-}
 
 /// FNV-1a over the scenario's defining parameters.
 fn digest(parts: &[&str]) -> String {
@@ -337,13 +325,14 @@ fn check_regressions(current: &[Scenario], baseline: &BenchFile, tol: f64) -> Ve
 }
 
 fn main() {
-    let out_path = std::env::var("TUGAL_PERF_OUT").unwrap_or_else(|_| "BENCH_netsim.json".into());
+    let env = HarnessEnv::get();
+    let out_path = &env.perf_out;
     // Load the baseline before the run (the run overwrites the file).  A
     // missing or malformed baseline is a typed setup error (exit 2 via
     // `fatal`), not a panic: the regression gate must fail loudly and
     // distinguishably when its reference input is unusable.
-    let baseline: Option<BenchFile> = std::env::var("TUGAL_PERF_CHECK").ok().map(|p| {
-        let data = match std::fs::read_to_string(&p) {
+    let baseline: Option<BenchFile> = env.perf_check.as_ref().map(|p| {
+        let data = match std::fs::read_to_string(p) {
             Ok(d) => d,
             Err(e) => fatal(
                 &format!("TUGAL_PERF_CHECK={p}"),
@@ -366,7 +355,7 @@ fn main() {
         cfg.window
     );
     let mut scenarios = tiny_suite(&cfg);
-    if !tiny_only() {
+    if !env.tiny {
         scenarios.extend(reference_suite(&cfg));
         scenarios.extend(scale_suite(&cfg));
     }
@@ -381,13 +370,13 @@ fn main() {
         Ok(j) => j,
         Err(e) => fatal("serializing bench file", format!("{e:?}")),
     };
-    if let Err(e) = std::fs::write(&out_path, json) {
+    if let Err(e) = std::fs::write(out_path, json) {
         fatal(&format!("writing {out_path}"), e);
     }
     println!("# wrote {out_path}");
 
     if let Some(baseline) = baseline {
-        let failures = check_regressions(&file.scenarios, &baseline, tolerance());
+        let failures = check_regressions(&file.scenarios, &baseline, env.perf_tolerance);
         if !failures.is_empty() {
             eprintln!("perf regression check failed:");
             for f in &failures {
@@ -397,7 +386,7 @@ fn main() {
         }
         println!(
             "# regression check passed (tolerance {:.0}%)",
-            tolerance() * 100.0
+            env.perf_tolerance * 100.0
         );
     }
 }

@@ -14,24 +14,19 @@
 //!
 //! Environment knobs:
 //!
-//! * `TUGAL_PROF_TINY=1` — only `dfly(2,4,2,5)` (CI smoke mode).
+//! * `TUGAL_TINY=1` — only `dfly(2,4,2,5)` (CI smoke mode).
 //! * `TUGAL_FULL=1` — paper-scale windows.
 //! * `TUGAL_PROF_OUT=<path>` — output path (default
 //!   `results/profile.json`).
 
 use std::sync::Arc;
+use tugal_bench::env::HarnessEnv;
 use tugal_bench::{dfly, fatal, sim_config};
 use tugal_netsim::runner::{ExperimentRunner, SeriesSpec};
 use tugal_netsim::trace::phase_totals;
 use tugal_netsim::{NoopObserver, Phase, ProfileReport, RoutingAlgorithm};
 use tugal_routing::{PathProvider, PathTable, TableProvider};
 use tugal_traffic::Uniform;
-
-fn tiny_only() -> bool {
-    std::env::var("TUGAL_PROF_TINY")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
 
 #[derive(serde::Serialize)]
 struct PhaseRow {
@@ -110,8 +105,8 @@ fn profile_scenario(
 }
 
 fn main() {
-    let out_path =
-        std::env::var("TUGAL_PROF_OUT").unwrap_or_else(|_| "results/profile.json".into());
+    let env = HarnessEnv::get();
+    let out_path = &env.prof_out;
     let cfg = sim_config();
     println!(
         "# prof: engine phase attribution ({} windows of {} cycles)",
@@ -119,7 +114,7 @@ fn main() {
         cfg.window
     );
 
-    let topologies: Vec<(u32, u32, u32, u32)> = if tiny_only() {
+    let topologies: Vec<(u32, u32, u32, u32)> = if env.tiny {
         vec![(2, 4, 2, 5)]
     } else {
         vec![(4, 7, 4, 8), (4, 8, 4, 9)]
@@ -184,7 +179,7 @@ fn main() {
         Ok(j) => j,
         Err(e) => fatal("serializing profile file", format!("{e:?}")),
     };
-    if let Err(e) = std::fs::write(&out_path, json) {
+    if let Err(e) = std::fs::write(out_path, json) {
         fatal(&format!("writing {out_path}"), e);
     }
     println!("# wrote {out_path}");

@@ -20,6 +20,7 @@ use tugal_obs::render_stall;
 use tugal_topology::Dragonfly;
 
 fn main() {
+    tugal_bench::env::HarnessEnv::get();
     let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
         fatal("usage", "replay <capsule.json> [more.json ...]");

@@ -18,7 +18,7 @@
 //!   `2,7,1,8`.
 //! * `TUGAL_RESILIENCE_KILL9=<n>` — SIGKILL this process as soon as `n`
 //!   checkpoint files exist under the `TUGAL_CKPT` directory (requires
-//!   `TUGAL_CKPT`; see [`tugal_netsim::CkptConfig`]).  The CI ckpt-smoke
+//!   `TUGAL_CKPT`; see [`tugal_bench::env`]).  The CI ckpt-smoke
 //!   job uses it to die mid-simulation — no unwinding, no flushes — and
 //!   asserts a resumed re-invocation (same `TUGAL_JOURNAL` and
 //!   `TUGAL_CKPT`) reproduces the uninterrupted results byte-for-byte.
@@ -26,6 +26,7 @@
 //! All floating-point results are written as exact IEEE-754 bits: two runs
 //! produce byte-identical files iff they produced bit-identical results.
 
+use tugal_bench::env::HarnessEnv;
 use tugal_bench::{
     dfly, fatal, finish, print_figure, run_series_cfg, shift, sim_config, ugal_provider, Series,
 };
@@ -49,53 +50,21 @@ struct Out {
     series: Vec<(String, Vec<PointOut>)>,
 }
 
-fn panic_injection() -> bool {
-    std::env::var("TUGAL_RESILIENCE_PANIC")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// The sweep's topology: `TUGAL_RESILIENCE_TOPO=p,a,h,g` if set (and
-/// well-formed — anything else is a fatal setup error), else the default
-/// `dfly(2,4,2,5)`.
-fn resilience_topo() -> std::sync::Arc<tugal_topology::Dragonfly> {
-    let spec = match std::env::var("TUGAL_RESILIENCE_TOPO") {
-        Ok(s) if !s.trim().is_empty() => s,
-        _ => return dfly(2, 4, 2, 5),
-    };
-    let parts: Vec<u32> = spec
-        .split(',')
-        .map(|t| t.trim().parse::<u32>())
-        .collect::<Result<_, _>>()
-        .unwrap_or_default();
-    match parts.as_slice() {
-        [p, a, h, g] => dfly(*p, *a, *h, *g),
-        _ => fatal(
-            "parsing TUGAL_RESILIENCE_TOPO",
-            format!("expected `p,a,h,g`, got `{spec}`"),
-        ),
-    }
-}
-
 /// Arms the `TUGAL_RESILIENCE_KILL9` watcher: a thread that polls the
 /// `TUGAL_CKPT` directory and SIGKILLs the process once the requested
 /// number of checkpoint files exist — the hardest crash the harness can
 /// inflict on itself (no unwinding, no atexit hooks, no stdio flushes),
 /// exactly what the checkpoint layer's durability discipline must survive.
-fn arm_kill9() {
-    let Some(n) = std::env::var("TUGAL_RESILIENCE_KILL9")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    else {
+fn arm_kill9(env: &HarnessEnv) {
+    let Some(n) = env.resilience_kill9 else {
         return;
     };
-    let Ok(dir) = std::env::var("TUGAL_CKPT") else {
+    let Some(ckpt) = &env.ckpt else {
         eprintln!("warning: TUGAL_RESILIENCE_KILL9 set without TUGAL_CKPT; ignoring");
         return;
     };
+    let dir = std::path::PathBuf::from(&ckpt.dir);
     std::thread::spawn(move || {
-        let dir = std::path::PathBuf::from(dir);
         loop {
             let ckpts = std::fs::read_dir(&dir)
                 .map(|it| {
@@ -119,10 +88,11 @@ fn arm_kill9() {
 }
 
 fn main() {
-    arm_kill9();
-    let out_path =
-        std::env::var("TUGAL_RESILIENCE_OUT").unwrap_or_else(|_| "results/resilience.json".into());
-    let topo = resilience_topo();
+    let env = HarnessEnv::get();
+    arm_kill9(env);
+    let out_path = &env.resilience_out;
+    let (p, a, h, g) = env.resilience_topo;
+    let topo = dfly(p, a, h, g);
     let provider = ugal_provider(&topo);
     let pattern = shift(&topo, 1, 0);
     let ugal_cfg = sim_config().for_routing(RoutingAlgorithm::UgalL);
@@ -141,7 +111,7 @@ fn main() {
             vlb_cfg,
         ),
     ];
-    if panic_injection() {
+    if env.resilience_panic {
         // One VC cannot host UGAL-L's escape scheme: Config::validate
         // accepts it (it is a routing-specific minimum, not a structural
         // one) and Simulator::new panics — deterministically — inside the
@@ -159,7 +129,7 @@ fn main() {
     let series = run_series_cfg(&topo, &pattern, &entries, &rates, None);
     let title = format!("resilience smoke sweep, {}, shift(1,0)", topo.params());
     print_figure("resilience", &title, &series);
-    write_deterministic(&out_path, &series);
+    write_deterministic(out_path, &series);
     println!("# wrote {out_path}");
     finish();
 }

@@ -11,6 +11,7 @@
 use tugal_netsim::trace::validate_line;
 
 fn main() {
+    tugal_bench::env::HarnessEnv::get();
     let Some(path) = std::env::args().nth(1) else {
         eprintln!("usage: tracecheck <trace.jsonl>");
         std::process::exit(2);

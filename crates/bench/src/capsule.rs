@@ -327,12 +327,9 @@ pub fn capsule_dir() -> PathBuf {
 }
 
 /// How many `capsule_*.json` files the pruning keeps (newest first);
-/// override with `TUGAL_CAPSULE_KEEP`.  Fixtures are never pruned.
+/// set with `TUGAL_CAPSULE_KEEP`.  Fixtures are never pruned.
 pub fn capsule_retain() -> usize {
-    std::env::var("TUGAL_CAPSULE_KEEP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
+    crate::env::HarnessEnv::get().capsule_keep
 }
 
 /// Writes `capsule` into `dir` (created lazily) as

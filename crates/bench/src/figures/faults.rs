@@ -26,11 +26,11 @@
 //!   zero pivots.  Chain counters land in the `lp_stats` section of
 //!   `results/fig_faults.json`.
 //!
-//! `TUGAL_FAULTS_TINY=1` swaps in `dfly(2,4,2,5)` for CI smoke runs.
+//! `TUGAL_TINY=1` swaps in `dfly(2,4,2,5)` for CI smoke runs.
 
+use crate::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tugal_bench::*;
 use tugal_model::{
     modeled_throughput, modeled_throughput_degraded_warm, ModelVariant, ModelWarmCache,
 };
@@ -47,9 +47,7 @@ const FAULT_SEED: u64 = 0xFA17;
 const TVLB_TABLE_SEED: u64 = 0x7065;
 
 fn tiny() -> bool {
-    std::env::var("TUGAL_FAULTS_TINY")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+    env::HarnessEnv::get().tiny
 }
 
 /// Clones a pristine table, filters it against the degraded view and wraps
@@ -72,7 +70,8 @@ fn degraded_provider(
     Arc::new(TableProvider::new(topo.clone(), table))
 }
 
-fn main() {
+/// The fault sweep figure.
+pub fn fig_faults() {
     let topo = if tiny() {
         dfly(2, 4, 2, 5)
     } else {
@@ -357,5 +356,4 @@ fn main() {
         "failure sweep (global-link faults), UGAL-L vs T-UGAL-L, UR + shift(1,0)",
         &all_series,
     );
-    tugal_bench::finish();
 }

@@ -8,7 +8,7 @@
 //! prints that distribution as load deciles over all global channels, plus
 //! the decision mix and exact latency percentiles the metrics layer adds.
 
-use tugal_bench::*;
+use crate::*;
 use tugal_netsim::RoutingAlgorithm;
 use tugal_obs::MetricsConfig;
 
@@ -21,7 +21,8 @@ fn pct(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn main() {
+/// The global-link load profile figure.
+pub fn fig_linkload() {
     // Telemetry is the whole point of this figure, so override the
     // environment: summary + per-channel loads, with time-series and
     // occupancy sampling at moderate cadences.
@@ -114,5 +115,4 @@ fn main() {
         "global-link load profile, shift(2,0), dfly(4,8,4,9), UGAL-L vs T-UGAL-L",
         &series,
     );
-    tugal_bench::finish();
 }

@@ -22,9 +22,9 @@
 //!   the plain cold model of the same shape.  Chain counters land in the
 //!   `lp_stats` section of `results/fig_zoo.json`.
 //!
-//! `TUGAL_ZOO_TINY=1` swaps in `dfly(2,4,2,5)` for CI smoke runs.
+//! `TUGAL_TINY=1` swaps in `dfly(2,4,2,5)` for CI smoke runs.
 
-use tugal_bench::*;
+use crate::*;
 use tugal_model::{modeled_throughput, modeled_throughput_warm, ModelVariant, ModelWarmCache};
 use tugal_netsim::RoutingAlgorithm;
 use tugal_obs::MetricsConfig;
@@ -34,12 +34,11 @@ use tugal_routing::VlbRule;
 const ZOO_SEED: u64 = 0x2007;
 
 fn tiny() -> bool {
-    std::env::var("TUGAL_ZOO_TINY")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+    env::HarnessEnv::get().tiny
 }
 
-fn main() {
+/// The topology zoo figure.
+pub fn fig_zoo() {
     // Per-channel telemetry on, exactly as fig_linkload configures it, so
     // the absolute/lag-1 anchor runs the identical code path.
     force_metrics(MetricsConfig {
@@ -169,5 +168,4 @@ fn main() {
         "arrangement x global_lag grid, shift(2,0), UGAL-L vs T-UGAL-L",
         &all_series,
     );
-    tugal_bench::finish();
 }

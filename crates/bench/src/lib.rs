@@ -1,12 +1,14 @@
 //! # Experiment harnesses
 //!
-//! One runnable target per table/figure of the paper (see DESIGN.md's
-//! per-experiment index) plus ablation studies and Criterion
-//! micro-benchmarks of the substrates.
+//! One `fig` binary runs every table, figure and ablation of the paper
+//! through the registry in [`figures`] (`fig <id>`; a bare `fig` lists
+//! the ids, and DESIGN.md's per-experiment index maps them to the
+//! paper), plus Criterion micro-benchmarks of the substrates.
 //!
 //! Every harness prints the series/rows the paper reports, as
 //! tab-separated text prefixed with `#` comments, and also writes a JSON
 //! record under `results/` so EXPERIMENTS.md numbers are regenerable.
+//! Every `TUGAL_*` setting is parsed once, by [`env::HarnessEnv`].
 //!
 //! ## Fidelity modes
 //!
@@ -18,11 +20,14 @@
 //! stored numbers.
 
 pub mod capsule;
+pub mod env;
+pub mod figures;
 
+use env::HarnessEnv;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use tugal::{compute_tvlb, conventional_provider, TUgalConfig};
 use tugal_netsim::journal::Journal;
 use tugal_netsim::runner::{
@@ -30,7 +35,7 @@ use tugal_netsim::runner::{
 };
 use tugal_netsim::trace::TraceSink;
 use tugal_netsim::{
-    Config, CurvePoint, FaultSchedule, NoopObserver, RoutingAlgorithm, SimObserver, SweepOptions,
+    Config, CurvePoint, FaultSchedule, NoopObserver, RoutingAlgorithm, SimObserver,
 };
 use tugal_obs::{render_stall, MetricsConfig, MetricsObserver, MetricsReport};
 use tugal_routing::{PathProvider, RuleProvider, VlbRule};
@@ -53,17 +58,12 @@ pub fn fatal(context: &str, err: impl std::fmt::Display) -> ! {
 /// possible, written as a replay capsule under `logs/capsules/`.
 static FAILED_JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// How many jobs failed so far in this process.
-pub fn failed_jobs() -> usize {
-    FAILED_JOBS.load(Ordering::Relaxed)
-}
-
 /// Ends a harness process with the resilience exit-code convention:
 /// 0 when every job completed, 3 when some jobs failed and were skipped
 /// by the aggregation (their capsules are under `logs/capsules/`).
 /// Setup errors exit 2 via [`fatal`] before any sweep runs.
 pub fn finish() -> ! {
-    let failed = failed_jobs();
+    let failed = FAILED_JOBS.load(Ordering::Relaxed);
     if failed > 0 {
         eprintln!(
             "{failed} job(s) failed and were skipped; replay capsules are under {}",
@@ -76,22 +76,22 @@ pub fn finish() -> ! {
 
 /// True when `TUGAL_FULL=1`: paper-scale windows and pattern suites.
 pub fn full_fidelity() -> bool {
-    std::env::var("TUGAL_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+    HarnessEnv::get().full
 }
 
 /// Simulator configuration for the current fidelity mode (Table 3 network
-/// parameters in both), with the `TUGAL_CKPT`/`TUGAL_CKPT_EVERY` override
-/// applied, so any harness can run with mid-simulation checkpointing (the
-/// runner keys each job's checkpoint files by its journal digest).
+/// parameters in both), with the `TUGAL_CKPT`/`TUGAL_CKPT_EVERY`
+/// checkpointing applied, so any harness can run with mid-simulation
+/// checkpoints (the runner keys each job's checkpoint files by its
+/// journal digest).
 pub fn sim_config() -> Config {
-    let cfg = if full_fidelity() {
+    let mut cfg = if full_fidelity() {
         Config::paper_default()
     } else {
         Config::quick()
     };
-    cfg.with_env_ckpt()
+    cfg.checkpoint = HarnessEnv::get().ckpt.clone();
+    cfg
 }
 
 /// Session-wide metrics override (set by harnesses like `fig_linkload`
@@ -99,7 +99,7 @@ pub fn sim_config() -> Config {
 static METRICS_OVERRIDE: Mutex<Option<MetricsConfig>> = Mutex::new(None);
 
 /// Forces a metrics configuration for every subsequent sweep in this
-/// process, overriding the `TUGAL_METRICS*` environment variables.
+/// process, overriding the `TUGAL_METRICS*` settings.
 pub fn force_metrics(cfg: MetricsConfig) {
     if let Ok(mut m) = METRICS_OVERRIDE.lock() {
         *m = Some(cfg);
@@ -107,32 +107,14 @@ pub fn force_metrics(cfg: MetricsConfig) {
 }
 
 /// The metrics configuration for this process: a [`force_metrics`]
-/// override if set, else `TUGAL_METRICS=1` (with optional
-/// `TUGAL_METRICS_SAMPLE` / `TUGAL_METRICS_OCC` cycle cadences) from the
-/// environment, else disabled — the default, which keeps every harness
-/// running the un-instrumented engine.
+/// override if set, else the `TUGAL_METRICS*` settings — disabled by
+/// default, which keeps every harness running the un-instrumented engine.
 pub fn metrics_config() -> MetricsConfig {
-    if let Some(cfg) = METRICS_OVERRIDE.lock().ok().and_then(|m| m.clone()) {
-        return cfg;
-    }
-    let on = std::env::var("TUGAL_METRICS")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    if !on {
-        return MetricsConfig::default();
-    }
-    let cadence = |key: &str| {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0)
-    };
-    MetricsConfig {
-        enabled: true,
-        sample_every: cadence("TUGAL_METRICS_SAMPLE"),
-        occupancy_every: cadence("TUGAL_METRICS_OCC"),
-        per_channel: true,
-    }
+    METRICS_OVERRIDE
+        .lock()
+        .ok()
+        .and_then(|m| m.clone())
+        .unwrap_or_else(|| HarnessEnv::get().metrics.clone())
 }
 
 /// Accumulated run summary of every [`ExperimentRunner`] batch this
@@ -194,21 +176,6 @@ pub fn record_lp_stats(label: &str, stats: &tugal_model::LpStats) {
                 wall_ms: stats.wall_ms,
             },
         );
-    }
-}
-
-/// Sweep options (replication seeds, bisection resolution) for the mode.
-pub fn sweep_options() -> SweepOptions {
-    if full_fidelity() {
-        SweepOptions {
-            seeds: vec![1, 2, 3, 4, 5, 6, 7, 8],
-            resolution: 0.01,
-        }
-    } else {
-        SweepOptions {
-            seeds: vec![1, 2],
-            resolution: 0.02,
-        }
     }
 }
 
@@ -435,18 +402,22 @@ pub fn run_series_cfg(
     rates: &[f64],
     faults: Option<Arc<FaultSchedule>>,
 ) -> Vec<Series> {
-    let mut seeds = sweep_options().seeds;
+    let mut seeds = if full_fidelity() {
+        vec![1, 2, 3, 4, 5, 6, 7, 8]
+    } else {
+        vec![1, 2]
+    };
     if topo.num_switches() > 300 && !full_fidelity() {
         seeds.truncate(1);
     }
-    let budget = job_budget();
+    let budget = HarnessEnv::get().budget;
     let mut runner = ExperimentRunner::new(topo.clone())
         .with_budget(budget)
-        .with_profiling(profiling_on());
-    if let Some(journal) = journal_from_env() {
+        .with_profiling(HarnessEnv::get().profile);
+    if let Some(journal) = journal() {
         runner = runner.with_journal(journal);
     }
-    if let Some(trace) = trace_from_env() {
+    if let Some(trace) = trace_sink() {
         runner = runner.with_trace(trace);
     }
     for (label, provider, routing, cfg) in entries {
@@ -531,33 +502,11 @@ fn run_batch<O: SimObserver + Send>(
     curves
 }
 
-/// Parses a `u64` environment knob (absent or malformed → 0).
-fn env_u64(key: &str) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// The per-job budget every sweep of this process runs under:
-/// `TUGAL_JOB_MAX_CYCLES` (simulated-cycle ceiling) and
-/// `TUGAL_JOB_WALL_MS` (wall-clock ceiling).  Unset → unlimited, which
-/// also keeps job configs (and thus perf digests) untouched.
-pub fn job_budget() -> JobBudget {
-    JobBudget {
-        max_cycles: env_u64("TUGAL_JOB_MAX_CYCLES"),
-        wall_limit_ms: env_u64("TUGAL_JOB_WALL_MS"),
-    }
-}
-
 /// The resume journal named by `TUGAL_JOURNAL`, if any.  An unusable path
 /// is a warning, not an error: the sweep still runs, just without resume.
-fn journal_from_env() -> Option<Arc<Journal>> {
-    let path = std::env::var("TUGAL_JOURNAL").ok()?;
-    if path.is_empty() {
-        return None;
-    }
-    match Journal::open(std::path::Path::new(&path)) {
+fn journal() -> Option<Arc<Journal>> {
+    let path = HarnessEnv::get().journal.as_ref()?;
+    match Journal::open(std::path::Path::new(path)) {
         Ok(j) => Some(Arc::new(j)),
         Err(e) => {
             eprintln!("warning: TUGAL_JOURNAL={path}: {e}; running without a resume journal");
@@ -566,19 +515,15 @@ fn journal_from_env() -> Option<Arc<Journal>> {
     }
 }
 
-static TRACE_SINK: std::sync::OnceLock<Option<Arc<TraceSink>>> = std::sync::OnceLock::new();
-
 /// The trace sink named by `TUGAL_TRACE`, if any — opened once per
 /// process so every batch of a multi-sweep harness shares one JSONL file
 /// and one `t_ms` timebase.  An unusable path is a warning, not an error.
-pub fn trace_from_env() -> Option<Arc<TraceSink>> {
+fn trace_sink() -> Option<Arc<TraceSink>> {
+    static TRACE_SINK: OnceLock<Option<Arc<TraceSink>>> = OnceLock::new();
     TRACE_SINK
         .get_or_init(|| {
-            let path = std::env::var("TUGAL_TRACE").ok()?;
-            if path.is_empty() {
-                return None;
-            }
-            match TraceSink::open(std::path::Path::new(&path)) {
+            let path = HarnessEnv::get().trace.as_ref()?;
+            match TraceSink::open(std::path::Path::new(path)) {
                 Ok(t) => Some(Arc::new(t)),
                 Err(e) => {
                     eprintln!("warning: TUGAL_TRACE={path}: {e}; running without a trace");
@@ -587,17 +532,6 @@ pub fn trace_from_env() -> Option<Arc<TraceSink>> {
             }
         })
         .clone()
-}
-
-/// True when `TUGAL_PROFILE=1`: every job runs with a live
-/// [`tugal_netsim::EngineProf`], so run summaries (and `job_end` trace
-/// spans) carry per-phase attribution.  Off by default — the profiled and
-/// unprofiled engines produce bit-identical results, but profiling is not
-/// free.
-pub fn profiling_on() -> bool {
-    std::env::var("TUGAL_PROFILE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
 }
 
 /// Reports every failed job of a batch: a stderr diagnostic (with the

@@ -24,16 +24,18 @@ fn fig_faults_tiny_records_lp_stats_schema() {
     // scrub every harness knob the ambient environment might carry.
     let dir = tmp_dir("lp-stats-smoke");
     let _ = std::fs::remove_file(dir.join("results/fig_faults.json"));
-    let status = Command::new(env!("CARGO_BIN_EXE_fig_faults"))
+    let mut fig = Command::new(env!("CARGO_BIN_EXE_fig"));
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("TUGAL_") {
+            fig.env_remove(name);
+        }
+    }
+    let status = fig
+        .args(["fig_faults"])
         .current_dir(&dir)
-        .env("TUGAL_FAULTS_TINY", "1")
-        .env_remove("TUGAL_FULL")
-        .env_remove("TUGAL_JOURNAL")
-        .env_remove("TUGAL_TRACE")
-        .env_remove("TUGAL_PROFILE")
-        .env_remove("TUGAL_METRICS")
+        .env("TUGAL_TINY", "1")
         .status()
-        .expect("fig_faults spawns");
+        .expect("fig spawns");
     assert!(status.success(), "fig_faults exited with {status}");
 
     let data = std::fs::read_to_string(dir.join("results/fig_faults.json"))

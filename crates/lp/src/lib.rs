@@ -2,8 +2,7 @@
 //!
 //! The paper's Step-1 coarse-grain estimation solves linear programs with
 //! the proprietary IBM CPLEX optimizer.  This crate is the open
-//! substitute, organized as a production solver pinned by two independent
-//! references:
+//! substitute: a production solver pinned by an independent reference.
 //!
 //! * [`LinearProgram::solve_sparse`] (the `sparse` module) — the
 //!   production solver: a sparse revised simplex over a
@@ -19,11 +18,6 @@
 //!   shares no solve-path code with the sparse solver, and the test layer
 //!   (`tests/differential.rs`) pins the two against each other on seeded
 //!   random grids and on the real path-rate programs of `tugal-model`.
-//! * [`ConcurrentFlow`] (the `mcf` module) — a Garg–Könemann
-//!   multiplicative-weights approximation for maximum concurrent flow,
-//!   parallelized over commodities with deterministic (thread-count
-//!   independent) results; a third, algorithm-independent check on the
-//!   flow LPs this repository generates.
 //!
 //! Both simplex implementations share the [`LinearProgram`] builder API
 //! and the same input normalization (negative right-hand sides flip the
@@ -31,10 +25,8 @@
 
 #![warn(missing_docs)]
 
-mod mcf;
 mod simplex;
 mod sparse;
 
-pub use mcf::{ConcurrentFlow, FlowPath, McfSolution};
 pub use simplex::{LinearProgram, Relation, Solution, SolveError, VarId};
 pub use sparse::{BasisVar, SparseSolution, WarmStart};

@@ -254,8 +254,7 @@ fn bottleneck_throughput_matches_plain_solve() {
 }
 
 // ---------------------------------------------------------------------------
-// Degraded-topology model: differential anchors against the pristine model
-// and against the Garg–Könemann concurrent-flow approximation.
+// Degraded-topology model: differential anchors against the pristine model.
 
 #[test]
 fn degraded_stats_with_empty_faults_match_pristine() {
@@ -330,74 +329,6 @@ fn fault_sweep_thetas_degrade_and_stay_positive() {
         assert!(m.theta > 0.3, "f={frac}: collapsed to {}", m.theta);
         assert_eq!(m.unreachable_pairs, 0, "10% faults cannot partition this");
     }
-}
-
-#[test]
-fn simplex_and_mcf_agree_on_degraded_instances() {
-    // Free-split maximum concurrent flow over the surviving candidate
-    // paths, solved two ways: the exact dense simplex and the
-    // Garg–Könemann approximation.  The approximation is a guaranteed
-    // lower bound and must land within its accuracy band.
-    use std::collections::HashMap;
-    use tugal_lp::{ConcurrentFlow, FlowPath, LinearProgram, Relation, VarId};
-    use tugal_routing::PathTable;
-    use tugal_topology::{FaultSet, SwitchId};
-
-    let t = topo(2, 4, 2, 5);
-    let mut faults = FaultSet::sample_global_links(&t, 0.10, 0xBEEF);
-    faults.fail_switch(SwitchId(5));
-    let deg = t.degrade(&faults);
-    let table = PathTable::build_all_degraded(&t, &deg);
-    let dem = shift_demands(&t, 1, 0);
-
-    let mut cf = ConcurrentFlow::new(vec![1.0; t.num_network_channels()]);
-    let mut lp = LinearProgram::new();
-    let theta = lp.add_var(1.0);
-    lp.add_constraint(&[(theta, 1.0)], Relation::Le, 1.0);
-    let mut edge_rows: HashMap<usize, Vec<(VarId, f64)>> = HashMap::new();
-    let mut commodities = 0;
-    for &(s, d, flows) in &dem {
-        let (s, d) = (SwitchId(s), SwitchId(d));
-        if deg.switch_dead(s) || deg.switch_dead(d) {
-            continue;
-        }
-        let paths: Vec<tugal_routing::Path> = table.min(s, d).chain(table.vlb(s, d)).collect();
-        assert!(!paths.is_empty(), "{s}->{d} lost all candidates");
-        let flow_paths: Vec<FlowPath> = paths
-            .iter()
-            .map(|p| FlowPath::new((0..p.hops()).map(|i| p.channel_at(&t, i).index()).collect()))
-            .collect();
-        cf.add_commodity(flows as f64, flow_paths.clone());
-        commodities += 1;
-        let vars: Vec<VarId> = paths.iter().map(|_| lp.add_var(0.0)).collect();
-        // θ·demand − Σ f_p ≤ 0  (the commodity must be fully served).
-        let mut terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, -1.0)).collect();
-        terms.push((theta, flows as f64));
-        lp.add_constraint(&terms, Relation::Le, 0.0);
-        for (v, fp) in vars.iter().zip(&flow_paths) {
-            for &e in &fp.edges {
-                edge_rows.entry(e).or_default().push((*v, 1.0));
-            }
-        }
-    }
-    assert!(commodities > 0);
-    let mut edges: Vec<usize> = edge_rows.keys().copied().collect();
-    edges.sort_unstable();
-    for e in edges {
-        lp.add_constraint(&edge_rows[&e], Relation::Le, 1.0);
-    }
-    lp.set_max_iterations(400_000);
-    let exact = lp.solve().unwrap().value(theta);
-    let approx = cf.solve(0.03).throughput;
-    assert!(exact > 0.0 && exact <= 1.0 + 1e-9, "{exact}");
-    assert!(
-        approx <= exact + 1e-6,
-        "MCF {approx} must lower-bound the simplex optimum {exact}"
-    );
-    assert!(
-        approx >= 0.85 * exact,
-        "MCF {approx} fell outside the accuracy band of the simplex {exact}"
-    );
 }
 
 #[test]

@@ -37,15 +37,15 @@ const MAGIC: &[u8; 8] = b"TUGALCK\x01";
 const VERSION: u32 = 2;
 /// Checkpoints retained per `(dir, stem)`: the newest plus one fallback.
 const KEEP: usize = 2;
-/// Default write cadence in cycles when `TUGAL_CKPT_EVERY` is unset.
+/// Default write cadence in cycles.
 const DEFAULT_EVERY: u64 = 1000;
 
 /// Checkpoint cadence and location (`Config::checkpoint`).
 ///
 /// `None` (the default) keeps checkpointing off with zero cost; `Some`
-/// writes a checkpoint every [`CkptConfig::every`] cycles.  The env
-/// helper `Config::with_env_ckpt` builds one from `TUGAL_CKPT=<dir>` /
-/// `TUGAL_CKPT_EVERY=<cycles>`.
+/// writes a checkpoint every [`CkptConfig::every`] cycles.  The bench
+/// harnesses build one from `TUGAL_CKPT=<dir>` /
+/// `TUGAL_CKPT_EVERY=<cycles>` (`tugal_bench::env`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CkptConfig {
     /// Directory checkpoint files are written to (created if absent).
@@ -66,26 +66,6 @@ impl CkptConfig {
             every: DEFAULT_EVERY,
             stem: "run".to_string(),
         }
-    }
-
-    /// Reads `TUGAL_CKPT` (directory; empty/unset = off) and
-    /// `TUGAL_CKPT_EVERY` (cycles, default 1000).
-    pub fn from_env() -> Option<Self> {
-        let dir = std::env::var("TUGAL_CKPT").ok()?;
-        let dir = dir.trim();
-        if dir.is_empty() {
-            return None;
-        }
-        let every = std::env::var("TUGAL_CKPT_EVERY")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&e| e > 0)
-            .unwrap_or(DEFAULT_EVERY);
-        Some(CkptConfig {
-            dir: dir.to_string(),
-            every,
-            stem: "run".to_string(),
-        })
     }
 }
 

@@ -212,17 +212,6 @@ impl Config {
         }
         Ok(())
     }
-
-    /// Applies the `TUGAL_CKPT` / `TUGAL_CKPT_EVERY` environment override,
-    /// if set (see [`CkptConfig::from_env`]); harness binaries route their
-    /// configs through this so a CI job (or a user) can turn mid-run
-    /// checkpointing on without touching code.
-    pub fn with_env_ckpt(mut self) -> Self {
-        if let Some(ck) = CkptConfig::from_env() {
-            self.checkpoint = Some(ck);
-        }
-        self
-    }
 }
 
 // Hand-written so `checkpoint` can default when the field is missing: the

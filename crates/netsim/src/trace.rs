@@ -4,7 +4,7 @@
 //! one `batch_start`/`batch_end` pair per [`crate::runner::ExperimentRunner`]
 //! batch, bracketing one `job_start`/`job_end` pair per job.  Harness
 //! binaries open one via `TUGAL_TRACE=<path>` (see
-//! `tugal_bench::trace_from_env`), so any sweep can stream progress and
+//! `tugal_bench::env`), so any sweep can stream progress and
 //! outcome telemetry without touching its results: the sink reuses the
 //! journal's append discipline (one `write_all` + flush per line behind a
 //! mutex, floats as IEEE-754 bit patterns, torn trailing lines tolerated

@@ -7,7 +7,7 @@
 //! * [`topology`] — `dfly(p,a,h,g)` networks and global-link arrangements,
 //! * [`routing`] — MIN/VLB paths, path tables, candidate providers, VCs,
 //! * [`traffic`] — UR / shift / permutation / MIXED / TMIXED / TYPE sets,
-//! * [`lp`] — simplex and Garg–Könemann substrates (the CPLEX substitute),
+//! * [`lp`] — sparse and dense simplex solvers (the CPLEX substitute),
 //! * [`model`] — the UGAL throughput model (Step-1 coarse grain),
 //! * [`netsim`] — the cycle-accurate flit-level simulator (the BookSim
 //!   substitute),
