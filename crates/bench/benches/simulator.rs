@@ -141,7 +141,7 @@ fn sweep_workspace_reuse(c: &mut Criterion) {
         })
     });
     group.bench_function("latency_curve (pooled workspaces)", |b| {
-        b.iter(|| latency_curve(&topo, &provider, &pattern, routing, &cfg, &rates, &opts))
+        b.iter(|| latency_curve(&topo, &provider, &pattern, routing, &cfg, &rates, &opts).unwrap())
     });
     group.finish();
 }

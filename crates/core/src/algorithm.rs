@@ -2,8 +2,12 @@
 
 use crate::balance::{self, BalanceOptions, BalanceReport};
 use crate::sweep::{candidate_regions, coarse_grain_sweep, SweepConfig, SweepOutcome};
+use rayon::prelude::*;
 use std::sync::Arc;
-use tugal_netsim::{saturation_throughput, Config as SimConfig, RoutingAlgorithm, SweepOptions};
+use tugal_netsim::{
+    saturation_throughput, validate_resolution, Config as SimConfig, ConfigError, RoutingAlgorithm,
+    SweepOptions,
+};
 use tugal_routing::{PathProvider, PathTable, RuleProvider, TableProvider, VlbRule};
 use tugal_topology::Dragonfly;
 use tugal_traffic::{type_2_set, TrafficPattern};
@@ -60,6 +64,18 @@ impl TUgalConfig {
         }
     }
 
+    /// Checks the Step-2 settings up front, so [`compute_tvlb`] refuses a
+    /// malformed configuration before the Step-1 sweep instead of after
+    /// it: the bisection resolution, the pattern count and the simulator
+    /// configuration.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        validate_resolution(self.eval_resolution)?;
+        if self.eval_patterns == 0 {
+            return Err(ConfigError::EmptyPatterns);
+        }
+        self.sim.validate()
+    }
+
     /// Stable 64-bit digest of the *full* configuration (FNV-1a over the
     /// `Debug` rendering, which covers every field recursively).  Disk
     /// caches of Algorithm-1 outcomes key on this so entries produced
@@ -79,7 +95,7 @@ impl TUgalConfig {
 }
 
 /// One Step-2 candidate and its simulated score.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateScore {
     /// The configuration (strategic choices included).
     pub rule: VlbRule,
@@ -134,7 +150,16 @@ pub fn conventional_provider(
 }
 
 /// Runs Algorithm 1 and returns the T-VLB provider plus a full report.
+///
+/// # Panics
+///
+/// If `cfg` fails [`TUgalConfig::validate`]; the check runs before any
+/// work.
 pub fn compute_tvlb(topo: Arc<Dragonfly>, cfg: &TUgalConfig) -> TUgalResult {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid Algorithm-1 configuration: {e}");
+    }
+
     // Step 1: coarse-grain model sweep (lines 8–12 of Algorithm 1).
     let sweep = coarse_grain_sweep(&topo, &cfg.sweep);
     let mut candidates = candidate_regions(&sweep);
@@ -153,35 +178,39 @@ pub fn compute_tvlb(topo: Arc<Dragonfly>, cfg: &TUgalConfig) -> TUgalResult {
     // full set is always among the candidates, so on maximal topologies —
     // where simulation confirms every subset degrades (Figure 5) — the
     // procedure converges to conventional UGAL by measurement, exactly as
-    // the paper establishes it.
-    let explicit = topo.num_switches() <= cfg.max_table_switches;
-    let mut scores: Vec<CandidateScore> = Vec::with_capacity(candidates.len());
-    let mut built: Vec<Arc<dyn PathProvider>> = Vec::with_capacity(candidates.len());
-    for &rule in &candidates {
-        let (provider, report): (Arc<dyn PathProvider>, Option<BalanceReport>) = if explicit {
-            let mut table = PathTable::build_with_rule(&topo, rule, cfg.seed);
-            let report = balance::adjust(&mut table, &topo, &cfg.balance);
-            (
-                Arc::new(TableProvider::new(topo.clone(), table)),
-                Some(report),
-            )
-        } else {
-            (Arc::new(RuleProvider::new(topo.clone(), rule)), None)
-        };
-        let throughput = evaluate(&topo, &provider, cfg);
-        scores.push(CandidateScore {
-            rule,
-            throughput,
-            mean_vlb_hops: provider.mean_vlb_hops(),
-            balance: report,
-        });
-        built.push(provider);
-    }
+    // the paper establishes it.  Candidates are independent tasks; each
+    // drops its table once scored, so at most one table per worker is
+    // alive, and the conventional set's mean hops are read off the `All`
+    // candidate before balancing.
+    let patterns: Vec<Arc<dyn TrafficPattern>> =
+        type_2_set(&topo, cfg.eval_patterns, cfg.seed ^ 0xABCD)
+            .into_iter()
+            .map(|p| Arc::new(p) as Arc<dyn TrafficPattern>)
+            .collect();
+    let scored: Vec<(CandidateScore, Option<f64>)> = candidates
+        .par_iter()
+        .map(|&rule| {
+            let built = materialize(&topo, rule, cfg);
+            let score = CandidateScore {
+                rule,
+                throughput: evaluate(&topo, &built.provider, &patterns, cfg),
+                mean_vlb_hops: built.provider.mean_vlb_hops(),
+                balance: built.balance,
+            };
+            (score, built.all_paths_hops)
+        })
+        .collect();
+    let mean_hops_all = scored
+        .iter()
+        .find_map(|(_, hops)| *hops)
+        .expect("the full set is always a Step-2 candidate");
+    let scores: Vec<CandidateScore> = scored.into_iter().map(|(score, _)| score).collect();
 
     // Highest mean saturation throughput wins; candidates within one
     // bisection step of each other are tied and the shorter set wins the
     // tie (its low-load latency advantage, which the saturation metric is
-    // blind to).
+    // blind to).  Sequential on purpose: the tie makes the comparison
+    // intransitive, so the scan order decides the winner.
     let eps = cfg.eval_resolution * 1.01;
     let best_idx = (0..scores.len())
         .max_by(|&a, &b| {
@@ -193,10 +222,10 @@ pub fn compute_tvlb(topo: Arc<Dragonfly>, cfg: &TUgalConfig) -> TUgalResult {
             }
         })
         .expect("at least one candidate");
-    let provider = built.swap_remove(best_idx);
     let chosen = scores[best_idx].rule;
-
-    let mean_hops_all = conventional_provider(topo.clone(), cfg.max_table_switches).mean_vlb_hops();
+    // Table build and balancing are deterministic, so the rebuilt winner
+    // is the table that was scored.
+    let provider = materialize(&topo, chosen, cfg).provider;
     let mean_hops_tvlb = provider.mean_vlb_hops();
     TUgalResult {
         provider,
@@ -211,22 +240,56 @@ pub fn compute_tvlb(topo: Arc<Dragonfly>, cfg: &TUgalConfig) -> TUgalResult {
     }
 }
 
-/// Simulates a candidate on TYPE_2 patterns: mean saturation throughput
-/// (bisection per pattern, §3.3.3's "average throughput of the patterns").
-fn evaluate(topo: &Arc<Dragonfly>, provider: &Arc<dyn PathProvider>, cfg: &TUgalConfig) -> f64 {
-    let patterns: Vec<Arc<dyn TrafficPattern>> =
-        type_2_set(topo, cfg.eval_patterns, cfg.seed ^ 0xABCD)
-            .into_iter()
-            .map(|p| Arc::new(p) as Arc<dyn TrafficPattern>)
-            .collect();
+/// A Step-2 candidate ready to simulate.
+pub(crate) struct Built {
+    pub(crate) provider: Arc<dyn PathProvider>,
+    /// What balance adjustment did (explicit tables only).
+    pub(crate) balance: Option<BalanceReport>,
+    /// For the `All` rule, its mean VLB hops before balance adjustment:
+    /// the conventional candidate sets' mean hops.
+    pub(crate) all_paths_hops: Option<f64>,
+}
+
+/// Builds `rule`'s provider: the balance-adjusted explicit table up to
+/// `cfg.max_table_switches`, the rule sampler above it.
+pub(crate) fn materialize(topo: &Arc<Dragonfly>, rule: VlbRule, cfg: &TUgalConfig) -> Built {
+    let all_paths = rule == VlbRule::All;
+    if topo.num_switches() > cfg.max_table_switches {
+        let provider = Arc::new(RuleProvider::new(topo.clone(), rule));
+        return Built {
+            all_paths_hops: all_paths.then(|| provider.mean_vlb_hops()),
+            provider,
+            balance: None,
+        };
+    }
+    let mut table = PathTable::build_with_rule(topo, rule, cfg.seed);
+    let all_paths_hops = all_paths.then(|| table.mean_vlb_hops());
+    let balance = balance::adjust(&mut table, topo, &cfg.balance);
+    Built {
+        provider: Arc::new(TableProvider::new(topo.clone(), table)),
+        balance: Some(balance),
+        all_paths_hops,
+    }
+}
+
+/// Simulates a candidate on the TYPE_2 patterns: mean saturation
+/// throughput (one bisection per pattern, §3.3.3's "average throughput of
+/// the patterns").
+fn evaluate(
+    topo: &Arc<Dragonfly>,
+    provider: &Arc<dyn PathProvider>,
+    patterns: &[Arc<dyn TrafficPattern>],
+    cfg: &TUgalConfig,
+) -> f64 {
     let sim_cfg = cfg.sim.clone().for_routing(cfg.routing);
     let opts = SweepOptions {
         seeds: vec![cfg.seed],
         resolution: cfg.eval_resolution,
     };
     let mut sum = 0.0;
-    for pattern in &patterns {
-        sum += saturation_throughput(topo, provider, pattern, cfg.routing, &sim_cfg, &opts);
+    for pattern in patterns {
+        sum += saturation_throughput(topo, provider, pattern, cfg.routing, &sim_cfg, &opts)
+            .expect("validated by TUgalConfig::validate");
     }
-    sum / patterns.len().max(1) as f64
+    sum / patterns.len() as f64
 }

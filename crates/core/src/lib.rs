@@ -18,7 +18,9 @@
 //! 4. **Step 2, finalize** ([`balance`]): materialize each candidate as an
 //!    explicit path table, detect local (per switch pair) and global link
 //!    usage imbalance and remove offending paths, then simulate the
-//!    candidates on TYPE_2 patterns and keep the best performer.
+//!    candidates on TYPE_2 patterns and keep the best performer.  The
+//!    candidates are scored concurrently, each table is dropped once
+//!    scored, and the winner's (deterministic) table is rebuilt.
 //!
 //! The result wraps a [`tugal_routing::PathProvider`], so plugging T-UGAL
 //! into the simulator (or comparing UGAL/T-UGAL variants) is a one-line

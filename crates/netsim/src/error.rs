@@ -31,6 +31,11 @@ pub enum ConfigError {
     EmptyRates,
     /// A sweep was scheduled with no replication seeds.
     EmptySeeds,
+    /// An evaluation was asked for no traffic patterns (Algorithm 1's
+    /// `eval_patterns` was zero).
+    EmptyPatterns,
+    /// A bisection resolution was not a finite number in `(0, 1)`.
+    BadResolution(f64),
     /// The same seed appeared twice in a seed list: the duplicated
     /// replications would be bit-identical and silently over-weight that
     /// seed in the aggregate.
@@ -69,6 +74,13 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::EmptyRates => write!(f, "no offered loads to sweep"),
             ConfigError::EmptySeeds => write!(f, "no replication seeds to sweep"),
+            ConfigError::EmptyPatterns => write!(f, "no traffic patterns to evaluate"),
+            ConfigError::BadResolution(r) => {
+                write!(
+                    f,
+                    "bisection resolution {r} is not a finite number in (0, 1)"
+                )
+            }
             ConfigError::DuplicateSeed(s) => {
                 write!(f, "seed {s} appears more than once in the seed list")
             }
@@ -89,6 +101,11 @@ pub fn validate_sweep(rates: &[f64], seeds: &[u64]) -> Result<(), ConfigError> {
             return Err(ConfigError::BadRate(r));
         }
     }
+    validate_seeds(seeds)
+}
+
+/// Validates a sweep's replication seeds: at least one, no duplicates.
+pub fn validate_seeds(seeds: &[u64]) -> Result<(), ConfigError> {
     if seeds.is_empty() {
         return Err(ConfigError::EmptySeeds);
     }
@@ -98,6 +115,16 @@ pub fn validate_sweep(rates: &[f64], seeds: &[u64]) -> Result<(), ConfigError> {
         return Err(ConfigError::DuplicateSeed(w[0]));
     }
     Ok(())
+}
+
+/// Validates a bisection resolution: finite and in `(0, 1)`, so the
+/// search interval `[resolution, 1]` is a real interval of offered loads.
+pub fn validate_resolution(resolution: f64) -> Result<(), ConfigError> {
+    if resolution > 0.0 && resolution < 1.0 {
+        Ok(())
+    } else {
+        Err(ConfigError::BadResolution(resolution))
+    }
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ pub use engine::{
     SimWorkspace, Simulator, StallKind, StallReport, VcSnapshot, WatchdogConfig, WorkspacePool,
     PHASE_COUNT,
 };
-pub use error::{validate_sweep, ConfigError};
+pub use error::{validate_resolution, validate_sweep, ConfigError};
 pub use fault::{FaultEvent, FaultSchedule};
 pub use stats::SimResult;
 pub use sweep::{aggregate_runs, latency_curve, saturation_throughput, CurvePoint, SweepOptions};

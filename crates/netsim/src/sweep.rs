@@ -1,13 +1,15 @@
 //! Load sweeps: latency curves and saturation throughput.
 //!
-//! Both sweeps schedule their (rate × seed) replications as one flat job
-//! list over a shared [`WorkspacePool`], so engine state is allocated once
-//! per worker and reused across every point — the bisection in
-//! [`saturation_throughput`] keeps its pool across iterations for the same
-//! reason.
+//! Both sweeps validate their inputs first and return a [`ConfigError`]
+//! instead of panicking inside a job.  They schedule their (rate × seed)
+//! replications as one flat job list over a shared [`WorkspacePool`], so
+//! engine state is allocated once per worker and reused across every
+//! point — the bisection in [`saturation_throughput`] keeps its pool
+//! across iterations for the same reason.
 
 use crate::config::{Config, RoutingAlgorithm};
 use crate::engine::{NoopObserver, NoopProfiler, Simulator, WorkspacePool};
+use crate::error::{validate_resolution, validate_seeds, validate_sweep, ConfigError};
 use crate::stats::SimResult;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -135,6 +137,9 @@ fn seeded(
 /// parallel batch over a shared workspace pool; saturated points report
 /// their (already meaningless) latencies so callers can draw the
 /// characteristic vertical asymptote.
+///
+/// Rejects an empty rate or seed list, a rate outside `(0, 1]`, a
+/// duplicate seed and an invalid `cfg` before any job runs.
 pub fn latency_curve(
     topo: &Arc<Dragonfly>,
     provider: &Arc<dyn PathProvider>,
@@ -143,11 +148,9 @@ pub fn latency_curve(
     cfg: &Config,
     rates: &[f64],
     opts: &SweepOptions,
-) -> Vec<CurvePoint> {
-    assert!(
-        !opts.seeds.is_empty(),
-        "latency_curve needs at least one seed"
-    );
+) -> Result<Vec<CurvePoint>, ConfigError> {
+    validate_sweep(rates, &opts.seeds)?;
+    cfg.validate()?;
     let pool = WorkspacePool::new();
     let sims = seeded(topo, provider, pattern, routing, cfg, &opts.seeds);
     let jobs: Vec<(f64, &Simulator)> = rates
@@ -162,7 +165,7 @@ pub fn latency_curve(
             (out.result, start.elapsed().as_secs_f64() * 1e3)
         })
         .collect();
-    outcomes
+    Ok(outcomes
         .chunks(opts.seeds.len())
         .zip(rates)
         .map(|(chunk, &rate)| {
@@ -173,13 +176,17 @@ pub fn latency_curve(
                 elapsed_ms: chunk.iter().map(|(_, ms)| ms).sum(),
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Saturation throughput: "the last injection rate before saturation
 /// happens" (§4.1.2), located by bisection to `opts.resolution`.  The
 /// workspace pool persists across bisection iterations, so only the first
 /// probe pays engine allocation.
+///
+/// Rejects a resolution that is not a finite number in `(0, 1)`, an empty
+/// seed list, a duplicate seed and an invalid `cfg` before any simulation
+/// runs.
 pub fn saturation_throughput(
     topo: &Arc<Dragonfly>,
     provider: &Arc<dyn PathProvider>,
@@ -187,10 +194,13 @@ pub fn saturation_throughput(
     routing: RoutingAlgorithm,
     cfg: &Config,
     opts: &SweepOptions,
-) -> f64 {
+) -> Result<f64, ConfigError> {
+    validate_resolution(opts.resolution)?;
+    validate_seeds(&opts.seeds)?;
+    cfg.validate()?;
     let pool = WorkspacePool::new();
     let sims = seeded(topo, provider, pattern, routing, cfg, &opts.seeds);
-    let sat = |rate: f64| {
+    Ok(bisect(opts.resolution, |rate| {
         let runs: Vec<SimResult> = sims
             .par_iter()
             .map(|sim| {
@@ -199,22 +209,58 @@ pub fn saturation_throughput(
             })
             .collect();
         aggregate_runs(rate, &runs).saturated
-    };
-    let mut lo = opts.resolution;
+    }))
+}
+
+/// The last rate in `[resolution, 1]` at which `saturated` is false, to
+/// within `resolution`: 0 when even `resolution` saturates, 1 when even
+/// full load does not.  The search also ends when the midpoint rounds to
+/// an endpoint, so a resolution below the float spacing there terminates.
+fn bisect(resolution: f64, saturated: impl Fn(f64) -> bool) -> f64 {
+    let mut lo = resolution;
     let mut hi = 1.0;
-    if sat(lo) {
+    if saturated(lo) {
         return 0.0;
     }
-    if !sat(hi) {
+    if !saturated(hi) {
         return 1.0;
     }
-    while hi - lo > opts.resolution {
+    while hi - lo > resolution {
         let mid = 0.5 * (lo + hi);
-        if sat(mid) {
+        if mid == lo || mid == hi {
+            break;
+        }
+        if saturated(mid) {
             hi = mid;
         } else {
             lo = mid;
         }
     }
     lo
+}
+
+#[cfg(test)]
+mod tests {
+    use super::bisect;
+    use std::cell::Cell;
+
+    #[test]
+    fn bisection_below_the_float_spacing_terminates() {
+        let probes = Cell::new(0);
+        let point = 0.3;
+        let sat = bisect(1e-18, |rate| {
+            probes.set(probes.get() + 1);
+            rate > point
+        });
+        assert!(sat <= point && point - sat < 1e-15, "{sat}");
+        // Two endpoint probes, then one per halving of [1e-18, 1] down to
+        // the spacing of f64 near 0.3 (2^-54).
+        assert!(probes.get() <= 60, "{} probes", probes.get());
+    }
+
+    #[test]
+    fn bisection_reports_the_interval_ends() {
+        assert_eq!(bisect(0.01, |_| true), 0.0);
+        assert_eq!(bisect(0.01, |_| false), 1.0);
+    }
 }

@@ -320,7 +320,8 @@ fn latency_curve_is_monotonic_until_saturation() {
         &cfg,
         &[0.05, 0.2, 0.4],
         &opts,
-    );
+    )
+    .unwrap();
     assert_eq!(curve.len(), 3);
     assert!(curve[0].result.avg_latency <= curve[1].result.avg_latency);
     assert!(curve[1].result.avg_latency <= curve[2].result.avg_latency);
@@ -337,10 +338,10 @@ fn saturation_throughput_orders_min_below_vlb_on_adversarial() {
     };
     let cfg_min = quick(RoutingAlgorithm::Min);
     let min_sat =
-        saturation_throughput(&t, &provider, &adv, RoutingAlgorithm::Min, &cfg_min, &opts);
+        saturation_throughput(&t, &provider, &adv, RoutingAlgorithm::Min, &cfg_min, &opts).unwrap();
     let cfg_u = quick(RoutingAlgorithm::UgalL);
     let ugal_sat =
-        saturation_throughput(&t, &provider, &adv, RoutingAlgorithm::UgalL, &cfg_u, &opts);
+        saturation_throughput(&t, &provider, &adv, RoutingAlgorithm::UgalL, &cfg_u, &opts).unwrap();
     assert!(
         min_sat < ugal_sat,
         "MIN {min_sat} should saturate below UGAL-L {ugal_sat} on adversarial traffic"
@@ -640,4 +641,131 @@ fn adversarial_min_saturates_the_direct_link() {
     let adv: Arc<dyn TrafficPattern> = Arc::new(Shift::new(&t, 1, 0));
     let r = sim(&t, all_paths(&t), adv, RoutingAlgorithm::Min, 0.3);
     assert!(r.max_channel_util > 0.9, "{}", r.max_channel_util);
+}
+
+/// `saturation_throughput` of MIN on shift(1,0) over dfly(1,2,1,3).
+fn saturation_with(seeds: Vec<u64>, resolution: f64, cfg: Config) -> Result<f64, ConfigError> {
+    let t = topo(1, 2, 1, 3);
+    let adv: Arc<dyn TrafficPattern> = Arc::new(Shift::new(&t, 1, 0));
+    let opts = SweepOptions { seeds, resolution };
+    saturation_throughput(&t, &all_paths(&t), &adv, RoutingAlgorithm::Min, &cfg, &opts)
+}
+
+fn saturation_at(resolution: f64) -> Result<f64, ConfigError> {
+    saturation_with(vec![1], resolution, quick(RoutingAlgorithm::Min))
+}
+
+#[test]
+fn saturation_rejects_zero_resolution() {
+    assert_eq!(saturation_at(0.0), Err(ConfigError::BadResolution(0.0)));
+}
+
+#[test]
+fn saturation_rejects_negative_resolution() {
+    assert_eq!(saturation_at(-0.02), Err(ConfigError::BadResolution(-0.02)));
+}
+
+#[test]
+fn saturation_rejects_unit_resolution() {
+    assert_eq!(saturation_at(1.0), Err(ConfigError::BadResolution(1.0)));
+}
+
+#[test]
+fn saturation_rejects_nan_resolution() {
+    assert!(matches!(
+        saturation_at(f64::NAN),
+        Err(ConfigError::BadResolution(r)) if r.is_nan()
+    ));
+}
+
+#[test]
+fn saturation_rejects_infinite_resolution() {
+    assert_eq!(
+        saturation_at(f64::INFINITY),
+        Err(ConfigError::BadResolution(f64::INFINITY))
+    );
+}
+
+#[test]
+fn saturation_rejects_no_seeds() {
+    let cfg = quick(RoutingAlgorithm::Min);
+    assert_eq!(
+        saturation_with(vec![], 0.02, cfg),
+        Err(ConfigError::EmptySeeds)
+    );
+}
+
+#[test]
+fn saturation_rejects_duplicate_seeds() {
+    let cfg = quick(RoutingAlgorithm::Min);
+    assert_eq!(
+        saturation_with(vec![4, 4], 0.02, cfg),
+        Err(ConfigError::DuplicateSeed(4))
+    );
+}
+
+#[test]
+fn saturation_rejects_an_invalid_config() {
+    let mut cfg = quick(RoutingAlgorithm::Min);
+    cfg.window = 0;
+    assert_eq!(
+        saturation_with(vec![1], 0.02, cfg),
+        Err(ConfigError::ZeroWindow)
+    );
+}
+
+/// `latency_curve` of MIN under uniform traffic over dfly(1,2,1,3).
+fn curve_with(rates: &[f64], seeds: Vec<u64>, cfg: Config) -> Result<Vec<CurvePoint>, ConfigError> {
+    let t = topo(1, 2, 1, 3);
+    let pattern: Arc<dyn TrafficPattern> = Arc::new(Uniform::new(&t));
+    let opts = SweepOptions {
+        seeds,
+        resolution: 0.02,
+    };
+    latency_curve(
+        &t,
+        &all_paths(&t),
+        &pattern,
+        RoutingAlgorithm::Min,
+        &cfg,
+        rates,
+        &opts,
+    )
+}
+
+#[test]
+fn latency_curve_rejects_no_seeds() {
+    let cfg = quick(RoutingAlgorithm::Min);
+    assert_eq!(
+        curve_with(&[0.1], vec![], cfg).unwrap_err(),
+        ConfigError::EmptySeeds
+    );
+}
+
+#[test]
+fn latency_curve_rejects_no_rates() {
+    let cfg = quick(RoutingAlgorithm::Min);
+    assert_eq!(
+        curve_with(&[], vec![1], cfg).unwrap_err(),
+        ConfigError::EmptyRates
+    );
+}
+
+#[test]
+fn latency_curve_rejects_a_rate_above_one() {
+    let cfg = quick(RoutingAlgorithm::Min);
+    assert_eq!(
+        curve_with(&[0.1, 1.5], vec![1], cfg).unwrap_err(),
+        ConfigError::BadRate(1.5)
+    );
+}
+
+#[test]
+fn latency_curve_rejects_an_invalid_config() {
+    let mut cfg = quick(RoutingAlgorithm::Min);
+    cfg.buf_size = 0;
+    assert_eq!(
+        curve_with(&[0.1], vec![1], cfg).unwrap_err(),
+        ConfigError::NoBufferSpace
+    );
 }

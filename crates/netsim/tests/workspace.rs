@@ -99,7 +99,8 @@ fn latency_curve_is_repeatable() {
         &cfg,
         &rates,
         &opts,
-    );
+    )
+    .unwrap();
     let b = latency_curve(
         &t,
         &provider,
@@ -108,7 +109,8 @@ fn latency_curve_is_repeatable() {
         &cfg,
         &rates,
         &opts,
-    );
+    )
+    .unwrap();
     assert_eq!(a.len(), b.len());
     for (pa, pb) in a.iter().zip(&b) {
         assert_eq!(pa.rate, pb.rate);
@@ -140,7 +142,8 @@ fn bisection_is_bounded_by_the_grid() {
         &cfg,
         &rates,
         &opts,
-    );
+    )
+    .unwrap();
     let last_unsat = curve
         .iter()
         .take_while(|p| !p.result.saturated)
@@ -151,7 +154,8 @@ fn bisection_is_bounded_by_the_grid() {
         .find(|p| p.result.saturated)
         .map(|p| p.rate)
         .expect("grid must reach saturation");
-    let sat = saturation_throughput(&t, &provider, &pattern, RoutingAlgorithm::Min, &cfg, &opts);
+    let sat =
+        saturation_throughput(&t, &provider, &pattern, RoutingAlgorithm::Min, &cfg, &opts).unwrap();
     assert!(
         sat + opts.resolution >= last_unsat,
         "bisection {sat} fell below the last unsaturated grid rate {last_unsat}"
@@ -197,7 +201,7 @@ fn runner_matches_per_series_curves() {
         .zip([RoutingAlgorithm::Min, RoutingAlgorithm::UgalL])
     {
         let cfg = Config::quick().for_routing(routing);
-        let expect = latency_curve(&t, &provider, &pattern, routing, &cfg, &rates, &opts);
+        let expect = latency_curve(&t, &provider, &pattern, routing, &cfg, &rates, &opts).unwrap();
         assert_eq!(curve.label, routing.name());
         for (got, want) in curve.points.iter().zip(&expect) {
             assert_eq!(

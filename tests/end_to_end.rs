@@ -40,7 +40,8 @@ fn tugal_dominates_ugal_on_dense_topology() {
         RoutingAlgorithm::UgalL,
         &cfg,
         &opts,
-    );
+    )
+    .unwrap();
     let sat_tugal = saturation_throughput(
         &t,
         &result.provider,
@@ -48,7 +49,8 @@ fn tugal_dominates_ugal_on_dense_topology() {
         RoutingAlgorithm::UgalL,
         &cfg,
         &opts,
-    );
+    )
+    .unwrap();
     assert!(
         sat_tugal >= sat_ugal - 0.02,
         "T-UGAL-L saturation {sat_tugal} must not fall below UGAL-L {sat_ugal}"
@@ -64,7 +66,8 @@ fn tugal_dominates_ugal_on_dense_topology() {
         &cfg,
         &[low],
         &opts,
-    );
+    )
+    .unwrap();
     let curve_t = latency_curve(
         &t,
         &result.provider,
@@ -73,7 +76,8 @@ fn tugal_dominates_ugal_on_dense_topology() {
         &cfg,
         &[low],
         &opts,
-    );
+    )
+    .unwrap();
     assert!(
         curve_t[0].result.avg_latency <= curve_u[0].result.avg_latency + 2.0,
         "low-load latency {} vs {}",
@@ -135,7 +139,8 @@ fn model_upper_bounds_simulated_saturation() {
         RoutingAlgorithm::UgalG,
         &cfg,
         &opts,
-    );
+    )
+    .unwrap();
     assert!(
         modeled >= sat - 0.05,
         "fluid model {modeled} should not sit below simulated saturation {sat}"
