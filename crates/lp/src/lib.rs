@@ -6,9 +6,12 @@
 //!
 //! * [`LinearProgram::solve_sparse`] (the `sparse` module) — the
 //!   production solver: a sparse revised simplex over a
-//!   compressed-sparse-column matrix, with LU basis factorization, a
-//!   bounded eta file with periodic refactorization, and
-//!   steepest-edge-lite pricing over nonzeros only.  It also supports
+//!   compressed-sparse-column matrix, with an LU basis factorization
+//!   ordered by column count and eliminated over nonzeros only (so the
+//!   factors stay near the basis's own size), a bounded eta file with
+//!   periodic refactorization, and steepest-edge-lite pricing over
+//!   nonzeros only.  Each solution counts its basis and factor nonzeros
+//!   so callers can check the fill.  It also supports
 //!   [`WarmStart`] handles that reuse the final basis across
 //!   structurally-similar solves (rate sweeps, `FaultSet` superset
 //!   chains), skipping phase 1 and most pivots while returning the same

@@ -33,6 +33,11 @@ pub struct LpStats {
     pub warm_attempts: usize,
     /// Warm attempts whose basis was accepted (no cold fallback).
     pub warm_hits: usize,
+    /// Basis nonzeros summed over every LU factorization of every solve.
+    pub basis_nonzeros: usize,
+    /// L+U nonzeros (diagonal included) summed over the same
+    /// factorizations; `lu_nonzeros / basis_nonzeros` is the fill.
+    pub lu_nonzeros: usize,
     /// Wall-clock spent inside the LP solver, in milliseconds.
     pub wall_ms: f64,
 }
@@ -45,6 +50,8 @@ impl LpStats {
         self.refactorizations += other.refactorizations;
         self.warm_attempts += other.warm_attempts;
         self.warm_hits += other.warm_hits;
+        self.basis_nonzeros += other.basis_nonzeros;
+        self.lu_nonzeros += other.lu_nonzeros;
         self.wall_ms += other.wall_ms;
     }
 }
@@ -707,6 +714,8 @@ fn solve_build(
         cache.stats.solves += 1;
         cache.stats.pivots += sol.pivots;
         cache.stats.refactorizations += sol.refactorizations;
+        cache.stats.basis_nonzeros += sol.basis_nonzeros;
+        cache.stats.lu_nonzeros += sol.lu_nonzeros;
         if ws.is_some() {
             cache.stats.warm_attempts += 1;
             if sol.warm_used {
@@ -885,6 +894,8 @@ fn solve_monotone(
         cache.stats.solves += 1;
         cache.stats.pivots += sol.pivots;
         cache.stats.refactorizations += sol.refactorizations;
+        cache.stats.basis_nonzeros += sol.basis_nonzeros;
+        cache.stats.lu_nonzeros += sol.lu_nonzeros;
         cache.stats.wall_ms += started.elapsed().as_secs_f64() * 1e3;
         cache.clear();
     }

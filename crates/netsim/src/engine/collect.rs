@@ -173,8 +173,12 @@ impl Stats {
             f64::INFINITY
         };
         let throughput = delivered as f64 / (nodes as f64 * measured_cycles as f64);
+        // Latency speaks only for delivered packets: a window that
+        // injected nothing (a rate so low that no packet was generated) is
+        // not saturated.  Packets stuck in the network are caught by the
+        // watchdog's `saturated_early` and by injections with no delivery.
         let saturated = self.saturated_early
-            || avg_latency > cfg.sat_latency
+            || (delivered > 0 && avg_latency > cfg.sat_latency)
             || (injected > 0 && delivered == 0);
         // Channel utilization over switch-to-switch channels, counted over
         // the whole run (warmup included): at steady state the ratio

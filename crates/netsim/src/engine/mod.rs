@@ -496,9 +496,17 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
             }
             // Deadlock watchdog: with packets in flight, *something* must
             // eject within a generous horizon; a correctly configured VC
-            // scheme guarantees it.  A trip marks the run instead of
+            // scheme guarantees it.  The horizon runs from the later of the
+            // last delivery and the birth of the oldest live packet, so the
+            // first packet after a long idle stretch (a very low rate) is
+            // not taken for a deadlock.  A trip marks the run instead of
             // spinning to the end of the window.
-            if g.in_flight > 0 && self.now.saturating_sub(g.last_delivery) > watchdog {
+            if g.in_flight > 0
+                && self.now.saturating_sub(g.last_delivery) > watchdog
+                && self
+                    .oldest_live()
+                    .is_some_and(|p| self.now.saturating_sub(p.birth) > watchdog)
+            {
                 self.stats.deadlock_suspected = true;
                 self.stats.saturated_early = true;
                 break;
@@ -705,6 +713,23 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
         }
     }
 
+    /// The oldest live packet: the pool minus its free list, keyed by the
+    /// unique (birth, src, dst) — one injection draw per node per cycle —
+    /// so the choice does not depend on pool layout.
+    fn oldest_live(&self) -> Option<&Packet> {
+        let mut live = vec![true; self.ws.packets.len()];
+        for &f in &self.ws.free {
+            live[f as usize] = false;
+        }
+        self.ws
+            .packets
+            .iter()
+            .zip(live)
+            .filter(|(_, alive)| *alive)
+            .map(|(p, _)| p)
+            .min_by_key(|p| (p.birth, p.src_node, p.dst_node))
+    }
+
     /// The trip report: ledger, occupancy of every non-empty input buffer
     /// (densest first, then by channel and VC, capped), the oldest live
     /// packet, the routing counters and the flight-recorder frames in
@@ -731,29 +756,14 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
         });
         occupancy.truncate(StallReport::MAX_OCCUPANCY_ENTRIES);
 
-        // Oldest live packet: the pool minus its free list, keyed by the
-        // unique (birth, src, dst) — one injection draw per node per
-        // cycle — so the choice does not depend on pool layout.
-        let mut live = vec![true; self.ws.packets.len()];
-        for &f in &self.ws.free {
-            live[f as usize] = false;
-        }
-        let oldest = self
-            .ws
-            .packets
-            .iter()
-            .zip(live)
-            .filter(|(_, alive)| *alive)
-            .map(|(p, _)| p)
-            .min_by_key(|p| (p.birth, p.src_node, p.dst_node))
-            .map(|p| OldestPacket {
-                birth: p.birth,
-                age: self.now.saturating_sub(p.birth),
-                src: p.src_node,
-                dst: p.dst_node,
-                hops_taken: p.hops_taken,
-                cur_chan: p.cur_chan,
-            });
+        let oldest = self.oldest_live().map(|p| OldestPacket {
+            birth: p.birth,
+            age: self.now.saturating_sub(p.birth),
+            src: p.src_node,
+            dst: p.dst_node,
+            hops_taken: p.hops_taken,
+            cur_chan: p.cur_chan,
+        });
 
         let mut recent = Vec::with_capacity(self.fr_ring.len());
         recent.extend_from_slice(&self.fr_ring[self.fr_pos..]);

@@ -350,6 +350,36 @@ fn saturation_throughput_orders_min_below_vlb_on_adversarial() {
     assert!(min_sat <= 0.2, "{min_sat}");
 }
 
+#[test]
+fn saturation_throughput_ignores_windows_that_inject_nothing() {
+    // The first probe runs at the resolution itself.  At 1e-4 a packet
+    // arrives only every ~1 700 cycles, so each meets an idle network
+    // long after the last delivery, which the deadlock watchdog must not
+    // take for a stall.  At 1e-18 the window injects nothing at all and
+    // has no latency to compare.  Neither may count as saturated and end
+    // the search at 0.
+    let t = topo(1, 2, 1, 3);
+    let adv: Arc<dyn TrafficPattern> = Arc::new(Shift::new(&t, 1, 0));
+    let provider = all_paths(&t);
+    let cfg = quick(RoutingAlgorithm::Min);
+    let at = |resolution| {
+        let opts = SweepOptions {
+            seeds: vec![1],
+            resolution,
+        };
+        saturation_throughput(&t, &provider, &adv, RoutingAlgorithm::Min, &cfg, &opts).unwrap()
+    };
+    let coarse = at(1e-3);
+    assert!((coarse - 0.477).abs() < 0.01, "{coarse}");
+    for resolution in [1e-4, 1e-18] {
+        let fine = at(resolution);
+        assert!(
+            (fine - coarse).abs() <= 0.02,
+            "{fine} at {resolution} vs {coarse}"
+        );
+    }
+}
+
 /// A pattern sending every node's traffic to a single hot node — exercises
 /// the ejection bottleneck (one ejection channel drains 1 flit/cycle).
 struct HotSpot {
