@@ -1,7 +1,9 @@
 //! Resilience smoke harness: a tiny pinned sweep whose results file
 //! contains only deterministic fields, so CI can kill it mid-batch,
 //! re-run it against the same `TUGAL_JOURNAL`, and byte-compare the
-//! output against an uninterrupted run.
+//! output against an uninterrupted run.  The journal is the one resume
+//! path: a killed invocation loses only its in-flight jobs, which the
+//! re-run simulates from the start.
 //!
 //! Environment knobs:
 //!
@@ -14,14 +16,7 @@
 //!   (1 VC under UGAL-L), exercising job isolation, capsule writing and
 //!   the failure exit code (3 via [`tugal_bench::finish`]).
 //! * `TUGAL_RESILIENCE_TOPO=p,a,h,g` — override the default
-//!   `dfly(2,4,2,5)`; the CI ckpt-smoke and profile-smoke jobs use
-//!   `2,7,1,8`.
-//! * `TUGAL_RESILIENCE_KILL9=<n>` — SIGKILL this process as soon as `n`
-//!   checkpoint files exist under the `TUGAL_CKPT` directory (requires
-//!   `TUGAL_CKPT`; see [`tugal_bench::env`]).  The CI ckpt-smoke
-//!   job uses it to die mid-simulation — no unwinding, no flushes — and
-//!   asserts a resumed re-invocation (same `TUGAL_JOURNAL` and
-//!   `TUGAL_CKPT`) reproduces the uninterrupted results byte-for-byte.
+//!   `dfly(2,4,2,5)`; the CI profile-smoke job uses `2,7,1,8`.
 //!
 //! All floating-point results are written as exact IEEE-754 bits: two runs
 //! produce byte-identical files iff they produced bit-identical results.
@@ -50,46 +45,8 @@ struct Out {
     series: Vec<(String, Vec<PointOut>)>,
 }
 
-/// Arms the `TUGAL_RESILIENCE_KILL9` watcher: a thread that polls the
-/// `TUGAL_CKPT` directory and SIGKILLs the process once the requested
-/// number of checkpoint files exist — the hardest crash the harness can
-/// inflict on itself (no unwinding, no atexit hooks, no stdio flushes),
-/// exactly what the checkpoint layer's durability discipline must survive.
-fn arm_kill9(env: &HarnessEnv) {
-    let Some(n) = env.resilience_kill9 else {
-        return;
-    };
-    let Some(ckpt) = &env.ckpt else {
-        eprintln!("warning: TUGAL_RESILIENCE_KILL9 set without TUGAL_CKPT; ignoring");
-        return;
-    };
-    let dir = std::path::PathBuf::from(&ckpt.dir);
-    std::thread::spawn(move || {
-        loop {
-            let ckpts = std::fs::read_dir(&dir)
-                .map(|it| {
-                    it.flatten()
-                        .filter(|e| e.path().extension().is_some_and(|x| x == "ckpt"))
-                        .count()
-                })
-                .unwrap_or(0);
-            if ckpts >= n {
-                let pid = std::process::id().to_string();
-                let _ = std::process::Command::new("kill")
-                    .args(["-9", &pid])
-                    .status();
-                // Unreachable unless the `kill` binary is missing; abort is
-                // the closest std-only stand-in (still no cleanup).
-                std::process::abort();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-    });
-}
-
 fn main() {
     let env = HarnessEnv::get();
-    arm_kill9(env);
     let out_path = &env.resilience_out;
     let (p, a, h, g) = env.resilience_topo;
     let topo = dfly(p, a, h, g);

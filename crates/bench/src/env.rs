@@ -21,8 +21,6 @@
 //! | `TUGAL_PROFILE` | flag | `0` | every sweep | per-phase engine profiler on every job |
 //! | `TUGAL_TRACE` | path | off | every sweep | JSONL trace spans |
 //! | `TUGAL_JOURNAL` | path | off | every sweep | resume journal of completed jobs |
-//! | `TUGAL_CKPT` | directory | off | every sweep | mid-simulation checkpoints |
-//! | `TUGAL_CKPT_EVERY` | cycles > 0 | `1000` | with `TUGAL_CKPT` | checkpoint cadence |
 //! | `TUGAL_JOB_MAX_CYCLES` | cycles | `0` (no limit) | every sweep | per-job simulated-cycle ceiling |
 //! | `TUGAL_JOB_WALL_MS` | ms | `0` (no limit) | every sweep | per-job wall-clock ceiling |
 //! | `TUGAL_CAPSULE_KEEP` | count | `32` | failed jobs | replay capsules kept under `logs/capsules/` |
@@ -33,13 +31,11 @@
 //! | `TUGAL_RESILIENCE_OUT` | path | `results/resilience.json` | `resilience` | output file |
 //! | `TUGAL_RESILIENCE_PANIC` | flag | `0` | `resilience` | add a series whose every job panics |
 //! | `TUGAL_RESILIENCE_TOPO` | `p,a,h,g` | `2,4,2,5` | `resilience` | sweep topology |
-//! | `TUGAL_RESILIENCE_KILL9` | count | `0` (off) | `resilience` | SIGKILL itself once this many checkpoint files exist |
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 use tugal_netsim::runner::JobBudget;
-use tugal_netsim::CkptConfig;
 use tugal_obs::MetricsConfig;
 
 /// Every `TUGAL_*` setting of a harness process.
@@ -57,8 +53,6 @@ pub struct HarnessEnv {
     pub trace: Option<String>,
     /// `TUGAL_JOURNAL`: resume journal.
     pub journal: Option<String>,
-    /// `TUGAL_CKPT` / `TUGAL_CKPT_EVERY`: mid-simulation checkpointing.
-    pub ckpt: Option<CkptConfig>,
     /// `TUGAL_JOB_MAX_CYCLES` / `TUGAL_JOB_WALL_MS`: per-job limits.
     pub budget: JobBudget,
     /// `TUGAL_CAPSULE_KEEP`: replay capsules kept by the pruning.
@@ -77,9 +71,6 @@ pub struct HarnessEnv {
     pub resilience_panic: bool,
     /// `TUGAL_RESILIENCE_TOPO`: the resilience sweep's `(p, a, h, g)`.
     pub resilience_topo: (u32, u32, u32, u32),
-    /// `TUGAL_RESILIENCE_KILL9`: checkpoint-file count that triggers the
-    /// self-SIGKILL (`None` = off).
-    pub resilience_kill9: Option<usize>,
 }
 
 impl Default for HarnessEnv {
@@ -91,7 +82,6 @@ impl Default for HarnessEnv {
             profile: false,
             trace: None,
             journal: None,
-            ckpt: None,
             budget: JobBudget::default(),
             capsule_keep: 32,
             perf_check: None,
@@ -101,7 +91,6 @@ impl Default for HarnessEnv {
             resilience_out: "results/resilience.json".into(),
             resilience_panic: false,
             resilience_topo: (2, 4, 2, 5),
-            resilience_kill9: None,
         }
     }
 }
@@ -155,7 +144,6 @@ impl HarnessEnv {
             .collect();
         let mut env = HarnessEnv::default();
         let (mut metrics_on, mut sample, mut occ) = (false, 0, 0);
-        let (mut ckpt_dir, mut ckpt_every) = (None, None);
         for (name, raw) in &vars {
             let v = raw.trim();
             let bad = |expected| EnvError::Malformed {
@@ -180,11 +168,6 @@ impl HarnessEnv {
                 "TUGAL_PROFILE" => env.profile = flag()?,
                 "TUGAL_TRACE" => env.trace = non_empty(v),
                 "TUGAL_JOURNAL" => env.journal = non_empty(v),
-                "TUGAL_CKPT" => ckpt_dir = non_empty(v),
-                "TUGAL_CKPT_EVERY" => match v.parse::<u64>() {
-                    Ok(every) if every > 0 => ckpt_every = Some(every),
-                    _ => return Err(bad("a cycle count above 0")),
-                },
                 "TUGAL_JOB_MAX_CYCLES" => env.budget.max_cycles = count()?,
                 "TUGAL_JOB_WALL_MS" => env.budget.wall_limit_ms = count()?,
                 "TUGAL_CAPSULE_KEEP" => env.capsule_keep = size()?,
@@ -205,7 +188,6 @@ impl HarnessEnv {
                     };
                     env.resilience_topo = (*p, *a, *h, *g);
                 }
-                "TUGAL_RESILIENCE_KILL9" => env.resilience_kill9 = Some(size()?).filter(|&n| n > 0),
                 _ => return Err(EnvError::Unknown(name.clone())),
             }
         }
@@ -217,11 +199,6 @@ impl HarnessEnv {
                 per_channel: true,
             };
         }
-        env.ckpt = ckpt_dir.map(|dir| {
-            let mut ck = CkptConfig::new(dir);
-            ck.every = ckpt_every.unwrap_or(ck.every);
-            ck
-        });
         Ok(env)
     }
 
@@ -261,7 +238,7 @@ mod tests {
         let env = parse(&[]).unwrap();
         assert!(!env.full && !env.tiny && !env.profile && !env.resilience_panic);
         assert_eq!(env.metrics, MetricsConfig::default());
-        assert_eq!((env.trace, env.journal, env.ckpt), (None, None, None));
+        assert_eq!((env.trace, env.journal), (None, None));
         assert_eq!(env.budget, JobBudget::default());
         assert_eq!(env.capsule_keep, 32);
         assert_eq!(env.perf_check, None);
@@ -270,7 +247,6 @@ mod tests {
         assert_eq!(env.prof_out, "results/profile.json");
         assert_eq!(env.resilience_out, "results/resilience.json");
         assert_eq!(env.resilience_topo, (2, 4, 2, 5));
-        assert_eq!(env.resilience_kill9, None);
     }
 
     #[test]
@@ -282,12 +258,10 @@ mod tests {
             ("TUGAL_METRICS_SAMPLE", "500"),
             ("TUGAL_JOB_WALL_MS", "60000"),
             ("TUGAL_JOB_MAX_CYCLES", "0"),
-            ("TUGAL_CKPT", " results/ckpt1 "),
-            ("TUGAL_CKPT_EVERY", "600"),
+            ("TUGAL_TRACE", " results/trace.jsonl "),
             ("TUGAL_JOURNAL", ""),
             ("TUGAL_PERF_TOLERANCE", "0.5"),
             ("TUGAL_RESILIENCE_TOPO", "2,7,1,8"),
-            ("TUGAL_RESILIENCE_KILL9", "2"),
         ])
         .unwrap();
         assert!(env.full && env.tiny);
@@ -298,25 +272,20 @@ mod tests {
         );
         assert_eq!(env.budget.wall_limit_ms, 60_000);
         assert_eq!(env.budget.max_cycles, 0);
-        let ck = env.ckpt.unwrap();
-        assert_eq!((ck.dir.as_str(), ck.every), ("results/ckpt1", 600));
+        assert_eq!(env.trace.as_deref(), Some("results/trace.jsonl"));
         assert_eq!(env.journal, None);
         assert_eq!(env.perf_tolerance, 0.5);
         assert_eq!(env.resilience_topo, (2, 7, 1, 8));
-        assert_eq!(env.resilience_kill9, Some(2));
-        let ck = parse(&[("TUGAL_CKPT", "d")]).unwrap().ckpt.unwrap();
-        assert_eq!(ck.every, 1000);
     }
 
     #[test]
     fn malformed_values_are_errors() {
         // Each of these used to fall back to a default without a word:
-        // the watchdog switched off, quick mode, a 1000-cycle cadence,
-        // a 25% tolerance.
+        // the watchdog switched off, quick mode, 32 kept capsules, a 25%
+        // tolerance.
         rejects("TUGAL_JOB_WALL_MS", "60s");
         rejects("TUGAL_FULL", "true");
-        rejects("TUGAL_CKPT_EVERY", "0");
-        rejects("TUGAL_CKPT_EVERY", "abc");
+        rejects("TUGAL_CAPSULE_KEEP", "abc");
         rejects("TUGAL_PERF_TOLERANCE", "25%");
         rejects("TUGAL_METRICS_OCC", "-1");
         rejects("TUGAL_RESILIENCE_TOPO", "2,4,2");
@@ -332,6 +301,11 @@ mod tests {
             "TUGAL_PERF_TINY",
             "TUGAL_PROF_TINY",
             "TUGAL_FUL",
+            // Retired with mid-simulation checkpointing: a stale script
+            // exits 2 instead of running without the checkpoints it asked for.
+            "TUGAL_CKPT",
+            "TUGAL_CKPT_EVERY",
+            "TUGAL_RESILIENCE_KILL9",
         ] {
             assert_eq!(
                 parse(&[(name, "1")]),

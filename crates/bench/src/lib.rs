@@ -80,18 +80,13 @@ pub fn full_fidelity() -> bool {
 }
 
 /// Simulator configuration for the current fidelity mode (Table 3 network
-/// parameters in both), with the `TUGAL_CKPT`/`TUGAL_CKPT_EVERY`
-/// checkpointing applied, so any harness can run with mid-simulation
-/// checkpoints (the runner keys each job's checkpoint files by its
-/// journal digest).
+/// parameters in both).
 pub fn sim_config() -> Config {
-    let mut cfg = if full_fidelity() {
+    if full_fidelity() {
         Config::paper_default()
     } else {
         Config::quick()
-    };
-    cfg.checkpoint = HarnessEnv::get().ckpt.clone();
-    cfg
+    }
 }
 
 /// Session-wide metrics override (set by harnesses like `fig_linkload`

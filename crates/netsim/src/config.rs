@@ -1,6 +1,5 @@
 //! Simulator configuration (Table 3 of the paper).
 
-use crate::ckpt::CkptConfig;
 use crate::engine::WatchdogConfig;
 use crate::error::ConfigError;
 use serde::{Deserialize, Serialize};
@@ -47,7 +46,7 @@ impl RoutingAlgorithm {
 ///
 /// [`Config::paper_default`] reproduces Table 3; [`Config::quick`] shrinks
 /// the measurement windows for CI-speed runs (same network parameters).
-#[derive(Clone, PartialEq, Serialize)]
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Config {
     /// Virtual channels per channel.  Use
     /// [`tugal_routing::required_vcs`] for the scheme/routing at hand; more
@@ -94,26 +93,17 @@ pub struct Config {
     /// so arming it cannot change simulation results; a trip only *stops*
     /// the run early with a [`crate::StallReport`].
     pub watchdog: Option<WatchdogConfig>,
-    /// Opt-in mid-simulation checkpointing (`None` = off, the default):
-    /// the engine writes a restartable snapshot of the full deterministic
-    /// state every [`CkptConfig::every`] cycles, and on startup resumes
-    /// from the newest valid checkpoint in [`CkptConfig::dir`].  A
-    /// resumed run is **bit-for-bit identical** to an uninterrupted one
-    /// (pinned by `tests/ckpt.rs`); with `None` the engine hot path is
-    /// untouched.
-    pub checkpoint: Option<CkptConfig>,
 }
 
 // Hand-written so the rendering stays what existing digests were computed
 // from: the `Debug` text of `Config` feeds FNV-1a digests (runner series
-// keys, the perf baseline, checkpoint fingerprints), so a `None`
-// checkpoint field is omitted entirely, and `shards: 1` stays although
-// the engine lost its shard count (every run is sequential, which the
-// old default of 1 described).
+// keys, the perf baseline), so `shards: 1` stays although the engine lost
+// its shard count (every run is sequential, which the old default of 1
+// described).
 impl std::fmt::Debug for Config {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut d = f.debug_struct("Config");
-        d.field("num_vcs", &self.num_vcs)
+        f.debug_struct("Config")
+            .field("num_vcs", &self.num_vcs)
             .field("buf_size", &self.buf_size)
             .field("local_latency", &self.local_latency)
             .field("global_latency", &self.global_latency)
@@ -127,11 +117,8 @@ impl std::fmt::Debug for Config {
             .field("vlb_candidates", &self.vlb_candidates)
             .field("seed", &self.seed)
             .field("shards", &1u32)
-            .field("watchdog", &self.watchdog);
-        if let Some(ck) = &self.checkpoint {
-            d.field("checkpoint", ck);
-        }
-        d.finish()
+            .field("watchdog", &self.watchdog)
+            .finish()
     }
 }
 
@@ -155,7 +142,6 @@ impl Config {
             vlb_candidates: 1,
             seed: 0xDF17,
             watchdog: None,
-            checkpoint: None,
         }
     }
 
@@ -211,36 +197,6 @@ impl Config {
             return Err(ConfigError::NoVlbCandidates);
         }
         Ok(())
-    }
-}
-
-// Hand-written so `checkpoint` can default when the field is missing: the
-// vendored minimal serde derive has no `#[serde(default)]`, and configs
-// serialized before the field existed (journals, replay capsules) must
-// keep deserializing to the same run they described.  A `shards` key, as
-// older files carry, is ignored: results never depended on it.
-impl Deserialize for Config {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Config {
-            num_vcs: Deserialize::from_value(serde::obj_field(v, "num_vcs")?)?,
-            buf_size: Deserialize::from_value(serde::obj_field(v, "buf_size")?)?,
-            local_latency: Deserialize::from_value(serde::obj_field(v, "local_latency")?)?,
-            global_latency: Deserialize::from_value(serde::obj_field(v, "global_latency")?)?,
-            terminal_latency: Deserialize::from_value(serde::obj_field(v, "terminal_latency")?)?,
-            speedup: Deserialize::from_value(serde::obj_field(v, "speedup")?)?,
-            vc_scheme: Deserialize::from_value(serde::obj_field(v, "vc_scheme")?)?,
-            warmup_windows: Deserialize::from_value(serde::obj_field(v, "warmup_windows")?)?,
-            window: Deserialize::from_value(serde::obj_field(v, "window")?)?,
-            sat_latency: Deserialize::from_value(serde::obj_field(v, "sat_latency")?)?,
-            ugal_threshold: Deserialize::from_value(serde::obj_field(v, "ugal_threshold")?)?,
-            vlb_candidates: Deserialize::from_value(serde::obj_field(v, "vlb_candidates")?)?,
-            seed: Deserialize::from_value(serde::obj_field(v, "seed")?)?,
-            watchdog: Deserialize::from_value(serde::obj_field(v, "watchdog")?)?,
-            checkpoint: match serde::obj_field(v, "checkpoint") {
-                Ok(s) => Deserialize::from_value(s)?,
-                Err(_) => None,
-            },
-        })
     }
 }
 
@@ -313,8 +269,8 @@ mod tests {
 
     #[test]
     fn debug_rendering_matches_existing_digests() {
-        // Journal series keys, checkpoint fingerprints and perf baseline
-        // digests hash this exact text; it must not change.
+        // Journal series keys and perf baseline digests hash this exact
+        // text; it must not change.
         assert_eq!(
             format!("{:?}", Config::paper_default()),
             "Config { num_vcs: 4, buf_size: 32, local_latency: 10, global_latency: 15, \
@@ -327,50 +283,29 @@ mod tests {
     #[test]
     fn serialized_shard_counts_are_ignored() {
         // Journals and replay capsules written while the engine had a
-        // shard count carry a `shards` key; each describes the same
-        // sequential run.
+        // shard count or a checkpoint setting carry a `shards` or
+        // `checkpoint` key; each describes the same sequential run.
         let json = serde_json::to_string(&Config::quick()).unwrap();
         assert!(!json.contains("shards"), "{json}");
-        let old = json.replacen('{', "{\"shards\":4,", 1);
-        let back: Config = serde_json::from_str(&old).unwrap();
-        assert_eq!(back, Config::quick());
-        assert_eq!(format!("{back:?}"), format!("{:?}", Config::quick()));
+        for key in [
+            "\"shards\":4,",
+            "\"checkpoint\":null,",
+            "\"checkpoint\":{\"dir\":\"d\",\"every\":600,\"stem\":\"run\"},",
+        ] {
+            let old = json.replacen('{', &format!("{{{key}"), 1);
+            let back: Config = serde_json::from_str(&old).unwrap();
+            assert_eq!(back, Config::quick(), "{old}");
+            assert_eq!(format!("{back:?}"), format!("{:?}", Config::quick()));
+        }
     }
 
     #[test]
     fn config_roundtrips_through_json() {
         let mut c = Config::quick();
         c.watchdog = Some(WatchdogConfig::guard_for(&c));
-        c.checkpoint = Some(CkptConfig::new("/tmp/ckpt"));
         let json = serde_json::to_string(&c).unwrap();
         let back: Config = serde_json::from_str(&json).unwrap();
         assert_eq!(back, c);
-    }
-
-    #[test]
-    fn checkpoint_field_defaults_to_none_in_old_json() {
-        // Configs serialized before checkpointing existed carry no
-        // `checkpoint` key; they must deserialize with it off.
-        let serde::Value::Object(mut fields) = serde::Serialize::to_value(&Config::quick()) else {
-            panic!("Config serializes to an object");
-        };
-        fields.retain(|(k, _)| k != "checkpoint");
-        let back: Config = serde::Deserialize::from_value(&serde::Value::Object(fields)).unwrap();
-        assert_eq!(back.checkpoint, None);
-        assert_eq!(back, Config::quick());
-    }
-
-    #[test]
-    fn debug_rendering_is_stable_when_checkpoint_is_off() {
-        // The Debug string feeds series-key/perf digests; with
-        // checkpointing off it must not mention the field at all, so
-        // every pre-existing journal digest still matches.
-        let mut c = Config::quick();
-        let off = format!("{c:?}");
-        assert!(!off.contains("checkpoint"), "{off}");
-        assert!(off.contains("watchdog: None"), "{off}");
-        c.checkpoint = Some(CkptConfig::new("d"));
-        assert!(format!("{c:?}").contains("checkpoint"));
     }
 
     #[test]

@@ -6,7 +6,6 @@ use super::profile::EngineProfiler;
 use super::state::Packet;
 use super::{Engine, F_REVISABLE, F_ROUTED, SOURCE_QUEUE_CAP};
 use rand::Rng;
-use tugal_routing::Path;
 use tugal_topology::NodeId;
 
 impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
@@ -65,11 +64,6 @@ impl<O: SimObserver, P: EngineProfiler> Engine<'_, O, P> {
                 out_chan: u32::MAX,
                 out_vc: u8::MAX,
             });
-            // Pre-routing placeholder: the zero-hop path at the source
-            // switch.  The engine never reads it (`route` runs before any
-            // hop), but a checkpoint records it, and a recycled slot's
-            // stale route would make that record depend on pool layout.
-            self.ws.paths[pi as usize] = Path::single(topo.switch_of_node(NodeId(n)));
             self.ws.stg_push(inj, pi);
             if !self.ws.in_busy[inj] {
                 self.ws.in_busy[inj] = true;

@@ -53,7 +53,6 @@ pub use watchdog::{
     VcSnapshot, WatchdogConfig,
 };
 
-use crate::ckpt::{self, CkptEvent, CkptEventKind, CkptRun, CkptShape, CkptWarning, ResumeCtx};
 use crate::config::{Config, RoutingAlgorithm};
 use crate::fault::FaultSchedule;
 use crate::stats::SimResult;
@@ -83,7 +82,7 @@ pub(crate) const F_VLB: u8 = 4;
 /// Weyl-sequence multiplier mixing the group index into the run seed:
 /// every dragonfly group draws from its own `SmallRng` stream (injection
 /// by the source node's group, routing draws by the deciding switch's
-/// group).  The golden fixtures and checkpoints pin this stream layout.
+/// group).  The golden fixtures pin this stream layout.
 const GROUP_SEED_MIX: u64 = 0x9E3779B97F4A7C15;
 
 fn group_rng(seed: u64, group: u32) -> SmallRng {
@@ -120,9 +119,6 @@ pub struct RunOutput {
     /// The watchdog's report when it stopped the run (`None` when the
     /// watchdog is off or never fired).
     pub stall: Option<StallReport>,
-    /// Checkpoint writes and restores the run performed, for trace spans
-    /// (empty with `cfg.checkpoint = None`).
-    pub ckpt_events: Vec<CkptEvent>,
 }
 
 /// A configured simulation; [`Simulator::run`] executes it at one offered
@@ -202,15 +198,6 @@ impl Simulator {
     ///   `tests/profile.rs`).
     /// * [`RunOutput::stall`] carries the [`StallReport`] when the
     ///   configured watchdog tripped.
-    /// * With `cfg.checkpoint = None` (the default)
-    ///   [`RunOutput::ckpt_events`] is empty.  With `Some`, the run first
-    ///   restores from the newest valid checkpoint in the configured
-    ///   directory (cold-starting when there is none), then writes a
-    ///   checkpoint every `every` cycles.  Restore is bit-for-bit: the
-    ///   resumed run's result equals the uninterrupted run's.  If the
-    ///   observer does not implement [`SimObserver::snapshot`],
-    ///   checkpointing is disabled for the job with a warning (results
-    ///   unaffected).
     pub fn run_in<O: SimObserver, P: EngineProfiler>(
         &self,
         rate: f64,
@@ -223,74 +210,8 @@ impl Simulator {
             "injection rate {rate} out of (0,1]"
         );
         ws.reset(&self.topo, &self.cfg);
-
-        // Checkpoint coordinator: built only when configured, the observer
-        // can snapshot, and the directory is usable — otherwise a typed
-        // warning and the run proceeds unchanged (checkpointing is purely
-        // additive, never load-bearing for results).
-        let mut ckpt_events: Vec<CkptEvent> = Vec::new();
-        let ckrun = match &self.cfg.checkpoint {
-            None => None,
-            Some(_) if obs.snapshot().is_none() => {
-                eprintln!("warning: {}", CkptWarning::ObserverSnapshotUnsupported);
-                None
-            }
-            Some(cc) => {
-                let shape = CkptShape {
-                    groups: self.topo.num_groups() as u32,
-                    n_chan: self.topo.num_channels() as u64,
-                    n_buf: (self.topo.num_channels() * self.cfg.num_vcs as usize) as u64,
-                    n_switches: self.topo.num_switches() as u64,
-                };
-                let topo_key = format!("{:?}{}", self.topo.params(), self.topo.shape_suffix());
-                let fp = ckpt::fingerprint(
-                    &topo_key,
-                    self.routing,
-                    &self.cfg,
-                    self.faults.as_deref(),
-                    rate,
-                );
-                match CkptRun::new(cc, fp, shape) {
-                    Ok(run) => Some(run),
-                    Err(e) => {
-                        eprintln!("warning: checkpoint directory {} unusable: {e}", cc.dir);
-                        None
-                    }
-                }
-            }
-        };
-        // Restore: newest valid checkpoint (corrupt candidates fall back
-        // to the previous retained file, then to a cold start).
-        let mut resume: Option<ResumeCtx> = None;
-        if let Some(ck) = &ckrun {
-            let t0 = std::time::Instant::now();
-            if let Some((chk, bytes, checksum)) = ck.load() {
-                let ring_mask = SimWorkspace::ring_size_for(&self.cfg) as u64 - 1;
-                ckpt::apply(&chk, ws, ring_mask);
-                if let Some(blob) = chk.obs_blobs.iter().find(|b| !b.is_empty()) {
-                    obs.restore(blob);
-                }
-                ckpt_events.push(CkptEvent {
-                    kind: CkptEventKind::Restore,
-                    cycle: chk.next_cycle,
-                    bytes,
-                    checksum,
-                    elapsed_ms: t0.elapsed().as_millis() as u64,
-                });
-                resume = Some(ResumeCtx::from_checkpoint(&chk));
-            }
-        }
-
-        let (result, stall) =
-            Engine::new(self, rate, ws, obs, prof, ckrun.as_ref(), resume.as_ref()).run();
-        if let Some(ck) = &ckrun {
-            ckpt_events.extend(ck.take_events());
-        }
-        RunOutput {
-            result,
-            stall,
-            ckpt_events,
-        }
+        let (result, stall) = Engine::new(self, rate, ws, obs, prof).run();
+        RunOutput { result, stall }
     }
 }
 
@@ -322,13 +243,6 @@ pub(crate) struct Engine<'a, O: SimObserver, P: EngineProfiler> {
     next_event: usize,
     /// UGAL-G queue snapshot (`None` for every other routing algorithm).
     snap: Option<Snap>,
-    /// Checkpoint coordinator (`None` keeps the loop's checkpoint test to
-    /// a single `Option` check per cycle).
-    ckpt: Option<&'a CkptRun>,
-    /// Wall-clock milliseconds accumulated before a restored run started;
-    /// added to every elapsed sample so watchdog wall ceilings span
-    /// restarts instead of resetting at each resume.
-    wall_offset_ms: u64,
     /// Flight-recorder ring (empty unless an armed watchdog sets
     /// `flight_recorder > 0`): the last `fr_cap` cycles' frames, oldest at
     /// `fr_pos` once the ring wraps.
@@ -344,42 +258,30 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
         ws: &'a mut SimWorkspace,
         obs: &'a mut O,
         prof: &'a mut P,
-        ckpt: Option<&'a CkptRun>,
-        resume: Option<&'a ResumeCtx>,
     ) -> Self {
         let cfg = &sim.cfg;
         let n_network = sim.topo.num_network_channels();
-        // On resume every group's RNG stream continues exactly where the
-        // checkpoint froze it.
-        let rngs = match resume {
-            None => (0..sim.topo.num_groups() as u32)
-                .map(|g| group_rng(cfg.seed, g))
-                .collect(),
-            Some(r) => r.rngs.iter().map(|s| SmallRng::from_state(*s)).collect(),
-        };
         Engine {
             sim,
-            // `apply` pre-populated the pool on resume; every pooled
-            // packet is live (the restore never fills the free list).
-            in_flight: ws.packets.len(),
+            in_flight: 0,
             ws,
             obs,
             prof,
             rate,
-            now: resume.map_or(0, |r| r.next_cycle),
-            rngs,
+            now: 0,
+            rngs: (0..sim.topo.num_groups() as u32)
+                .map(|g| group_rng(cfg.seed, g))
+                .collect(),
             v: cfg.num_vcs as usize,
             ring_mask: SimWorkspace::ring_size_for(cfg) as u64 - 1,
             n_network,
-            stats: resume.map_or_else(Stats::new, |r| r.stats.unpack()),
+            stats: Stats::new(),
             fault_on: sim.faults.as_ref().is_some_and(|f| !f.is_empty()),
-            next_event: resume.map_or(0, |r| r.next_event as usize),
+            next_event: 0,
             snap: (sim.routing == RoutingAlgorithm::UgalG).then(|| Snap {
                 stg: vec![0; n_network],
                 occ: vec![0; n_network],
             }),
-            ckpt,
-            wall_offset_ms: resume.map_or(0, |r| r.elapsed_ms),
             fr_ring: Vec::new(),
             fr_pos: 0,
             fr_cap: 0,
@@ -520,11 +422,6 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
             }
             self.prof.mark(profile::Phase::Stop);
             self.prof.cycle_done();
-            if let Some(ck) = self.ckpt {
-                if ck.due(self.now, total) {
-                    self.checkpoint_write(ck, &wd_start);
-                }
-            }
             self.now += 1;
         }
         self.prof.run_end();
@@ -543,116 +440,6 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
         (result, stall)
     }
 
-    /// End-of-cycle checkpoint step: captures the full state and commits
-    /// it (skipped once a write failed — the simulation itself goes on).
-    fn checkpoint_write(&mut self, ck: &CkptRun, wd_start: &std::time::Instant) {
-        if ck.is_dead() {
-            return;
-        }
-        let elapsed_ms = wd_start.elapsed().as_millis() as u64 + self.wall_offset_ms;
-        ck.commit(self.capture(ck, elapsed_ms));
-    }
-
-    /// Captures the run state into a canonical [`ckpt::Checkpoint`]:
-    /// sparse against the reset defaults (`credits == buf_size`,
-    /// `wait == u32::MAX`, `rr == 0`, zero send-side scalars), FIFOs
-    /// walked head-to-tail, calendar rings converted to absolute due
-    /// cycles (every pending due lies in `[now + 1, now + ring_size]`, so
-    /// the slot index recovers the cycle exactly).  Every section is in
-    /// ascending key order.
-    fn capture(&self, ck: &CkptRun, elapsed_ms: u64) -> ckpt::Checkpoint {
-        let mut c = ckpt::Checkpoint::empty(ck.fingerprint, ck.shape, self.now + 1);
-        c.elapsed_ms = elapsed_ms;
-        c.next_event = self.next_event as u64;
-        c.stats = ckpt::StatsSnap::pack(&self.stats);
-        c.obs_blobs = vec![self.obs.snapshot().unwrap_or_default()];
-        c.rngs = (0..)
-            .zip(&self.rngs)
-            .map(|(g, rng)| (g, rng.state()))
-            .collect();
-        let buf_size = self.sim.cfg.buf_size;
-        let n_chan = self.ws.stg_head.len();
-        for ch in 0..n_chan {
-            if self.ws.stg_len[ch] > 0 {
-                c.staging
-                    .push((ch as u32, self.fifo_recs(self.ws.stg_head[ch])));
-            }
-            if self.ws.next_free[ch] != 0
-                || self.ws.cred_used[ch] != 0
-                || self.ws.chan_flits[ch] != 0
-            {
-                c.chan_send.push(ckpt::ChanSend {
-                    ch: ch as u32,
-                    next_free: self.ws.next_free[ch],
-                    cred_used: self.ws.cred_used[ch],
-                    chan_flits: self.ws.chan_flits[ch],
-                });
-            }
-            for idx in ch * self.v..(ch + 1) * self.v {
-                if self.ws.credits[idx] != buf_size {
-                    c.credits.push((idx as u32, self.ws.credits[idx]));
-                }
-                if self.ws.inb_head[idx] != u32::MAX {
-                    c.inbufs
-                        .push((idx as u32, self.fifo_recs(self.ws.inb_head[idx])));
-                }
-                if self.ws.wait[idx] != u32::MAX {
-                    c.wait.push((idx as u32, self.ws.wait[idx]));
-                }
-            }
-        }
-        let base = self.now + 1;
-        let due_of = |slot: usize| base + ((slot as u64).wrapping_sub(base) & self.ring_mask);
-        for (slot, pis) in self.ws.arrivals.iter().enumerate() {
-            for &pi in pis {
-                c.arrivals.push((due_of(slot), self.pk_rec(pi)));
-            }
-        }
-        // At most one flit arrives per (channel, cycle), so this key is
-        // unique and the order is total.
-        c.arrivals
-            .sort_unstable_by_key(|(due, p)| (*due, p.cur_chan));
-        for (slot, idxs) in self.ws.credit_ring.iter().enumerate() {
-            for &idx in idxs {
-                c.credit_events.push((due_of(slot), idx));
-            }
-        }
-        c.credit_events.sort_unstable();
-        for sw in 0..self.ws.rr.len() {
-            if self.ws.rr[sw] != 0 {
-                c.rr.push((sw as u32, self.ws.rr[sw] as u64));
-            }
-            if !self.ws.ready[sw].is_empty() {
-                c.ready.push((sw as u32, self.ws.ready[sw].clone()));
-            }
-        }
-        if self.fault_on {
-            c.chan_dead = (0..n_chan as u32)
-                .filter(|&ch| self.ws.chan_dead[ch as usize])
-                .collect();
-            c.switch_dead = (0..self.ws.switch_dead.len() as u32)
-                .filter(|&sw| self.ws.switch_dead[sw as usize])
-                .collect();
-        }
-        c
-    }
-
-    /// Checkpoint records of the FIFO starting at packet `head`.
-    fn fifo_recs(&self, head: u32) -> Vec<ckpt::PkRec> {
-        let mut recs = Vec::new();
-        let mut pi = head;
-        while pi != u32::MAX {
-            recs.push(self.pk_rec(pi));
-            pi = self.ws.next_pkt[pi as usize];
-        }
-        recs
-    }
-
-    /// Pool-independent checkpoint record of live packet `pi`.
-    fn pk_rec(&self, pi: u32) -> ckpt::PkRec {
-        ckpt::PkRec::capture(&self.ws.packets[pi as usize], self.packet_path(pi))
-    }
-
     /// The end-of-cycle counters of the cycle that just completed.  The
     /// wall clock is sampled only at the watchdog's 1024-cycle cadence.
     fn globals(&self, wall_armed: bool, start: &std::time::Instant) -> CycleGlobals {
@@ -663,7 +450,7 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
             delivered: self.stats.total_delivered,
             dropped: self.stats.total_dropped,
             elapsed_ms: if wall_armed && self.now & 1023 == 0 {
-                start.elapsed().as_millis() as u64 + self.wall_offset_ms
+                start.elapsed().as_millis() as u64
             } else {
                 0
             },
@@ -828,10 +615,10 @@ impl<'a, O: SimObserver, P: EngineProfiler> Engine<'a, O, P> {
 
         // 2. Arrivals, in canonical (channel) order: a channel delivers at
         // most one flit per cycle, so `cur_chan` totally orders the slot,
-        // independent of the order transmissions (or a checkpoint restore)
-        // filled it.  The sort runs on packed `cur_chan << 32 | packet` keys, so comparing
-        // two entries needs no packet load; the keys are unique, so the
-        // order is the same as sorting the packets by channel.
+        // independent of the order transmissions filled it.  The sort runs
+        // on packed `cur_chan << 32 | packet` keys, so comparing two entries
+        // needs no packet load; the keys are unique, so the order is the
+        // same as sorting the packets by channel.
         let mut arrived = std::mem::take(&mut self.ws.arrival_scratch);
         std::mem::swap(&mut arrived, &mut self.ws.arrivals[slot]);
         let mut keys = std::mem::take(&mut self.ws.arrival_keys);

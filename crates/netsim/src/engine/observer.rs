@@ -105,31 +105,10 @@ pub trait SimObserver {
     /// network (non-zero for saturated or truncated runs).
     #[inline(always)]
     fn on_run_end(&mut self, now: u64, in_flight: u64) {}
-
-    /// Serializes the observer's accumulated state for a mid-run
-    /// checkpoint, or `None` (the default) if the observer does not
-    /// support checkpointing — in which case the engine disables
-    /// checkpointing for the job with a typed warning; results are
-    /// unaffected.  A stateless observer should return `Some(Vec::new())`:
-    /// an empty blob is never passed to [`restore`](Self::restore).
-    #[inline]
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Restores state captured by [`snapshot`](Self::snapshot) before the
-    /// resumed run starts.
-    #[inline]
-    fn restore(&mut self, bytes: &[u8]) {}
 }
 
 /// The zero-cost default observer.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopObserver;
 
-impl SimObserver for NoopObserver {
-    // Stateless, so it checkpoints trivially: no state, empty blob.
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-}
+impl SimObserver for NoopObserver {}

@@ -103,10 +103,11 @@ pub struct SimWorkspace {
     pub(crate) packets: Vec<Packet>,
     pub(crate) free: Vec<u32>,
     /// Route storage, parallel to `packets`: slot `i` holds a copy of the
-    /// path packet `i` currently follows (the pre-routing placeholder, the
-    /// routing draw, a PAR revision or a fault reroute).  Every routing
-    /// draw stores its decoded candidate here, so the per-hop work never
-    /// goes back to the provider.  Stale for free pool slots.
+    /// path packet `i` currently follows (the routing draw, a PAR revision
+    /// or a fault reroute).  Every routing draw stores its decoded
+    /// candidate here, so the per-hop work never goes back to the
+    /// provider.  Stale for free pool slots and for packets not yet routed
+    /// (`route` writes the slot before any read).
     pub(crate) paths: Vec<Path>,
     /// Intrusive FIFO links, parallel to `packets`: the next packet in
     /// whichever queue (staging or input buffer) packet `i` currently

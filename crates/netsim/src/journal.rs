@@ -27,6 +27,12 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+/// Fsyncs a directory so a just-created entry inside it survives a crash
+/// (POSIX requires the directory fsync, not just the file's).
+pub(crate) fn fsync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
 /// FNV-1a over a byte stream — the digest primitive the whole suite uses
 /// (path-table caches, perf scenario digests, journal keys).
 #[derive(Debug, Clone, Copy)]
@@ -205,7 +211,7 @@ impl Journal {
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         if !existed {
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                crate::ckpt::fsync_dir(dir)?;
+                fsync_dir(dir)?;
             }
         }
         Ok(Journal {

@@ -43,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod ckpt;
 mod config;
 mod engine;
 mod error;
@@ -54,7 +53,6 @@ mod stats;
 mod sweep;
 pub mod trace;
 
-pub use ckpt::{CkptConfig, CkptEvent, CkptEventKind, CkptWarning};
 pub use config::{Config, RoutingAlgorithm};
 pub use engine::{
     ConservationLedger, EngineProf, EngineProfiler, FlightFrame, NoopObserver, NoopProfiler,

@@ -373,15 +373,11 @@ impl ExperimentRunner {
     /// changes every digest of the series, so stale journal entries are
     /// never replayed.  (The path provider has no stable identity of its
     /// own; the series label carries it, as every harness labels series by
-    /// provider × routing.)  The checkpoint config is stripped like the
-    /// seed: checkpointing never changes results (pinned by
-    /// `tests/ckpt.rs`), so a journal written with checkpointing off
-    /// replays under a checkpointing run and vice versa.
+    /// provider × routing.)
     fn series_key(&self, si: usize) -> String {
         let s = &self.series[si];
         let mut cfg = s.cfg.clone();
         cfg.seed = 0;
-        cfg.checkpoint = None;
         format!(
             "{}|{:?}{}|{:?}|{:?}|{:?}|{:?}",
             s.label,
@@ -525,18 +521,10 @@ impl ExperimentRunner {
                 let start = Instant::now();
                 let mut prof = self.profiling.then(EngineProf::new);
                 let run = catch_unwind(AssertUnwindSafe(|| {
-                    let mut cfg = Config {
+                    let cfg = Config {
                         seed,
                         ..cfgs[si].clone()
                     };
-                    // Jobs of one batch share the checkpoint directory;
-                    // keying each job's files by its digest (the journal
-                    // key) keeps concurrent jobs from clobbering each
-                    // other's checkpoints and lets a resumed invocation
-                    // find exactly its own.
-                    if let Some(ck) = cfg.checkpoint.as_mut() {
-                        ck.stem = format!("{digest:016x}");
-                    }
                     let mut sim = Simulator::new(
                         self.topo.clone(),
                         s.provider.clone(),
@@ -553,45 +541,29 @@ impl ExperimentRunner {
                     })
                 }));
                 let profile = prof.map(|p| p.report());
-                let (outcome, ck_events) = match run {
+                let outcome = match run {
                     Ok(RunOutput {
                         result,
                         stall: None,
-                        ckpt_events,
                     }) => {
                         if let Some(journal) = &self.journal {
                             journal.record(digest, &s.label, rate, seed, &result);
                         }
-                        (JobOutcome::Ok(result), ckpt_events)
+                        JobOutcome::Ok(result)
                     }
                     Ok(RunOutput {
-                        stall: Some(stall),
-                        ckpt_events,
-                        ..
-                    }) => (
+                        stall: Some(stall), ..
+                    }) => {
                         if stall.kind == StallKind::WallClockExceeded {
                             JobOutcome::TimedOut(stall)
                         } else {
                             JobOutcome::WatchdogTripped(stall)
-                        },
-                        ckpt_events,
-                    ),
-                    Err(payload) => (
-                        JobOutcome::Panicked(panic_message(payload.as_ref())),
-                        Vec::new(),
-                    ),
+                        }
+                    }
+                    Err(payload) => JobOutcome::Panicked(panic_message(payload.as_ref())),
                 };
                 let ms = start.elapsed().as_secs_f64() * 1e3;
                 if let Some(trace) = &self.trace {
-                    for e in &ck_events {
-                        let mut span = job_span(e.kind.name());
-                        span.t_ms = trace.now_ms();
-                        span.cycle = e.cycle;
-                        span.ckpt_bytes = e.bytes;
-                        span.checksum = e.checksum;
-                        span.elapsed_ms_bits = (e.elapsed_ms as f64).to_bits();
-                        trace.emit(&span);
-                    }
                     let mut span = job_span("job_end");
                     span.t_ms = trace.now_ms();
                     span.outcome = outcome.name().to_string();

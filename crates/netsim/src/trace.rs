@@ -23,14 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Event type of a span line.
-pub const EVENTS: [&str; 6] = [
-    "batch_start",
-    "job_start",
-    "job_end",
-    "batch_end",
-    "ckpt_write",
-    "ckpt_restore",
-];
+pub const EVENTS: [&str; 4] = ["batch_start", "job_start", "job_end", "batch_end"];
 
 /// Nanoseconds attributed to one named phase (a flattened
 /// [`crate::ProfileReport`] entry).
@@ -77,14 +70,6 @@ pub struct TraceSpan {
     /// Per-phase totals (`job_end` with profiling on, `batch_end` with
     /// the batch's aggregate); empty otherwise.
     pub phase_ns: Vec<PhaseTotal>,
-    /// Simulated cycle the checkpoint resumes at (`ckpt_write`/
-    /// `ckpt_restore`; zero otherwise).
-    pub cycle: u64,
-    /// Checkpoint file size in bytes (`ckpt_write`/`ckpt_restore`).
-    pub ckpt_bytes: u64,
-    /// FNV-1a checksum of the checkpoint payload (`ckpt_write`/
-    /// `ckpt_restore`).
-    pub checksum: u64,
 }
 
 impl TraceSpan {
@@ -105,9 +90,6 @@ impl TraceSpan {
             failed: 0,
             host_threads: 0,
             phase_ns: Vec::new(),
-            cycle: 0,
-            ckpt_bytes: 0,
-            checksum: 0,
         }
     }
 }
@@ -151,23 +133,6 @@ pub fn validate_line(line: &str) -> Result<(), String> {
                 return Err(format!("{} without host_threads", span.ev));
             }
         }
-        "ckpt_write" | "ckpt_restore" => {
-            if span.label.is_empty() {
-                return Err(format!("{} without a series label", span.ev));
-            }
-            if span.digest == 0 {
-                return Err(format!("{} without a job digest", span.ev));
-            }
-            if span.cycle == 0 {
-                return Err(format!("{} without a resume cycle", span.ev));
-            }
-            if span.ckpt_bytes == 0 {
-                return Err(format!("{} without a byte count", span.ev));
-            }
-            if span.checksum == 0 {
-                return Err(format!("{} without a checksum", span.ev));
-            }
-        }
         _ => unreachable!(),
     }
     if span.ev == "job_end" && span.outcome.is_empty() {
@@ -208,7 +173,7 @@ impl TraceSink {
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         if created {
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                crate::ckpt::fsync_dir(dir)?;
+                crate::journal::fsync_dir(dir)?;
             }
         }
         Ok(TraceSink {
@@ -300,49 +265,6 @@ mod tests {
         }];
         let json = serde_json::to_string(&span).unwrap();
         assert!(validate_line(&json).unwrap_err().contains("warp"));
-    }
-
-    #[test]
-    fn ckpt_spans_validate_and_reject_missing_fields() {
-        let mut span = TraceSpan::new("ckpt_write");
-        span.label = "ref/UR".into();
-        span.digest = 42;
-        span.cycle = 1000;
-        span.ckpt_bytes = 4096;
-        span.checksum = 0xdead_beef;
-        let json = serde_json::to_string(&span).unwrap();
-        validate_line(&json).unwrap();
-
-        span.ev = "ckpt_restore".into();
-        let json = serde_json::to_string(&span).unwrap();
-        validate_line(&json).unwrap();
-
-        // Each ckpt-specific field is mandatory.
-        for (field, zeroed) in [
-            ("resume cycle", {
-                let mut s = span.clone();
-                s.cycle = 0;
-                s
-            }),
-            ("byte count", {
-                let mut s = span.clone();
-                s.ckpt_bytes = 0;
-                s
-            }),
-            ("checksum", {
-                let mut s = span.clone();
-                s.checksum = 0;
-                s
-            }),
-            ("job digest", {
-                let mut s = span.clone();
-                s.digest = 0;
-                s
-            }),
-        ] {
-            let json = serde_json::to_string(&zeroed).unwrap();
-            assert!(validate_line(&json).unwrap_err().contains(field));
-        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! * **Zero-cost when armed but not tripping** — a run with a generous
 //!   watchdog, or with a conservation audit every 64 cycles, reproduces
-//!   every pristine golden fixture bit-for-bit, and a degraded (faulted)
-//!   run reproduces its unarmed twin exactly.
+//!   every pristine and every degraded (faulted) golden fixture
+//!   bit-for-bit, a switch dying mid-run included.
 //! * **Livelock detection** — a provably livelocked network (every global
 //!   cable dead, all-cross-group traffic, so nothing is ever delivered)
 //!   trips the forward-progress check with a well-formed [`StallReport`].
@@ -93,32 +93,31 @@ fn armed_watchdog_reproduces_pristine_goldens() {
 
 #[test]
 fn armed_watchdog_reproduces_faulted_run() {
-    let schedule =
-        || FaultSchedule::immediate(FaultSet::sample_global_links(&golden_topo(), 0.05, 0xBEEF));
-    let plain = simulator(RoutingAlgorithm::UgalL, true, 7)
-        .with_faults(Arc::new(schedule()))
-        .run(0.15);
-    let RunOutput {
-        result: armed,
-        stall,
-        ..
-    } = watchdog_sim(RoutingAlgorithm::UgalL, true, 7, generous())
-        .with_faults(Arc::new(schedule()))
-        .run_in(
-            0.15,
-            &mut SimWorkspace::new(),
-            &mut NoopObserver,
-            &mut NoopProfiler,
-        );
-    assert!(
-        stall.is_none(),
-        "watchdog tripped on a degraded run: {stall:?}"
-    );
-    assert_eq!(
-        format!("{armed:?}"),
-        format!("{plain:?}"),
-        "armed watchdog changed a degraded run"
-    );
+    // Both degraded golden scenarios: cables dead from cycle 0, and a
+    // switch dying inside the measurement window (buffered-flit drain and
+    // en-route reroutes), each under both armed configurations.
+    for wd in [generous(), audit()] {
+        for (scenario, adversarial, rate, expected) in FAULT_CASES {
+            let RunOutput { result, stall, .. } =
+                watchdog_sim(RoutingAlgorithm::UgalL, adversarial, 7, wd)
+                    .with_faults(Arc::new(schedule_of(scenario)))
+                    .run_in(
+                        rate,
+                        &mut SimWorkspace::new(),
+                        &mut NoopObserver,
+                        &mut NoopProfiler,
+                    );
+            assert!(
+                stall.is_none(),
+                "{scenario} adversarial={adversarial}: {wd:?} tripped: {stall:?}"
+            );
+            assert_eq!(
+                format!("{result:?}"),
+                expected,
+                "{scenario} adversarial={adversarial}: {wd:?} changed a degraded run"
+            );
+        }
+    }
 }
 
 #[test]

@@ -6,7 +6,8 @@ use std::sync::Arc;
 use tugal_netsim::runner::{ExperimentRunner, SeriesSpec};
 use tugal_netsim::{
     aggregate_runs, latency_curve, saturation_throughput, Config, NoopObserver, NoopProfiler,
-    RoutingAlgorithm, SimObserver, SimResult, SimWorkspace, Simulator, SweepOptions, WorkspacePool,
+    RoutingAlgorithm, SimObserver, SimResult, SimWorkspace, Simulator, SweepOptions,
+    WatchdogConfig, WorkspacePool,
 };
 use tugal_routing::TableProvider;
 use tugal_topology::{Dragonfly, DragonflyParams, NodeId};
@@ -34,17 +35,37 @@ fn fresh_and_reused_workspace_agree() {
     let first = sim
         .run_in(0.2, &mut ws, &mut NoopObserver, &mut NoopProfiler)
         .result;
-    // Dirty the workspace with a different routing/rate, then repeat.
-    let other = simulator(&t, RoutingAlgorithm::Par, 3);
-    let _ = other
-        .run_in(0.35, &mut ws, &mut NoopObserver, &mut NoopProfiler)
-        .result;
-    let reused = sim
-        .run_in(0.2, &mut ws, &mut NoopObserver, &mut NoopProfiler)
-        .result;
-
     assert_eq!(fresh, first, "fresh workspace must match Simulator::run");
-    assert_eq!(fresh, reused, "reused workspace must match a fresh one");
+    // Dirty the workspace with a different routing/rate, run to the end
+    // or cut mid-window by a cycle ceiling (packets left in flight), then
+    // repeat.
+    for ceiling in [0, 1_900] {
+        let mut cfg = Config::quick().for_routing(RoutingAlgorithm::Par);
+        cfg.seed = 3;
+        cfg.watchdog = (ceiling > 0).then_some(WatchdogConfig {
+            conservation_every: 0,
+            stall_cycles: 0,
+            max_cycles: ceiling,
+            wall_limit_ms: 0,
+            flight_recorder: 0,
+        });
+        let provider = Arc::new(TableProvider::all_paths(t.clone()));
+        let other = Simulator::new(
+            t.clone(),
+            provider,
+            Arc::new(Uniform::new(&t)),
+            RoutingAlgorithm::Par,
+            cfg,
+        );
+        let _ = other.run_in(0.35, &mut ws, &mut NoopObserver, &mut NoopProfiler);
+        let reused = sim
+            .run_in(0.2, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .result;
+        assert_eq!(
+            fresh, reused,
+            "reused workspace must match a fresh one (ceiling {ceiling})"
+        );
+    }
 }
 
 #[test]
