@@ -1,14 +1,12 @@
 //! Criterion micro-benchmarks of the cycle-accurate simulator: cycles per
 //! second under the paper's routings and candidate-provider kinds, and the
-//! workspace-reuse speedup of the sweep layer.
+//! workspace-reuse speedup of the experiment runner.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rayon::prelude::*;
 use std::sync::Arc;
-use tugal_netsim::{
-    latency_curve, Config, NoopObserver, NoopProfiler, RoutingAlgorithm, SimWorkspace, Simulator,
-    SweepOptions,
-};
+use tugal_netsim::runner::{ExperimentRunner, SeriesSpec};
+use tugal_netsim::{Config, NoopObserver, NoopProfiler, RoutingAlgorithm, SimWorkspace, Simulator};
 use tugal_routing::{PathProvider, RuleProvider, TableProvider, VlbRule};
 use tugal_topology::{Dragonfly, DragonflyParams};
 use tugal_traffic::{Shift, TrafficPattern, Uniform};
@@ -77,7 +75,7 @@ fn simulator_throughput(c: &mut Criterion) {
 
 /// Workspace reuse versus per-run allocation, at quick settings on the
 /// paper's dfly(4,8,4,9): a single-run fresh/reused pair (the sensitive
-/// measurement) and the 8-job `latency_curve` against the same flat job
+/// measurement) and the runner's 8-job curve against the same flat job
 /// list with per-run allocation (the no-regression guard).  Packet state
 /// is stored inline (`Path` is a fixed array), so a fresh workspace only
 /// pays small-buffer allocation against thousands of simulated cycles —
@@ -90,10 +88,7 @@ fn sweep_workspace_reuse(c: &mut Criterion) {
     let routing = RoutingAlgorithm::UgalL;
     let cfg = Config::quick().for_routing(routing);
     let rates = [0.05, 0.10, 0.15, 0.20];
-    let opts = SweepOptions {
-        seeds: vec![1, 2],
-        resolution: 0.02,
-    };
+    let seeds = [1, 2];
 
     let mut group = c.benchmark_group("sweep/8-job curve dfly(4,8,4,9) quick");
     group.sample_size(10);
@@ -125,7 +120,7 @@ fn sweep_workspace_reuse(c: &mut Criterion) {
         // run builds its engine state from scratch.
         let jobs: Vec<(f64, u64)> = rates
             .iter()
-            .flat_map(|&r| opts.seeds.iter().map(move |&s| (r, s)))
+            .flat_map(|&r| seeds.iter().map(move |&s| (r, s)))
             .collect();
         b.iter(|| {
             let results: Vec<_> = jobs
@@ -140,8 +135,20 @@ fn sweep_workspace_reuse(c: &mut Criterion) {
             results
         })
     });
-    group.bench_function("latency_curve (pooled workspaces)", |b| {
-        b.iter(|| latency_curve(&topo, &provider, &pattern, routing, &cfg, &rates, &opts).unwrap())
+    group.bench_function("runner (pooled workspaces)", |b| {
+        let runner = ExperimentRunner::new(topo.clone()).series(SeriesSpec {
+            label: routing.name().to_string(),
+            provider: provider.clone(),
+            pattern: pattern.clone(),
+            routing,
+            cfg: cfg.clone(),
+            faults: None,
+        });
+        b.iter(|| {
+            runner
+                .run_recorded(&rates, &seeds, |_| NoopObserver)
+                .unwrap()
+        })
     });
     group.finish();
 }

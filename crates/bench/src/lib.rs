@@ -250,37 +250,40 @@ pub fn tvlb_provider(topo: &Arc<Dragonfly>) -> (Arc<dyn PathProvider>, VlbRule) 
     };
     // Algorithm 1's Step-1 sweep dominates harness runtime; figures sharing
     // a topology reuse the chosen rule through a small disk cache and
-    // re-materialize the (deterministic) table + balance adjustment.  The
-    // key digests the *full* TUgalConfig, so entries computed under any
-    // other sweep/balance/simulation setting (or by older code) never leak
-    // into a new run.
+    // re-materialize it the way Algorithm 1 did (deterministic).  The key
+    // digests the *full* TUgalConfig, so entries computed under any other
+    // sweep/balance/simulation setting (or by older code) never leak into
+    // a new run.
     let digest = format!("{:016x}", cfg.digest());
     record_digest(topo, &digest);
     let key = format!("{}{}|{digest}", topo.params(), topo.shape_suffix());
-    if let Some(rule) = cache_lookup(&key) {
-        let mut table = tugal_routing::PathTable::build_with_rule(topo, rule, 0x7065);
-        if !rule.is_all() {
-            tugal::balance::adjust(&mut table, topo, &tugal::BalanceOptions::default());
+    let (provider, rule) = match cache_lookup(&key) {
+        Some(rule) => (
+            tugal::algorithm::materialize(topo, rule, &cfg).provider,
+            rule,
+        ),
+        None => {
+            let result = compute_tvlb(topo.clone(), &cfg);
+            cache_store(&key, result.chosen);
+            (result.provider, result.chosen)
         }
-        let provider: Arc<dyn PathProvider> =
-            Arc::new(tugal_routing::TableProvider::new(topo.clone(), table));
-        capsule::register_provider(&provider, tvlb_spec(rule));
-        return (provider, rule);
-    }
-    let result = compute_tvlb(topo.clone(), &cfg);
-    cache_store(&key, result.chosen);
-    capsule::register_provider(&result.provider, tvlb_spec(result.chosen));
-    (result.provider, result.chosen)
+    };
+    capsule::register_provider(&provider, tvlb_spec(topo, rule, &cfg));
+    (provider, rule)
 }
 
-/// The capsule spec of a materialized T-VLB table: the cache's canonical
-/// reconstruction (rule table under seed `0x7065`, balance-adjusted unless
-/// the rule is all-paths).
-fn tvlb_spec(rule: VlbRule) -> capsule::ProviderSpec {
-    capsule::ProviderSpec::Rule {
-        rule,
-        table_seed: 0x7065,
-        balanced: !rule.is_all(),
+/// The capsule spec of a T-VLB provider built by
+/// [`tugal::algorithm::materialize`]: the rule sampler above
+/// `cfg.max_table_switches`, the balance-adjusted rule table below it.
+fn tvlb_spec(topo: &Dragonfly, rule: VlbRule, cfg: &TUgalConfig) -> capsule::ProviderSpec {
+    if topo.num_switches() > cfg.max_table_switches {
+        capsule::ProviderSpec::Sampled { rule }
+    } else {
+        capsule::ProviderSpec::Rule {
+            rule,
+            table_seed: cfg.seed,
+            balanced: true,
+        }
     }
 }
 
@@ -735,5 +738,34 @@ fn write_json(id: &str, series: &[Series]) {
             let _ = serde_json::to_writer_pretty(&mut w, &out);
             let _ = w.flush();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tvlb_spec_names_what_materialize_builds() {
+        // dfly(13,26,13,27) has 702 switches: above the default table
+        // limit a cache hit must rebuild the rule sampler, not a table.
+        let rule = VlbRule::ClassLimit {
+            max_hops: 4,
+            frac_next: 0.6,
+        };
+        let cfg = TUgalConfig::default();
+        let big = dfly(13, 26, 13, 27);
+        assert!(tugal::algorithm::materialize(&big, rule, &cfg)
+            .balance
+            .is_none());
+        let spec = tvlb_spec(&big, rule, &cfg);
+        assert_eq!(spec, capsule::ProviderSpec::Sampled { rule });
+        let spec = tvlb_spec(&dfly(2, 4, 2, 3), VlbRule::All, &cfg);
+        let table = capsule::ProviderSpec::Rule {
+            rule: VlbRule::All,
+            table_seed: cfg.seed,
+            balanced: true,
+        };
+        assert_eq!(spec, table);
     }
 }

@@ -4,10 +4,8 @@ use crate::balance::{self, BalanceOptions, BalanceReport};
 use crate::sweep::{candidate_regions, coarse_grain_sweep, SweepConfig, SweepOutcome};
 use rayon::prelude::*;
 use std::sync::Arc;
-use tugal_netsim::{
-    saturation_throughput, validate_resolution, Config as SimConfig, ConfigError, RoutingAlgorithm,
-    SweepOptions,
-};
+use tugal_netsim::runner::{ExperimentRunner, JobOutcome, SeriesSpec};
+use tugal_netsim::{validate_resolution, Config as SimConfig, ConfigError, RoutingAlgorithm};
 use tugal_routing::{PathProvider, PathTable, RuleProvider, TableProvider, VlbRule};
 use tugal_topology::Dragonfly;
 use tugal_traffic::{type_2_set, TrafficPattern};
@@ -154,7 +152,8 @@ pub fn conventional_provider(
 /// # Panics
 ///
 /// If `cfg` fails [`TUgalConfig::validate`]; the check runs before any
-/// work.
+/// work.  Also if a Step-2 probe job fails (panics, or trips a watchdog
+/// armed through `cfg.sim.watchdog`), naming the probe and the failure.
 pub fn compute_tvlb(topo: Arc<Dragonfly>, cfg: &TUgalConfig) -> TUgalResult {
     if let Err(e) = cfg.validate() {
         panic!("invalid Algorithm-1 configuration: {e}");
@@ -187,18 +186,24 @@ pub fn compute_tvlb(topo: Arc<Dragonfly>, cfg: &TUgalConfig) -> TUgalResult {
             .into_iter()
             .map(|p| Arc::new(p) as Arc<dyn TrafficPattern>)
             .collect();
-    let scored: Vec<(CandidateScore, Option<f64>)> = candidates
+    // A failed probe comes back as an error and panics here, on the
+    // caller's thread, so its message is not lost inside a worker.
+    let scored: Vec<Result<(CandidateScore, Option<f64>), String>> = candidates
         .par_iter()
         .map(|&rule| {
             let built = materialize(&topo, rule, cfg);
             let score = CandidateScore {
                 rule,
-                throughput: evaluate(&topo, &built.provider, &patterns, cfg),
+                throughput: evaluate(&topo, rule, &built.provider, &patterns, cfg)?,
                 mean_vlb_hops: built.provider.mean_vlb_hops(),
                 balance: built.balance,
             };
-            (score, built.all_paths_hops)
+            Ok((score, built.all_paths_hops))
         })
+        .collect();
+    let scored: Vec<(CandidateScore, Option<f64>)> = scored
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|msg| panic!("{msg}")))
         .collect();
     let mean_hops_all = scored
         .iter()
@@ -241,18 +246,21 @@ pub fn compute_tvlb(topo: Arc<Dragonfly>, cfg: &TUgalConfig) -> TUgalResult {
 }
 
 /// A Step-2 candidate ready to simulate.
-pub(crate) struct Built {
-    pub(crate) provider: Arc<dyn PathProvider>,
+pub struct Built {
+    /// The candidate's path source.
+    pub provider: Arc<dyn PathProvider>,
     /// What balance adjustment did (explicit tables only).
-    pub(crate) balance: Option<BalanceReport>,
+    pub balance: Option<BalanceReport>,
     /// For the `All` rule, its mean VLB hops before balance adjustment:
     /// the conventional candidate sets' mean hops.
-    pub(crate) all_paths_hops: Option<f64>,
+    pub all_paths_hops: Option<f64>,
 }
 
-/// Builds `rule`'s provider: the balance-adjusted explicit table up to
-/// `cfg.max_table_switches`, the rule sampler above it.
-pub(crate) fn materialize(topo: &Arc<Dragonfly>, rule: VlbRule, cfg: &TUgalConfig) -> Built {
+/// Builds `rule`'s provider: the explicit table under `cfg.seed`,
+/// balance-adjusted with `cfg.balance`, up to `cfg.max_table_switches`;
+/// the rule sampler above it.  Deterministic, so a caller that cached an
+/// Algorithm-1 outcome rebuilds the provider that was scored.
+pub fn materialize(topo: &Arc<Dragonfly>, rule: VlbRule, cfg: &TUgalConfig) -> Built {
     let all_paths = rule == VlbRule::All;
     if topo.num_switches() > cfg.max_table_switches {
         let provider = Arc::new(RuleProvider::new(topo.clone(), rule));
@@ -274,22 +282,42 @@ pub(crate) fn materialize(topo: &Arc<Dragonfly>, rule: VlbRule, cfg: &TUgalConfi
 
 /// Simulates a candidate on the TYPE_2 patterns: mean saturation
 /// throughput (one bisection per pattern, §3.3.3's "average throughput of
-/// the patterns").
+/// the patterns"), through one runner with one series per pattern.
 fn evaluate(
     topo: &Arc<Dragonfly>,
+    rule: VlbRule,
     provider: &Arc<dyn PathProvider>,
     patterns: &[Arc<dyn TrafficPattern>],
     cfg: &TUgalConfig,
-) -> f64 {
+) -> Result<f64, String> {
     let sim_cfg = cfg.sim.clone().for_routing(cfg.routing);
-    let opts = SweepOptions {
-        seeds: vec![cfg.seed],
-        resolution: cfg.eval_resolution,
-    };
-    let mut sum = 0.0;
-    for pattern in patterns {
-        sum += saturation_throughput(topo, provider, pattern, cfg.routing, &sim_cfg, &opts)
-            .expect("validated by TUgalConfig::validate");
+    let mut runner = ExperimentRunner::new(topo.clone());
+    for (i, pattern) in patterns.iter().enumerate() {
+        runner = runner.series(SeriesSpec {
+            label: format!("{rule} | TYPE_2 pattern {i}"),
+            provider: provider.clone(),
+            pattern: pattern.clone(),
+            routing: cfg.routing,
+            cfg: sim_cfg.clone(),
+            faults: None,
+        });
     }
-    sum / patterns.len() as f64
+    let (values, _, records) = runner
+        .saturation(&[cfg.seed], cfg.eval_resolution)
+        .expect("validated by TUgalConfig::validate");
+    if let Some(rec) = records.iter().find(|rec| rec.outcome.is_failure()) {
+        let detail = match &rec.outcome {
+            JobOutcome::Panicked(msg) => msg.clone(),
+            other => other.stall().map(|s| s.oneline()).unwrap_or_default(),
+        };
+        return Err(format!(
+            "Step-2 probe failed: candidate {rule}, pattern {}, rate {}, seed {}: {}: {detail}",
+            rec.series,
+            rec.rate,
+            rec.seed,
+            rec.outcome.name()
+        ));
+    }
+    let sum = values.iter().fold(0.0, |sum, v| sum + v);
+    Ok(sum / patterns.len() as f64)
 }

@@ -12,7 +12,7 @@
 //! 2. **Step 1, coarse-grain** ([`sweep`]): score every Table-1 candidate
 //!    configuration ("all ≤4-hop paths plus 60% of the 5-hop paths", …)
 //!    with the LP throughput model averaged over the adversarial suites,
-//!    and keep the best-scoring point plus its vicinity;
+//!    and keep the best-scoring point of each path-length region;
 //! 3. expand the candidates with the deterministic *strategic* 5-hop
 //!    choices (all 2+3 or all 3+2 MIN-segment splits, §3.3.3);
 //! 4. **Step 2, finalize** ([`balance`]): materialize each candidate as an
@@ -39,8 +39,7 @@ pub mod sweep;
 pub use algorithm::{compute_tvlb, conventional_provider, TUgalConfig, TUgalReport, TUgalResult};
 pub use balance::{BalanceOptions, BalanceReport};
 pub use sweep::{
-    candidate_vicinity, coarse_grain_sweep, coarse_grain_sweep_rules, table1_points, SweepConfig,
-    SweepOutcome,
+    coarse_grain_sweep, coarse_grain_sweep_rules, table1_points, SweepConfig, SweepOutcome,
 };
 
 #[cfg(test)]

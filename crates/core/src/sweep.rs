@@ -83,9 +83,8 @@ pub fn coarse_grain_sweep(topo: &Dragonfly, cfg: &SweepConfig) -> Vec<SweepOutco
     coarse_grain_sweep_rules(topo, cfg, &table1_points())
 }
 
-/// [`coarse_grain_sweep`] over an explicit configuration grid (must be in
-/// increasing candidate-set-size order for [`candidate_vicinity`]).  Used
-/// by harnesses that probe a reduced grid on very large topologies.
+/// [`coarse_grain_sweep`] over an explicit configuration grid.  Used by
+/// harnesses that probe a reduced grid on very large topologies.
 pub fn coarse_grain_sweep_rules(
     topo: &Dragonfly,
     cfg: &SweepConfig,
@@ -180,35 +179,6 @@ pub fn candidate_regions(outcomes: &[SweepOutcome]) -> Vec<VlbRule> {
     rules
 }
 
-/// Picks the configurations that advance to Step 2: the best-scoring point
-/// plus up to `k − 1` of the *smallest* configurations within `tolerance`
-/// (relative) of it.
-///
-/// `outcomes` must be in Table-1 order (increasing candidate-set size, as
-/// [`coarse_grain_sweep`] returns them).  Preferring the left edge of the
-/// near-optimal region implements the paper's intent — T-VLB should be the
-/// smallest/shortest set that still scores like the best point; on dense
-/// topologies the model's near-optimal region is a wide plateau and the
-/// Step-2 simulation discriminates within it.
-pub fn candidate_vicinity(outcomes: &[SweepOutcome], k: usize, tolerance: f64) -> Vec<VlbRule> {
-    let best = outcomes
-        .iter()
-        .max_by(|a, b| a.mean.total_cmp(&b.mean))
-        .expect("non-empty sweep");
-    let cutoff = best.mean * (1.0 - tolerance);
-    let mut rules: Vec<VlbRule> = outcomes
-        .iter()
-        .filter(|o| o.mean >= cutoff)
-        .take(k.max(1))
-        .map(|o| o.rule)
-        .collect();
-    if !rules.contains(&best.rule) {
-        rules.pop();
-        rules.push(best.rule);
-    }
-    rules
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,65 +193,6 @@ mod tests {
         assert_eq!(points[16].to_string(), "60% 5-hop");
         assert_eq!(points[20].to_string(), "5-hop paths");
         assert_eq!(points[30].to_string(), "all VLB paths");
-    }
-
-    #[test]
-    fn vicinity_selects_best_and_near() {
-        let outcomes = vec![
-            SweepOutcome {
-                rule: VlbRule::ClassLimit {
-                    max_hops: 4,
-                    frac_next: 0.4,
-                },
-                mean: 0.57,
-                sem: 0.01,
-            },
-            SweepOutcome {
-                rule: VlbRule::ClassLimit {
-                    max_hops: 4,
-                    frac_next: 0.6,
-                },
-                mean: 0.58,
-                sem: 0.01,
-            },
-            SweepOutcome {
-                rule: VlbRule::ClassLimit {
-                    max_hops: 3,
-                    frac_next: 0.0,
-                },
-                mean: 0.40,
-                sem: 0.01,
-            },
-        ];
-        let cands = candidate_vicinity(&outcomes, 4, 0.05);
-        assert_eq!(cands.len(), 2);
-        // Smallest near-best configuration leads; the best is included.
-        assert_eq!(
-            cands[0],
-            VlbRule::ClassLimit {
-                max_hops: 4,
-                frac_next: 0.4
-            }
-        );
-        assert!(cands.contains(&VlbRule::ClassLimit {
-            max_hops: 4,
-            frac_next: 0.6
-        }));
-    }
-
-    #[test]
-    fn vicinity_caps_at_k() {
-        let outcomes: Vec<SweepOutcome> = (0..10)
-            .map(|i| SweepOutcome {
-                rule: VlbRule::ClassLimit {
-                    max_hops: 4,
-                    frac_next: i as f64 / 10.0,
-                },
-                mean: 0.5,
-                sem: 0.0,
-            })
-            .collect();
-        assert_eq!(candidate_vicinity(&outcomes, 3, 0.1).len(), 3);
     }
 }
 

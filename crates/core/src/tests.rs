@@ -313,3 +313,20 @@ fn compute_tvlb_rejects_a_bad_config_before_step1() {
     };
     compute_tvlb(topo(4, 8, 4, 33), &cfg);
 }
+
+#[test]
+#[should_panic(
+    expected = "Step-2 probe failed: candidate 3-hop paths, pattern 0, rate 0.04, \
+                           seed 28773: watchdog-tripped: watchdog cycle-ceiling at cycle 0"
+)]
+fn failed_step2_probe_names_itself() {
+    // A one-cycle ceiling trips the watchdog on the first probe of the
+    // first candidate, which must stop Algorithm 1 instead of scoring the
+    // candidate as saturated at every rate.
+    let mut cfg = TUgalConfig::quick();
+    cfg.sim.watchdog = Some(tugal_netsim::WatchdogConfig {
+        max_cycles: 1,
+        ..tugal_netsim::WatchdogConfig::disabled()
+    });
+    compute_tvlb(topo(2, 4, 2, 3), &cfg);
+}

@@ -93,8 +93,8 @@ struct Shape {
 /// reuse the backing memory instead of reallocating it.
 ///
 /// Create one with [`SimWorkspace::new`] and pass it to
-/// [`crate::Simulator::run_in`]; the sweep layer keeps one workspace per
-/// worker through a [`WorkspacePool`].
+/// [`crate::Simulator::run_in`]; the experiment runner keeps one workspace
+/// per worker through a [`WorkspacePool`].
 #[derive(Default)]
 pub struct SimWorkspace {
     shape: Option<Shape>,

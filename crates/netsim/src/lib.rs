@@ -15,8 +15,9 @@
 //!   parameterized by a [`tugal_routing::PathProvider`] so conventional
 //!   UGAL and T-UGAL are the *same* code with different candidate sets,
 //! * warmup + measurement windows with the paper's 500-cycle saturation
-//!   rule, and load sweeps that report latency curves and saturation
-//!   throughput.
+//!   rule, and one experiment runner ([`runner::ExperimentRunner`]) that
+//!   schedules every simulation job: latency curves over a rate grid and
+//!   saturation throughput by bisection.
 //!
 //! The router pipeline is abstracted to route-computation → switch
 //! allocation (×speedup) → link traversal; absolute latencies therefore
@@ -50,7 +51,6 @@ mod fault;
 pub mod journal;
 pub mod runner;
 mod stats;
-mod sweep;
 pub mod trace;
 
 pub use config::{Config, RoutingAlgorithm};
@@ -62,8 +62,8 @@ pub use engine::{
 };
 pub use error::{validate_resolution, validate_sweep, ConfigError};
 pub use fault::{FaultEvent, FaultSchedule};
+pub use runner::{aggregate_runs, CurvePoint};
 pub use stats::SimResult;
-pub use sweep::{aggregate_runs, latency_curve, saturation_throughput, CurvePoint, SweepOptions};
 
 #[cfg(test)]
 mod tests;

@@ -1,4 +1,4 @@
-//! Unified experiment runner: one flat (series × rate × seed) job list.
+//! The experiment runner: the one way this crate schedules simulation jobs.
 //!
 //! Figure-style experiments sweep several labelled series (provider ×
 //! routing × config) over a shared offered-load grid, replicated over
@@ -10,22 +10,24 @@
 //! with [`aggregate_runs`] — recording per-job wall-clock so harnesses can
 //! report where the time went.
 //!
-//! [`ExperimentRunner::run_recorded`] is the one entry point.  It attaches
-//! one [`SimObserver`] per job, built by a caller-supplied factory (a
-//! [`NoopObserver`](crate::NoopObserver) factory runs the uninstrumented
-//! engine), and returns the observers alongside the aggregated curves, so
-//! a metrics consumer can merge per-seed collections into per-point
-//! telemetry.
+//! Both entry points run every job through one isolated per-job path
+//! (journal replay, trace spans, `catch_unwind`, budget, profiling).
+//! [`ExperimentRunner::run_recorded`] runs a (rates × seeds) grid with one
+//! [`SimObserver`] per job from a caller-supplied factory (a
+//! [`NoopObserver`] factory runs the uninstrumented engine), returned
+//! alongside the aggregated curves so a metrics consumer can merge
+//! per-seed collections into per-point telemetry.
+//! [`ExperimentRunner::saturation`] bisects each series' saturation
+//! throughput, one batch of seeds per probe.
 
 use crate::config::{Config, RoutingAlgorithm};
 use crate::engine::{
-    EngineProf, NoopProfiler, ProfileReport, RunOutput, SimObserver, Simulator, StallKind,
-    StallReport, WorkspacePool,
+    EngineProf, NoopObserver, NoopProfiler, ProfileReport, RunOutput, SimObserver, Simulator,
+    StallKind, StallReport, WorkspacePool,
 };
-use crate::error::ConfigError;
+use crate::error::{validate_resolution, validate_seeds, validate_sweep, ConfigError};
 use crate::journal::{job_digest, Journal};
 use crate::stats::SimResult;
-use crate::sweep::{aggregate_runs, CurvePoint};
 use crate::trace::{phase_totals, TraceSink, TraceSpan};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,6 +36,18 @@ use std::time::Instant;
 use tugal_routing::PathProvider;
 use tugal_topology::Dragonfly;
 use tugal_traffic::TrafficPattern;
+
+/// One point of a latency-vs-load curve.
+#[derive(Debug, Clone)]
+pub struct CurvePoint {
+    /// Offered load (packets/cycle/node).
+    pub rate: f64,
+    /// Full measurement at this load (averaged over the sweep's seeds).
+    pub result: SimResult,
+    /// Total wall-clock spent simulating this point, in milliseconds,
+    /// summed over its seed replications (they may run in parallel).
+    pub elapsed_ms: f64,
+}
 
 /// One labelled series of an experiment: which candidate provider, routing
 /// algorithm, traffic pattern and simulator configuration to sweep.
@@ -150,6 +164,11 @@ impl JobOutcome {
 /// schedule order.
 pub type RecordedRun<O> = (Vec<ObservedCurve<O>>, RunSummary, Vec<JobRecord>);
 
+/// What [`ExperimentRunner::saturation`] returns: one saturation
+/// throughput per series in series order, the summary over every probe,
+/// and one [`JobRecord`] per probe job in run order.
+pub type SaturationRun = (Vec<f64>, RunSummary, Vec<JobRecord>);
+
 /// The full record of one scheduled job: identity, journal digest, outcome
 /// and timing.  [`ExperimentRunner::run_recorded`] returns one per job in
 /// schedule order (series-major, then rate, then seed).
@@ -209,6 +228,32 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
+    /// The summary of `records`, run in `wall_ms` of wall-clock on a host
+    /// with `host_threads` threads.
+    fn of(records: &[JobRecord], wall_ms: f64, host_threads: usize) -> RunSummary {
+        let slowest = records
+            .iter()
+            .max_by(|a, b| a.elapsed_ms.total_cmp(&b.elapsed_ms));
+        RunSummary {
+            jobs: records.len(),
+            wall_ms,
+            sim_ms: records.iter().map(|rec| rec.elapsed_ms).sum(),
+            jobs_per_sec: if wall_ms > 0.0 {
+                records.len() as f64 / (wall_ms / 1e3)
+            } else {
+                0.0
+            },
+            slowest: slowest.map(|rec| (rec.label.clone(), rec.rate, rec.seed, rec.elapsed_ms)),
+            failed: records
+                .iter()
+                .filter(|rec| rec.outcome.is_failure())
+                .count(),
+            resumed: records.iter().filter(|rec| rec.resumed).count(),
+            host_threads,
+            slowest_profile: slowest.and_then(|rec| rec.profile.clone()),
+        }
+    }
+
     /// One-line human-readable form (the run summary harnesses print).
     pub fn oneline(&self) -> String {
         let slowest = match &self.slowest {
@@ -358,11 +403,8 @@ impl ExperimentRunner {
     /// [`Config::validate`] — so a malformed sweep is rejected before any
     /// job is scheduled.
     pub fn validate(&self, rates: &[f64], seeds: &[u64]) -> Result<(), ConfigError> {
-        crate::error::validate_sweep(rates, seeds)?;
-        for s in &self.series {
-            s.cfg.validate()?;
-        }
-        Ok(())
+        validate_sweep(rates, seeds)?;
+        self.series.iter().try_for_each(|s| s.cfg.validate())
     }
 
     /// The stable identity string of series `si`, from which each job's
@@ -423,7 +465,7 @@ impl ExperimentRunner {
     /// Every job gets its own observer from `make` (receiving the job's
     /// [`JobInfo`]); the per-seed observers come back attached to their
     /// aggregated [`ObservedPoint`].  A
-    /// [`NoopObserver`](crate::NoopObserver) factory runs the
+    /// [`NoopObserver`] factory runs the
     /// monomorphized no-op engine, so observer-free runs cost nothing.
     /// Besides the curves and the batch [`RunSummary`], the run returns
     /// one [`JobRecord`] per job in schedule order, so harnesses can write
@@ -439,194 +481,23 @@ impl ExperimentRunner {
         F: Fn(&JobInfo) -> O + Sync,
     {
         self.validate(rates, seeds)?;
-        let pool = WorkspacePool::new();
-        let keys: Vec<String> = (0..self.series.len())
-            .map(|si| self.series_key(si))
-            .collect();
-        let cfgs: Vec<Config> = (0..self.series.len())
-            .map(|si| self.job_config(si))
-            .collect();
+        let ctx = self.run_ctx();
         // Job order is series-major, then rate, then seed, so the flat
         // result vector chunks back into (series, rate) groups directly
         // (the parallel map preserves input order).
-        let jobs: Vec<(usize, f64, u64)> = self
-            .series
-            .iter()
-            .enumerate()
-            .flat_map(|(si, _)| {
+        let jobs: Vec<(usize, f64, u64)> = (0..self.series.len())
+            .flat_map(|si| {
                 rates
                     .iter()
                     .flat_map(move |&rate| seeds.iter().map(move |&seed| (si, rate, seed)))
             })
             .collect();
-        let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if let Some(trace) = &self.trace {
-            let mut span = TraceSpan::new("batch_start");
-            span.t_ms = trace.now_ms();
-            span.jobs = jobs.len() as u64;
-            span.host_threads = host_threads as u64;
-            trace.emit(&span);
-        }
-        let batch_start = Instant::now();
-        let outcomes: Vec<(JobRecord, O)> = jobs
-            .par_iter()
-            .map(|&(si, rate, seed)| {
-                let s = &self.series[si];
-                let mut obs = make(&JobInfo {
-                    label: &s.label,
-                    series: si,
-                    rate,
-                    seed,
-                });
-                let digest = job_digest(&keys[si], rate, seed);
-                let job_span = |ev: &str| {
-                    let mut span = TraceSpan::new(ev);
-                    span.label = s.label.clone();
-                    span.rate_bits = rate.to_bits();
-                    span.seed = seed;
-                    span.digest = digest;
-                    span
-                };
-                let record = |outcome, elapsed_ms, resumed, profile| JobRecord {
-                    label: s.label.clone(),
-                    series: si,
-                    rate,
-                    seed,
-                    digest,
-                    outcome,
-                    elapsed_ms,
-                    resumed,
-                    profile,
-                };
-                if let Some(journal) = &self.journal {
-                    if let Some(result) = journal.lookup(digest) {
-                        // Replayed: the observer never sees the run (it was
-                        // simulated by the killed invocation), but the
-                        // result is the recorded one, bit-for-bit.
-                        if let Some(trace) = &self.trace {
-                            let mut span = job_span("job_end");
-                            span.t_ms = trace.now_ms();
-                            span.outcome = "ok".to_string();
-                            span.resumed = true;
-                            trace.emit(&span);
-                        }
-                        return (record(JobOutcome::Ok(result), 0.0, true, None), obs);
-                    }
-                }
-                if let Some(trace) = &self.trace {
-                    let mut span = job_span("job_start");
-                    span.t_ms = trace.now_ms();
-                    trace.emit(&span);
-                }
-                let start = Instant::now();
-                let mut prof = self.profiling.then(EngineProf::new);
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    let cfg = Config {
-                        seed,
-                        ..cfgs[si].clone()
-                    };
-                    let mut sim = Simulator::new(
-                        self.topo.clone(),
-                        s.provider.clone(),
-                        s.pattern.clone(),
-                        s.routing,
-                        cfg,
-                    );
-                    if let Some(f) = &s.faults {
-                        sim = sim.with_faults(f.clone());
-                    }
-                    pool.with(|ws| match prof.as_mut() {
-                        Some(p) => sim.run_in(rate, ws, &mut obs, p),
-                        None => sim.run_in(rate, ws, &mut obs, &mut NoopProfiler),
-                    })
-                }));
-                let profile = prof.map(|p| p.report());
-                let outcome = match run {
-                    Ok(RunOutput {
-                        result,
-                        stall: None,
-                    }) => {
-                        if let Some(journal) = &self.journal {
-                            journal.record(digest, &s.label, rate, seed, &result);
-                        }
-                        JobOutcome::Ok(result)
-                    }
-                    Ok(RunOutput {
-                        stall: Some(stall), ..
-                    }) => {
-                        if stall.kind == StallKind::WallClockExceeded {
-                            JobOutcome::TimedOut(stall)
-                        } else {
-                            JobOutcome::WatchdogTripped(stall)
-                        }
-                    }
-                    Err(payload) => JobOutcome::Panicked(panic_message(payload.as_ref())),
-                };
-                let ms = start.elapsed().as_secs_f64() * 1e3;
-                if let Some(trace) = &self.trace {
-                    let mut span = job_span("job_end");
-                    span.t_ms = trace.now_ms();
-                    span.outcome = outcome.name().to_string();
-                    span.elapsed_ms_bits = ms.to_bits();
-                    if let Some(p) = &profile {
-                        span.phase_ns = phase_totals(p);
-                    }
-                    trace.emit(&span);
-                }
-                (record(outcome, ms, false, profile), obs)
-            })
-            .collect();
-        let wall_ms = batch_start.elapsed().as_secs_f64() * 1e3;
-        let sim_ms: f64 = outcomes.iter().map(|(rec, _)| rec.elapsed_ms).sum();
-        let slowest = outcomes
-            .iter()
-            .map(|(rec, _)| rec)
-            .max_by(|a, b| a.elapsed_ms.total_cmp(&b.elapsed_ms))
-            .map(|rec| (rec.label.clone(), rec.rate, rec.seed, rec.elapsed_ms));
-        let failed = outcomes
-            .iter()
-            .filter(|(rec, _)| rec.outcome.is_failure())
-            .count();
-        let resumed = outcomes.iter().filter(|(rec, _)| rec.resumed).count();
-        let slowest_profile = outcomes
-            .iter()
-            .map(|(rec, _)| rec)
-            .max_by(|a, b| a.elapsed_ms.total_cmp(&b.elapsed_ms))
-            .and_then(|rec| rec.profile.clone());
-        if let Some(trace) = &self.trace {
-            let mut span = TraceSpan::new("batch_end");
-            span.t_ms = trace.now_ms();
-            span.jobs = jobs.len() as u64;
-            span.failed = failed as u64;
-            span.host_threads = host_threads as u64;
-            if self.profiling {
-                let mut agg = ProfileReport::default();
-                for (rec, _) in &outcomes {
-                    if let Some(p) = &rec.profile {
-                        agg.absorb(p);
-                    }
-                }
-                span.phase_ns = phase_totals(&agg);
-            }
-            trace.emit(&span);
-        }
-        let summary = RunSummary {
-            jobs: jobs.len(),
-            wall_ms,
-            sim_ms,
-            jobs_per_sec: if wall_ms > 0.0 {
-                jobs.len() as f64 / (wall_ms / 1e3)
-            } else {
-                0.0
-            },
-            slowest,
-            failed,
-            resumed,
-            host_threads,
-            slowest_profile,
-        };
-
+        let start = Instant::now();
+        let outcomes = self.run_batch(&ctx, &jobs, &make);
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let (records, observers): (Vec<JobRecord>, Vec<O>) = outcomes.into_iter().unzip();
+        let summary = RunSummary::of(&records, wall_ms, ctx.host_threads);
+
         let mut rec_it = records.iter();
         let mut obs_it = observers.into_iter();
         let curves = self
@@ -638,21 +509,11 @@ impl ExperimentRunner {
                     .iter()
                     .map(|&rate| {
                         let group: Vec<&JobRecord> = rec_it.by_ref().take(seeds.len()).collect();
-                        // Failed jobs are skipped, not poison: the point
-                        // aggregates its surviving replications (or the
-                        // no-data sentinel when none survived).
-                        let runs: Vec<SimResult> = group
-                            .iter()
-                            .filter_map(|rec| match &rec.outcome {
-                                JobOutcome::Ok(r) => Some(r.clone()),
-                                _ => None,
-                            })
-                            .collect();
                         let elapsed_ms = group.iter().map(|rec| rec.elapsed_ms).sum();
                         ObservedPoint {
                             point: CurvePoint {
                                 rate,
-                                result: aggregate_runs(rate, &runs),
+                                result: aggregate_runs(rate, &completed(group)),
                                 elapsed_ms,
                             },
                             observers: obs_it.by_ref().take(seeds.len()).collect(),
@@ -663,6 +524,325 @@ impl ExperimentRunner {
             .collect();
         Ok((curves, summary, records))
     }
+
+    /// Saturation throughput of every series: "the last injection rate
+    /// before saturation happens" (§4.1.2), bisected to within
+    /// `resolution`.  Series are bisected in turn; each probe runs its
+    /// seeds as one batch through the same isolated per-job path as
+    /// [`ExperimentRunner::run_recorded`], over one workspace pool for the
+    /// whole call, and is saturated when [`aggregate_runs`] says so over
+    /// its completed jobs — so a probe whose jobs all failed counts as
+    /// saturated, and callers that must tell the two apart check the
+    /// returned records.  Rejects a resolution outside `(0, 1)`, an empty
+    /// or duplicated seed list and an invalid series config up front.
+    pub fn saturation(&self, seeds: &[u64], resolution: f64) -> Result<SaturationRun, ConfigError> {
+        validate_resolution(resolution)?;
+        validate_seeds(seeds)?;
+        self.series.iter().try_for_each(|s| s.cfg.validate())?;
+        let ctx = self.run_ctx();
+        let start = Instant::now();
+        let mut records = Vec::new();
+        let mut values = Vec::with_capacity(self.series.len());
+        for si in 0..self.series.len() {
+            values.push(bisect(resolution, |rate| {
+                let jobs: Vec<(usize, f64, u64)> =
+                    seeds.iter().map(|&seed| (si, rate, seed)).collect();
+                let batch = self.run_batch(&ctx, &jobs, &|_: &JobInfo| NoopObserver);
+                let first = records.len();
+                records.extend(batch.into_iter().map(|(rec, _)| rec));
+                aggregate_runs(rate, &completed(records[first..].iter())).saturated
+            }));
+        }
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        let summary = RunSummary::of(&records, wall_ms, ctx.host_threads);
+        Ok((values, summary, records))
+    }
+
+    /// The per-call state every job of one run shares, computed once.
+    fn run_ctx(&self) -> RunCtx {
+        RunCtx {
+            keys: (0..self.series.len())
+                .map(|si| self.series_key(si))
+                .collect(),
+            cfgs: (0..self.series.len())
+                .map(|si| self.job_config(si))
+                .collect(),
+            pool: WorkspacePool::new(),
+            host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    }
+
+    /// Runs `jobs` — `(series, rate, seed)` triples — as one parallel
+    /// batch between a `batch_start` and a `batch_end` span, each job
+    /// under its own observer from `make`.  Results come back in input
+    /// order.
+    fn run_batch<O, F>(
+        &self,
+        ctx: &RunCtx,
+        jobs: &[(usize, f64, u64)],
+        make: &F,
+    ) -> Vec<(JobRecord, O)>
+    where
+        O: SimObserver + Send,
+        F: Fn(&JobInfo) -> O + Sync,
+    {
+        if let Some(trace) = &self.trace {
+            let mut span = TraceSpan::new("batch_start");
+            span.t_ms = trace.now_ms();
+            span.jobs = jobs.len() as u64;
+            span.host_threads = ctx.host_threads as u64;
+            trace.emit(&span);
+        }
+        let outcomes: Vec<(JobRecord, O)> = jobs
+            .par_iter()
+            .map(|&(si, rate, seed)| {
+                let mut obs = make(&JobInfo {
+                    label: &self.series[si].label,
+                    series: si,
+                    rate,
+                    seed,
+                });
+                let record = self.run_job(ctx, si, rate, seed, &mut obs);
+                (record, obs)
+            })
+            .collect();
+        if let Some(trace) = &self.trace {
+            let mut span = TraceSpan::new("batch_end");
+            span.t_ms = trace.now_ms();
+            span.jobs = jobs.len() as u64;
+            span.failed = outcomes
+                .iter()
+                .filter(|(rec, _)| rec.outcome.is_failure())
+                .count() as u64;
+            span.host_threads = ctx.host_threads as u64;
+            if self.profiling {
+                let mut agg = ProfileReport::default();
+                for (rec, _) in &outcomes {
+                    if let Some(p) = &rec.profile {
+                        agg.absorb(p);
+                    }
+                }
+                span.phase_ns = phase_totals(&agg);
+            }
+            trace.emit(&span);
+        }
+        outcomes
+    }
+
+    /// Runs one job isolated: replays it from the journal when it is on
+    /// record, otherwise simulates it under `catch_unwind` (profiled when
+    /// profiling is on), journals a completed result and emits its spans.
+    fn run_job<O: SimObserver>(
+        &self,
+        ctx: &RunCtx,
+        si: usize,
+        rate: f64,
+        seed: u64,
+        obs: &mut O,
+    ) -> JobRecord {
+        let s = &self.series[si];
+        let digest = job_digest(&ctx.keys[si], rate, seed);
+        let job_span = |ev: &str| {
+            let mut span = TraceSpan::new(ev);
+            span.label = s.label.clone();
+            span.rate_bits = rate.to_bits();
+            span.seed = seed;
+            span.digest = digest;
+            span
+        };
+        let record = |outcome, elapsed_ms, resumed, profile| JobRecord {
+            label: s.label.clone(),
+            series: si,
+            rate,
+            seed,
+            digest,
+            outcome,
+            elapsed_ms,
+            resumed,
+            profile,
+        };
+        if let Some(journal) = &self.journal {
+            if let Some(result) = journal.lookup(digest) {
+                // Replayed: the observer never sees the run (it was
+                // simulated by the killed invocation), but the result is
+                // the recorded one, bit-for-bit.
+                if let Some(trace) = &self.trace {
+                    let mut span = job_span("job_end");
+                    span.t_ms = trace.now_ms();
+                    span.outcome = "ok".to_string();
+                    span.resumed = true;
+                    trace.emit(&span);
+                }
+                return record(JobOutcome::Ok(result), 0.0, true, None);
+            }
+        }
+        if let Some(trace) = &self.trace {
+            let mut span = job_span("job_start");
+            span.t_ms = trace.now_ms();
+            trace.emit(&span);
+        }
+        let start = Instant::now();
+        let mut prof = self.profiling.then(EngineProf::new);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let cfg = Config {
+                seed,
+                ..ctx.cfgs[si].clone()
+            };
+            let mut sim = Simulator::new(
+                self.topo.clone(),
+                s.provider.clone(),
+                s.pattern.clone(),
+                s.routing,
+                cfg,
+            );
+            if let Some(f) = &s.faults {
+                sim = sim.with_faults(f.clone());
+            }
+            ctx.pool.with(|ws| match prof.as_mut() {
+                Some(p) => sim.run_in(rate, ws, obs, p),
+                None => sim.run_in(rate, ws, obs, &mut NoopProfiler),
+            })
+        }));
+        let profile = prof.map(|p| p.report());
+        let outcome = match run {
+            Ok(RunOutput {
+                result,
+                stall: None,
+            }) => {
+                if let Some(journal) = &self.journal {
+                    journal.record(digest, &s.label, rate, seed, &result);
+                }
+                JobOutcome::Ok(result)
+            }
+            Ok(RunOutput {
+                stall: Some(stall), ..
+            }) => {
+                if stall.kind == StallKind::WallClockExceeded {
+                    JobOutcome::TimedOut(stall)
+                } else {
+                    JobOutcome::WatchdogTripped(stall)
+                }
+            }
+            Err(payload) => JobOutcome::Panicked(panic_message(payload.as_ref())),
+        };
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        if let Some(trace) = &self.trace {
+            let mut span = job_span("job_end");
+            span.t_ms = trace.now_ms();
+            span.outcome = outcome.name().to_string();
+            span.elapsed_ms_bits = ms.to_bits();
+            if let Some(p) = &profile {
+                span.phase_ns = phase_totals(p);
+            }
+            trace.emit(&span);
+        }
+        record(outcome, ms, false, profile)
+    }
+}
+
+/// Per-call state shared by every job of one run: each series' journal key
+/// and effective config, the workspace pool and the host parallelism.
+struct RunCtx {
+    keys: Vec<String>,
+    cfgs: Vec<Config>,
+    pool: WorkspacePool,
+    host_threads: usize,
+}
+
+/// The results of the completed jobs among `records`.  Failed jobs are
+/// skipped, not poison: a point aggregates its surviving replications (or
+/// the no-data sentinel when none survived).
+fn completed<'a>(records: impl IntoIterator<Item = &'a JobRecord>) -> Vec<SimResult> {
+    records
+        .into_iter()
+        .filter_map(|rec| match &rec.outcome {
+            JobOutcome::Ok(r) => Some(r.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Finite-aware aggregation of replicated runs at one offered load: counts
+/// are summed, ratios averaged, and latency statistics (mean, p50, p99)
+/// averaged over *finite* values only, so a single zero-delivery run
+/// (infinite mean, NaN percentiles) cannot poison the aggregate.  A
+/// majority of saturated runs marks the point saturated.
+///
+/// An empty `runs` slice — every replication of the point failed under the
+/// runner's job isolation — aggregates to the explicit *no-data* sentinel:
+/// zero deliveries, infinite latency, `saturated` set (historically this
+/// was a panic, which let one bad point poison a whole sweep).
+pub fn aggregate_runs(rate: f64, runs: &[SimResult]) -> SimResult {
+    if runs.is_empty() {
+        return SimResult {
+            injection_rate: rate,
+            avg_latency: f64::INFINITY,
+            throughput: 0.0,
+            avg_hops: 0.0,
+            delivered: 0,
+            injected: 0,
+            saturated: true,
+            deadlock_suspected: false,
+            vlb_fraction: 0.0,
+            latency_p50: f64::NAN,
+            latency_p99: f64::NAN,
+            max_channel_util: 0.0,
+            mean_global_util: 0.0,
+            mean_local_util: 0.0,
+        };
+    }
+    let n = runs.len() as f64;
+    let finite_mean = |value: fn(&SimResult) -> f64| -> f64 {
+        let vals: Vec<f64> = runs.iter().map(value).filter(|v| v.is_finite()).collect();
+        if vals.is_empty() {
+            f64::INFINITY
+        } else {
+            vals.iter().sum::<f64>() / vals.len() as f64
+        }
+    };
+    SimResult {
+        injection_rate: rate,
+        avg_latency: finite_mean(|r| r.avg_latency),
+        throughput: runs.iter().map(|r| r.throughput).sum::<f64>() / n,
+        avg_hops: runs.iter().map(|r| r.avg_hops).sum::<f64>() / n,
+        delivered: runs.iter().map(|r| r.delivered).sum(),
+        injected: runs.iter().map(|r| r.injected).sum(),
+        saturated: runs.iter().filter(|r| r.saturated).count() * 2 > runs.len(),
+        deadlock_suspected: runs.iter().any(|r| r.deadlock_suspected),
+        vlb_fraction: runs.iter().map(|r| r.vlb_fraction).sum::<f64>() / n,
+        latency_p50: finite_mean(|r| r.latency_p50),
+        latency_p99: finite_mean(|r| r.latency_p99),
+        max_channel_util: runs.iter().map(|r| r.max_channel_util).fold(0.0, f64::max),
+        mean_global_util: runs.iter().map(|r| r.mean_global_util).sum::<f64>() / n,
+        mean_local_util: runs.iter().map(|r| r.mean_local_util).sum::<f64>() / n,
+    }
+}
+
+/// The last rate in `[resolution, 1]` at which `saturated` is false, to
+/// within `resolution`: 0 when even `resolution` saturates, 1 when even
+/// full load does not.  The search also ends when the midpoint rounds to
+/// an endpoint, so a resolution below the float spacing there terminates.
+fn bisect(resolution: f64, mut saturated: impl FnMut(f64) -> bool) -> f64 {
+    let mut lo = resolution;
+    let mut hi = 1.0;
+    if saturated(lo) {
+        return 0.0;
+    }
+    if !saturated(hi) {
+        return 1.0;
+    }
+    while hi - lo > resolution {
+        let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            break;
+        }
+        if saturated(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    lo
 }
 
 /// Renders a `catch_unwind` payload: `&str` and `String` payloads (what
@@ -679,7 +859,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::RunSummary;
+    use super::{bisect, RunSummary};
+    use std::cell::Cell;
 
     fn summary(jobs: usize, wall_ms: f64, slowest: Option<(&str, f64, u64, f64)>) -> RunSummary {
         RunSummary {
@@ -728,5 +909,25 @@ mod tests {
         let mut b = summary(1, 5.0, Some(("kept", 0.1, 7, 0.0)));
         b.absorb(&summary(0, 0.0, None));
         assert_eq!(b.slowest.as_ref().unwrap().0, "kept");
+    }
+
+    #[test]
+    fn bisection_below_the_float_spacing_terminates() {
+        let probes = Cell::new(0);
+        let point = 0.3;
+        let sat = bisect(1e-18, |rate| {
+            probes.set(probes.get() + 1);
+            rate > point
+        });
+        assert!(sat <= point && point - sat < 1e-15, "{sat}");
+        // Two endpoint probes, then one per halving of [1e-18, 1] down to
+        // the spacing of f64 near 0.3 (2^-54).
+        assert!(probes.get() <= 60, "{} probes", probes.get());
+    }
+
+    #[test]
+    fn bisection_reports_the_interval_ends() {
+        assert_eq!(bisect(0.01, |_| true), 0.0);
+        assert_eq!(bisect(0.01, |_| false), 1.0);
     }
 }

@@ -302,46 +302,44 @@ fn par_rejects_insufficient_vcs() {
     let _ = Simulator::new(t.clone(), all_paths(&t), adv, RoutingAlgorithm::Par, cfg);
 }
 
-#[test]
-fn latency_curve_is_monotonic_until_saturation() {
-    let t = topo(2, 4, 2, 9);
-    let pattern: Arc<dyn TrafficPattern> = Arc::new(Uniform::new(&t));
-    let provider = all_paths(&t);
-    let cfg = quick(RoutingAlgorithm::UgalL);
-    let opts = SweepOptions {
-        seeds: vec![7],
-        resolution: 0.02,
-    };
-    let curve = latency_curve(
-        &t,
-        &provider,
-        &pattern,
-        RoutingAlgorithm::Min,
-        &cfg,
-        &[0.05, 0.2, 0.4],
-        &opts,
-    )
-    .unwrap();
-    assert_eq!(curve.len(), 3);
-    assert!(curve[0].result.avg_latency <= curve[1].result.avg_latency);
-    assert!(curve[1].result.avg_latency <= curve[2].result.avg_latency);
+/// A one-series runner: `routing` under `cfg` over every path of `t`.
+fn runner(
+    t: &Arc<Dragonfly>,
+    pattern: &Arc<dyn TrafficPattern>,
+    routing: RoutingAlgorithm,
+    cfg: Config,
+) -> runner::ExperimentRunner {
+    runner::ExperimentRunner::new(t.clone()).series(runner::SeriesSpec {
+        label: routing.name().to_string(),
+        provider: all_paths(t),
+        pattern: pattern.clone(),
+        routing,
+        cfg,
+        faults: None,
+    })
 }
 
 #[test]
-fn saturation_throughput_orders_min_below_vlb_on_adversarial() {
+fn runner_curve_is_monotonic_until_saturation() {
+    let t = topo(2, 4, 2, 9);
+    let pattern: Arc<dyn TrafficPattern> = Arc::new(Uniform::new(&t));
+    let cfg = quick(RoutingAlgorithm::UgalL);
+    let (curves, _, _) = runner(&t, &pattern, RoutingAlgorithm::Min, cfg)
+        .run_recorded(&[0.05, 0.2, 0.4], &[7], |_| NoopObserver)
+        .unwrap();
+    let latency = |i: usize| curves[0].points[i].point.result.avg_latency;
+    assert_eq!(curves[0].points.len(), 3);
+    assert!(latency(0) <= latency(1));
+    assert!(latency(1) <= latency(2));
+}
+
+#[test]
+fn saturation_orders_min_below_vlb_on_adversarial() {
     let t = topo(2, 4, 2, 9);
     let adv: Arc<dyn TrafficPattern> = Arc::new(Shift::new(&t, 1, 0));
-    let provider = all_paths(&t);
-    let opts = SweepOptions {
-        seeds: vec![5],
-        resolution: 0.02,
-    };
-    let cfg_min = quick(RoutingAlgorithm::Min);
-    let min_sat =
-        saturation_throughput(&t, &provider, &adv, RoutingAlgorithm::Min, &cfg_min, &opts).unwrap();
-    let cfg_u = quick(RoutingAlgorithm::UgalL);
-    let ugal_sat =
-        saturation_throughput(&t, &provider, &adv, RoutingAlgorithm::UgalL, &cfg_u, &opts).unwrap();
+    let sat = |routing| runner(&t, &adv, routing, quick(routing)).saturation(&[5], 0.02);
+    let min_sat = sat(RoutingAlgorithm::Min).unwrap().0[0];
+    let ugal_sat = sat(RoutingAlgorithm::UgalL).unwrap().0[0];
     assert!(
         min_sat < ugal_sat,
         "MIN {min_sat} should saturate below UGAL-L {ugal_sat} on adversarial traffic"
@@ -351,7 +349,7 @@ fn saturation_throughput_orders_min_below_vlb_on_adversarial() {
 }
 
 #[test]
-fn saturation_throughput_ignores_windows_that_inject_nothing() {
+fn saturation_ignores_windows_that_inject_nothing() {
     // The first probe runs at the resolution itself.  At 1e-4 a packet
     // arrives only every ~1 700 cycles, so each meets an idle network
     // long after the last delivery, which the deadlock watchdog must not
@@ -360,14 +358,10 @@ fn saturation_throughput_ignores_windows_that_inject_nothing() {
     // the search at 0.
     let t = topo(1, 2, 1, 3);
     let adv: Arc<dyn TrafficPattern> = Arc::new(Shift::new(&t, 1, 0));
-    let provider = all_paths(&t);
     let cfg = quick(RoutingAlgorithm::Min);
     let at = |resolution| {
-        let opts = SweepOptions {
-            seeds: vec![1],
-            resolution,
-        };
-        saturation_throughput(&t, &provider, &adv, RoutingAlgorithm::Min, &cfg, &opts).unwrap()
+        let r = runner(&t, &adv, RoutingAlgorithm::Min, cfg.clone());
+        r.saturation(&[1], resolution).unwrap().0[0]
     };
     let coarse = at(1e-3);
     assert!((coarse - 0.477).abs() < 0.01, "{coarse}");
@@ -673,12 +667,14 @@ fn adversarial_min_saturates_the_direct_link() {
     assert!(r.max_channel_util > 0.9, "{}", r.max_channel_util);
 }
 
-/// `saturation_throughput` of MIN on shift(1,0) over dfly(1,2,1,3).
+/// The runner's saturation throughput of MIN on shift(1,0) over
+/// dfly(1,2,1,3).
 fn saturation_with(seeds: Vec<u64>, resolution: f64, cfg: Config) -> Result<f64, ConfigError> {
     let t = topo(1, 2, 1, 3);
     let adv: Arc<dyn TrafficPattern> = Arc::new(Shift::new(&t, 1, 0));
-    let opts = SweepOptions { seeds, resolution };
-    saturation_throughput(&t, &all_paths(&t), &adv, RoutingAlgorithm::Min, &cfg, &opts)
+    let r = runner(&t, &adv, RoutingAlgorithm::Min, cfg);
+    r.saturation(&seeds, resolution)
+        .map(|(values, _, _)| values[0])
 }
 
 fn saturation_at(resolution: f64) -> Result<f64, ConfigError> {
@@ -744,49 +740,36 @@ fn saturation_rejects_an_invalid_config() {
     );
 }
 
-/// `latency_curve` of MIN under uniform traffic over dfly(1,2,1,3).
-fn curve_with(rates: &[f64], seeds: Vec<u64>, cfg: Config) -> Result<Vec<CurvePoint>, ConfigError> {
+/// The runner's latency curve of MIN under uniform traffic over
+/// dfly(1,2,1,3), or its rejection.
+fn curve_with(rates: &[f64], seeds: Vec<u64>, cfg: Config) -> Result<(), ConfigError> {
     let t = topo(1, 2, 1, 3);
     let pattern: Arc<dyn TrafficPattern> = Arc::new(Uniform::new(&t));
-    let opts = SweepOptions {
-        seeds,
-        resolution: 0.02,
-    };
-    latency_curve(
-        &t,
-        &all_paths(&t),
-        &pattern,
-        RoutingAlgorithm::Min,
-        &cfg,
-        rates,
-        &opts,
-    )
+    let r = runner(&t, &pattern, RoutingAlgorithm::Min, cfg);
+    r.run_recorded(rates, &seeds, |_| NoopObserver).map(drop)
 }
 
 #[test]
 fn latency_curve_rejects_no_seeds() {
     let cfg = quick(RoutingAlgorithm::Min);
     assert_eq!(
-        curve_with(&[0.1], vec![], cfg).unwrap_err(),
-        ConfigError::EmptySeeds
+        curve_with(&[0.1], vec![], cfg),
+        Err(ConfigError::EmptySeeds)
     );
 }
 
 #[test]
 fn latency_curve_rejects_no_rates() {
     let cfg = quick(RoutingAlgorithm::Min);
-    assert_eq!(
-        curve_with(&[], vec![1], cfg).unwrap_err(),
-        ConfigError::EmptyRates
-    );
+    assert_eq!(curve_with(&[], vec![1], cfg), Err(ConfigError::EmptyRates));
 }
 
 #[test]
 fn latency_curve_rejects_a_rate_above_one() {
     let cfg = quick(RoutingAlgorithm::Min);
     assert_eq!(
-        curve_with(&[0.1, 1.5], vec![1], cfg).unwrap_err(),
-        ConfigError::BadRate(1.5)
+        curve_with(&[0.1, 1.5], vec![1], cfg),
+        Err(ConfigError::BadRate(1.5))
     );
 }
 
@@ -795,7 +778,7 @@ fn latency_curve_rejects_an_invalid_config() {
     let mut cfg = quick(RoutingAlgorithm::Min);
     cfg.buf_size = 0;
     assert_eq!(
-        curve_with(&[0.1], vec![1], cfg).unwrap_err(),
-        ConfigError::NoBufferSpace
+        curve_with(&[0.1], vec![1], cfg),
+        Err(ConfigError::NoBufferSpace)
     );
 }

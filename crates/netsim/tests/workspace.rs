@@ -1,20 +1,51 @@
-//! The workspace-reuse determinism contract and the sweep/runner layer on
-//! top of it: a reset workspace must be indistinguishable from a fresh
-//! one, for any sequence of runs, topologies and configurations.
+//! The workspace-reuse determinism contract and the runner layer on top
+//! of it: a reset workspace must be indistinguishable from a fresh one,
+//! for any sequence of runs, topologies and configurations, and the
+//! runner's grid and bisection entry points must reproduce direct runs.
 
 use std::sync::Arc;
+use tugal_netsim::journal::Journal;
 use tugal_netsim::runner::{ExperimentRunner, SeriesSpec};
 use tugal_netsim::{
-    aggregate_runs, latency_curve, saturation_throughput, Config, NoopObserver, NoopProfiler,
-    RoutingAlgorithm, SimObserver, SimResult, SimWorkspace, Simulator, SweepOptions,
-    WatchdogConfig, WorkspacePool,
+    aggregate_runs, Config, CurvePoint, NoopObserver, NoopProfiler, RoutingAlgorithm, SimObserver,
+    SimResult, SimWorkspace, Simulator, WatchdogConfig, WorkspacePool,
 };
-use tugal_routing::TableProvider;
+use tugal_routing::{PathProvider, TableProvider};
 use tugal_topology::{Dragonfly, DragonflyParams, NodeId};
 use tugal_traffic::{Shift, TrafficPattern, Uniform};
 
 fn topo(p: u32, a: u32, h: u32, g: u32) -> Arc<Dragonfly> {
     Arc::new(Dragonfly::new(DragonflyParams::new(p, a, h, g)).unwrap())
+}
+
+/// A runner with one series per routing, each on its `Config::quick`.
+fn runner_over(
+    t: &Arc<Dragonfly>,
+    pattern: &Arc<dyn TrafficPattern>,
+    routings: &[RoutingAlgorithm],
+) -> ExperimentRunner {
+    let provider: Arc<dyn PathProvider> = Arc::new(TableProvider::all_paths(t.clone()));
+    routings
+        .iter()
+        .fold(ExperimentRunner::new(t.clone()), |runner, &routing| {
+            runner.series(SeriesSpec {
+                label: routing.name().to_string(),
+                provider: provider.clone(),
+                pattern: pattern.clone(),
+                routing,
+                cfg: Config::quick().for_routing(routing),
+                faults: None,
+            })
+        })
+}
+
+/// The runner's latency curves, one per series.
+fn curves(runner: &ExperimentRunner, rates: &[f64], seeds: &[u64]) -> Vec<Vec<CurvePoint>> {
+    let (curves, _, _) = runner.run_recorded(rates, seeds, |_| NoopObserver).unwrap();
+    curves
+        .into_iter()
+        .map(|c| c.points.into_iter().map(|p| p.point).collect())
+        .collect()
 }
 
 fn simulator(t: &Arc<Dragonfly>, routing: RoutingAlgorithm, seed: u64) -> Simulator {
@@ -101,39 +132,15 @@ fn workspace_survives_shape_changes() {
 }
 
 #[test]
-fn latency_curve_is_repeatable() {
+fn runner_curve_is_repeatable() {
     let t = topo(2, 4, 2, 5);
-    let provider: Arc<dyn tugal_routing::PathProvider> =
-        Arc::new(TableProvider::all_paths(t.clone()));
     let pattern: Arc<dyn TrafficPattern> = Arc::new(Uniform::new(&t));
-    let cfg = Config::quick().for_routing(RoutingAlgorithm::UgalL);
-    let opts = SweepOptions {
-        seeds: vec![1, 2],
-        resolution: 0.02,
-    };
+    let runner = runner_over(&t, &pattern, &[RoutingAlgorithm::UgalL]);
     let rates = [0.1, 0.25];
-    let a = latency_curve(
-        &t,
-        &provider,
-        &pattern,
-        RoutingAlgorithm::UgalL,
-        &cfg,
-        &rates,
-        &opts,
-    )
-    .unwrap();
-    let b = latency_curve(
-        &t,
-        &provider,
-        &pattern,
-        RoutingAlgorithm::UgalL,
-        &cfg,
-        &rates,
-        &opts,
-    )
-    .unwrap();
-    assert_eq!(a.len(), b.len());
-    for (pa, pb) in a.iter().zip(&b) {
+    let a = curves(&runner, &rates, &[1, 2]);
+    let b = curves(&runner, &rates, &[1, 2]);
+    assert_eq!(a[0].len(), b[0].len());
+    for (pa, pb) in a[0].iter().zip(&b[0]) {
         assert_eq!(pa.rate, pb.rate);
         assert_eq!(pa.result, pb.result, "curve must not depend on pool state");
         assert!(pa.elapsed_ms > 0.0, "per-point timing must be recorded");
@@ -146,25 +153,11 @@ fn bisection_is_bounded_by_the_grid() {
     // the bisected saturation throughput must sit between the last
     // unsaturated and the first saturated rate of a grid sweep.
     let t = topo(2, 4, 2, 9);
-    let provider: Arc<dyn tugal_routing::PathProvider> =
-        Arc::new(TableProvider::all_paths(t.clone()));
     let pattern: Arc<dyn TrafficPattern> = Arc::new(Shift::new(&t, 1, 0));
-    let cfg = Config::quick().for_routing(RoutingAlgorithm::Min);
-    let opts = SweepOptions {
-        seeds: vec![7],
-        resolution: 0.02,
-    };
+    let runner = runner_over(&t, &pattern, &[RoutingAlgorithm::Min]);
+    let resolution = 0.02;
     let rates = [0.05, 0.1, 0.15, 0.2];
-    let curve = latency_curve(
-        &t,
-        &provider,
-        &pattern,
-        RoutingAlgorithm::Min,
-        &cfg,
-        &rates,
-        &opts,
-    )
-    .unwrap();
+    let curve = &curves(&runner, &rates, &[7])[0];
     let last_unsat = curve
         .iter()
         .take_while(|p| !p.result.saturated)
@@ -175,10 +168,10 @@ fn bisection_is_bounded_by_the_grid() {
         .find(|p| p.result.saturated)
         .map(|p| p.rate)
         .expect("grid must reach saturation");
-    let sat =
-        saturation_throughput(&t, &provider, &pattern, RoutingAlgorithm::Min, &cfg, &opts).unwrap();
+    let (sat, _, _) = runner.saturation(&[7], resolution).unwrap();
+    let sat = sat[0];
     assert!(
-        sat + opts.resolution >= last_unsat,
+        sat + resolution >= last_unsat,
         "bisection {sat} fell below the last unsaturated grid rate {last_unsat}"
     );
     assert!(
@@ -190,50 +183,146 @@ fn bisection_is_bounded_by_the_grid() {
 #[test]
 fn runner_matches_per_series_curves() {
     // The flat (series × rate × seed) schedule must produce exactly the
-    // per-series latency_curve results.
+    // per-seed `Simulator::run` results, aggregated per point.
     let t = topo(2, 4, 2, 5);
-    let provider: Arc<dyn tugal_routing::PathProvider> =
-        Arc::new(TableProvider::all_paths(t.clone()));
+    let provider: Arc<dyn PathProvider> = Arc::new(TableProvider::all_paths(t.clone()));
     let pattern: Arc<dyn TrafficPattern> = Arc::new(Uniform::new(&t));
     let rates = [0.1, 0.3];
     let seeds = [1u64, 2];
-    let mut runner = ExperimentRunner::new(t.clone());
-    for routing in [RoutingAlgorithm::Min, RoutingAlgorithm::UgalL] {
-        runner = runner.series(SeriesSpec {
-            label: routing.name().to_string(),
-            provider: provider.clone(),
-            pattern: pattern.clone(),
-            routing,
-            cfg: Config::quick().for_routing(routing),
-            faults: None,
-        });
-    }
+    let routings = [RoutingAlgorithm::Min, RoutingAlgorithm::UgalL];
+    let runner = runner_over(&t, &pattern, &routings);
     assert_eq!(runner.job_count(&rates, &seeds), 2 * 2 * 2);
     let (curves, _, _) = runner
         .run_recorded(&rates, &seeds, |_| NoopObserver)
         .unwrap();
     assert_eq!(curves.len(), 2);
-    let opts = SweepOptions {
-        seeds: seeds.to_vec(),
-        resolution: 0.02,
-    };
-    for (curve, routing) in curves
-        .iter()
-        .zip([RoutingAlgorithm::Min, RoutingAlgorithm::UgalL])
-    {
-        let cfg = Config::quick().for_routing(routing);
-        let expect = latency_curve(&t, &provider, &pattern, routing, &cfg, &rates, &opts).unwrap();
+    for (curve, routing) in curves.iter().zip(routings) {
         assert_eq!(curve.label, routing.name());
-        for (got, want) in curve.points.iter().zip(&expect) {
+        for (got, &rate) in curve.points.iter().zip(&rates) {
+            let runs: Vec<SimResult> = seeds
+                .iter()
+                .map(|&seed| {
+                    let mut cfg = Config::quick().for_routing(routing);
+                    cfg.seed = seed;
+                    Simulator::new(t.clone(), provider.clone(), pattern.clone(), routing, cfg)
+                        .run(rate)
+                })
+                .collect();
             assert_eq!(
-                got.point.result, want.result,
-                "{}: flat vs nested schedule",
+                got.point.result,
+                aggregate_runs(rate, &runs),
+                "{}: runner vs direct runs at rate {rate}",
                 curve.label
             );
         }
         let elapsed_ms: f64 = curve.points.iter().map(|p| p.point.elapsed_ms).sum();
         assert!(elapsed_ms > 0.0);
     }
+}
+
+/// Saturation throughput of MIN and UGAL-L on shift(1,0) over
+/// dfly(2,4,2,9) at resolution 0.02, and a two-rate, two-seed UGAL-L
+/// curve, pinned to the IEEE-754 bits the per-series sweep functions
+/// produced before the runner took them over.  Run at one and two threads:
+/// the two-seed probes and the curve are where a batch runs in parallel.
+#[test]
+fn saturation_and_curve_match_pinned_bits() {
+    let t = topo(2, 4, 2, 9);
+    let pattern: Arc<dyn TrafficPattern> = Arc::new(Shift::new(&t, 1, 0));
+    let routings = [RoutingAlgorithm::Min, RoutingAlgorithm::UgalL];
+    let pinned = [0x3fc047ae147ae148u64, 0x3fd4e147ae147ae2];
+    let curve = [
+        SimResult {
+            injection_rate: 0.1,
+            avg_latency: 44.74460746023857,
+            throughput: 0.10027083333333334,
+            avg_hops: 3.524762589475868,
+            delivered: 28878,
+            injected: 28884,
+            saturated: false,
+            deadlock_suspected: false,
+            vlb_fraction: 0.43120207970027513,
+            latency_p50: 45.254833995939045,
+            latency_p99: 90.50966799187809,
+            max_channel_util: 0.49037740564858784,
+            mean_global_util: 0.14264315865478078,
+            mean_local_util: 0.13946976218908236,
+        },
+        SimResult {
+            injection_rate: 0.3,
+            avg_latency: 77.72902373170908,
+            throughput: 0.2998576388888889,
+            avg_hops: 3.744587461203719,
+            delivered: 86359,
+            injected: 86154,
+            saturated: false,
+            deadlock_suspected: false,
+            vlb_fraction: 0.5791816265760208,
+            latency_p50: 90.50966799187809,
+            latency_p99: 181.01933598375618,
+            max_channel_util: 0.9985003749062734,
+            mean_global_util: 0.46865714127023794,
+            mean_local_util: 0.4277159876697492,
+        },
+    ];
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            let runner = runner_over(&t, &pattern, &routings);
+            for seeds in [&[5u64][..], &[11, 12]] {
+                let (values, summary, records) = runner.saturation(seeds, 0.02).unwrap();
+                let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, pinned, "seeds {seeds:?} at {threads} threads");
+                assert_eq!(summary.jobs, records.len());
+                assert_eq!(summary.failed, 0);
+                assert!(records.iter().all(|r| !r.resumed));
+            }
+            let ugal = runner_over(&t, &pattern, &[RoutingAlgorithm::UgalL]);
+            let got: Vec<SimResult> = curves(&ugal, &[0.1, 0.3], &[11, 12])
+                .remove(0)
+                .into_iter()
+                .map(|p| p.result)
+                .collect();
+            assert_eq!(got, curve, "curve at {threads} threads");
+        });
+    }
+}
+
+#[test]
+fn killed_bisection_resumes_from_the_journal() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join("killed_bisection_resumes_from_the_journal.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let t = topo(2, 4, 2, 5);
+    let pattern: Arc<dyn TrafficPattern> = Arc::new(Shift::new(&t, 1, 0));
+    let journal = Arc::new(Journal::open(&path).unwrap());
+    let runner = runner_over(
+        &t,
+        &pattern,
+        &[RoutingAlgorithm::Min, RoutingAlgorithm::UgalL],
+    )
+    .with_journal(journal);
+    let seeds = [1, 2];
+    let (first, summary, records) = runner.saturation(&seeds, 0.05).unwrap();
+    assert_eq!(summary.resumed, 0);
+    assert!(records
+        .iter()
+        .all(|r| !r.resumed && !r.outcome.is_failure()));
+    let lines = std::fs::read_to_string(&path).unwrap().lines().count();
+    assert_eq!(lines, records.len(), "one journal line per probe job");
+
+    let (second, summary, replayed) = runner.saturation(&seeds, 0.05).unwrap();
+    assert!(replayed.iter().all(|r| r.resumed), "no job simulated twice");
+    assert_eq!(summary.resumed, replayed.len());
+    assert_eq!(replayed.len(), records.len());
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&first), bits(&second));
+    let lines = std::fs::read_to_string(&path).unwrap().lines().count();
+    assert_eq!(lines, records.len(), "replays append nothing");
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

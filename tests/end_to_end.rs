@@ -2,16 +2,37 @@
 //! exercised exactly the way the examples and benches use the system.
 
 use std::sync::Arc;
-use tugal_suite::netsim::{
-    latency_curve, saturation_throughput, Config, RoutingAlgorithm, Simulator, SweepOptions,
-};
-use tugal_suite::routing::VlbRule;
+use tugal_suite::netsim::runner::{ExperimentRunner, SeriesSpec};
+use tugal_suite::netsim::{Config, NoopObserver, RoutingAlgorithm, Simulator};
+use tugal_suite::routing::{PathProvider, VlbRule};
 use tugal_suite::topology::{Dragonfly, DragonflyParams};
 use tugal_suite::traffic::{Shift, TrafficPattern, Uniform};
 use tugal_suite::tugal::{compute_tvlb, conventional_provider, TUgalConfig};
 
 fn topo(p: u32, a: u32, h: u32, g: u32) -> Arc<Dragonfly> {
     Arc::new(Dragonfly::new(DragonflyParams::new(p, a, h, g)).unwrap())
+}
+
+/// A runner with one series per provider, all under `routing`.
+fn runner(
+    t: &Arc<Dragonfly>,
+    providers: &[&Arc<dyn PathProvider>],
+    pattern: &Arc<dyn TrafficPattern>,
+    routing: RoutingAlgorithm,
+) -> ExperimentRunner {
+    providers.iter().enumerate().fold(
+        ExperimentRunner::new(t.clone()),
+        |runner, (i, &provider)| {
+            runner.series(SeriesSpec {
+                label: format!("provider {i}"),
+                provider: provider.clone(),
+                pattern: pattern.clone(),
+                routing,
+                cfg: Config::quick().for_routing(routing),
+                faults: None,
+            })
+        },
+    )
 }
 
 /// The headline claim of the paper on a dense (CI-sized) topology:
@@ -28,61 +49,30 @@ fn tugal_dominates_ugal_on_dense_topology() {
 
     let conventional = conventional_provider(t.clone(), 300);
     let pattern: Arc<dyn TrafficPattern> = Arc::new(Shift::new(&t, 1, 0));
-    let opts = SweepOptions {
-        seeds: vec![11, 12],
-        resolution: 0.02,
-    };
-    let cfg = Config::quick().for_routing(RoutingAlgorithm::UgalL);
-    let sat_ugal = saturation_throughput(
+    let runner = runner(
         &t,
-        &conventional,
+        &[&conventional, &result.provider],
         &pattern,
         RoutingAlgorithm::UgalL,
-        &cfg,
-        &opts,
-    )
-    .unwrap();
-    let sat_tugal = saturation_throughput(
-        &t,
-        &result.provider,
-        &pattern,
-        RoutingAlgorithm::UgalL,
-        &cfg,
-        &opts,
-    )
-    .unwrap();
+    );
+    let seeds = [11, 12];
+    let (sat, _, _) = runner.saturation(&seeds, 0.02).unwrap();
+    let (sat_ugal, sat_tugal) = (sat[0], sat[1]);
     assert!(
         sat_tugal >= sat_ugal - 0.02,
         "T-UGAL-L saturation {sat_tugal} must not fall below UGAL-L {sat_ugal}"
     );
     // Low-load latency: T-UGAL should not be worse (it is usually better,
     // since misrouted packets take shorter VLB paths).
-    let low = 0.05;
-    let curve_u = latency_curve(
-        &t,
-        &conventional,
-        &pattern,
-        RoutingAlgorithm::UgalL,
-        &cfg,
-        &[low],
-        &opts,
-    )
-    .unwrap();
-    let curve_t = latency_curve(
-        &t,
-        &result.provider,
-        &pattern,
-        RoutingAlgorithm::UgalL,
-        &cfg,
-        &[low],
-        &opts,
-    )
-    .unwrap();
+    let (curves, _, _) = runner
+        .run_recorded(&[0.05], &seeds, |_| NoopObserver)
+        .unwrap();
+    let latency = |i: usize| curves[i].points[0].point.result.avg_latency;
     assert!(
-        curve_t[0].result.avg_latency <= curve_u[0].result.avg_latency + 2.0,
+        latency(1) <= latency(0) + 2.0,
         "low-load latency {} vs {}",
-        curve_t[0].result.avg_latency,
-        curve_u[0].result.avg_latency
+        latency(1),
+        latency(0)
     );
 }
 
@@ -127,20 +117,10 @@ fn model_upper_bounds_simulated_saturation() {
 
     let provider = conventional_provider(t.clone(), 300);
     let pattern: Arc<dyn TrafficPattern> = Arc::new(Shift::new(&t, 1, 0));
-    let cfg = Config::quick().for_routing(RoutingAlgorithm::UgalG);
-    let opts = SweepOptions {
-        seeds: vec![3],
-        resolution: 0.02,
-    };
-    let sat = saturation_throughput(
-        &t,
-        &provider,
-        &pattern,
-        RoutingAlgorithm::UgalG,
-        &cfg,
-        &opts,
-    )
-    .unwrap();
+    let (sat, _, _) = runner(&t, &[&provider], &pattern, RoutingAlgorithm::UgalG)
+        .saturation(&[3], 0.02)
+        .unwrap();
+    let sat = sat[0];
     assert!(
         modeled >= sat - 0.05,
         "fluid model {modeled} should not sit below simulated saturation {sat}"
