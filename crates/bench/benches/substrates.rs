@@ -83,11 +83,13 @@ fn table_builds(c: &mut Criterion) {
 
 /// One million VLB draws from the all-paths table of dfly(4,8,4,9), each
 /// for a random pair of distinct switches: the per-packet cost of a
-/// table-backed UGAL decision's VLB candidate.
+/// table-backed UGAL decision's VLB candidate.  The pairs are independent,
+/// so the CPU overlaps one draw's cache misses with the next; the chained
+/// benches below measure the latency a routing decision pays.
 fn provider_draws(c: &mut Criterion) {
     let t9 = Arc::new(Dragonfly::new(DragonflyParams::new(4, 8, 4, 9)).unwrap());
     let n = t9.num_switches() as u32;
-    let provider = TableProvider::all_paths(t9);
+    let all = TableProvider::all_paths(t9.clone());
     c.bench_function("provider/sample_vlb dfly(4,8,4,9)", |b| {
         b.iter(|| {
             let mut rng = SmallRng::seed_from_u64(0x5A3F);
@@ -95,13 +97,39 @@ fn provider_draws(c: &mut Criterion) {
             for _ in 0..1_000_000 {
                 let s = rng.gen_range(0..n);
                 let d = (s + 1 + rng.gen_range(0..n - 1)) % n;
-                hops += provider
-                    .sample_vlb(SwitchId(s), SwitchId(d), &mut rng)
-                    .hops();
+                hops += all.sample_vlb(SwitchId(s), SwitchId(d), &mut rng).hops();
             }
             black_box(hops)
         })
     });
+    let rule = VlbRule::ClassLimit {
+        max_hops: 4,
+        frac_next: 0.6,
+    };
+    let limited = TableProvider::new(t9.clone(), PathTable::build_with_rule(&t9, rule, 7));
+    for (name, provider) in [("all", &all), ("ClassLimit{4,0.6}", &limited)] {
+        c.bench_function(
+            format!("provider/chained min+vlb {name} dfly(4,8,4,9)"),
+            |b| b.iter(|| black_box(chained_draws(provider, n))),
+        );
+    }
+}
+
+/// One million MIN+VLB draw pairs, each for a pair of distinct switches
+/// derived from the previous pair's candidates: no draw can start before
+/// the one it depends on has loaded its code.
+fn chained_draws(provider: &TableProvider, n: u32) -> u32 {
+    let mut rng = SmallRng::seed_from_u64(0x5A3F);
+    let mut link = 0u32;
+    for _ in 0..1_000_000 {
+        let s = (link + rng.gen_range(0..n)) % n;
+        let d = (s + 1 + rng.gen_range(0..n - 1)) % n;
+        let (s, d) = (SwitchId(s), SwitchId(d));
+        let min = provider.sample_min(s, d, &mut rng);
+        let vlb = provider.sample_vlb(s, d, &mut rng);
+        link = min.switches().chain(vlb.switches()).map(|sw| sw.0).sum();
+    }
+    link
 }
 
 fn pair_stats(c: &mut Criterion) {

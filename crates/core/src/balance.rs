@@ -317,6 +317,54 @@ mod tests {
         Dragonfly::new(DragonflyParams::new(2, 4, 2, 5)).unwrap()
     }
 
+    /// 64-bit FNV-1a.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The bytes of adjusted tables are pinned: a T-VLB table under the
+    /// default options, and a full table (whose pairs share their lists)
+    /// under thresholds tight enough to trim it.
+    #[test]
+    fn adjusted_tables_match_their_pinned_digests() {
+        let t = Dragonfly::new(DragonflyParams::new(3, 6, 3, 7)).unwrap();
+        let rule = VlbRule::ClassLimit {
+            max_hops: 4,
+            frac_next: 0.6,
+        };
+        let tight = BalanceOptions {
+            local_ratio: 1.01,
+            global_ratio: 1.01,
+            min_paths_per_pair: 2,
+            max_removed_frac: 0.5,
+            max_rounds: 2,
+        };
+        for (what, mut table, opts, want) in [
+            (
+                "ClassLimit",
+                PathTable::build_with_rule(&t, rule, 0x7065),
+                BalanceOptions::default(),
+                0x4c3b_0984_d623_84adu64,
+            ),
+            (
+                "All",
+                PathTable::build_all(&t),
+                tight,
+                0x8ab2_0664_1ba7_5406,
+            ),
+        ] {
+            let report = adjust(&mut table, &t, &opts);
+            assert!(
+                report.removed_local + report.removed_global > 0,
+                "{what}: {report:?}"
+            );
+            let got = fnv1a(&table.to_bytes());
+            assert_eq!(got, want, "{what}: {got:#018x}");
+        }
+    }
+
     #[test]
     fn full_table_is_roughly_balanced() {
         let t = topo();

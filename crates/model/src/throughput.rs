@@ -106,12 +106,6 @@ impl ModelWarmCache {
     pub fn clear(&mut self) {
         self.entries.clear();
     }
-
-    /// Whether a basis is cached (the next solve will attempt a warm
-    /// start).
-    pub fn has_basis(&self) -> bool {
-        !self.entries.is_empty()
-    }
 }
 
 /// Which reconstruction of the UGAL allocation behaviour to solve.

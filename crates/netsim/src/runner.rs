@@ -393,16 +393,11 @@ impl ExperimentRunner {
         self
     }
 
-    /// Number of jobs [`ExperimentRunner::run_recorded`] would schedule.
-    pub fn job_count(&self, rates: &[f64], seeds: &[u64]) -> usize {
-        self.series.len() * rates.len() * seeds.len()
-    }
-
     /// Validates the whole experiment up front: the (rates × seeds) grid
     /// via [`crate::validate_sweep`] and every series' [`Config`] via
     /// [`Config::validate`] — so a malformed sweep is rejected before any
     /// job is scheduled.
-    pub fn validate(&self, rates: &[f64], seeds: &[u64]) -> Result<(), ConfigError> {
+    fn validate(&self, rates: &[f64], seeds: &[u64]) -> Result<(), ConfigError> {
         validate_sweep(rates, seeds)?;
         self.series.iter().try_for_each(|s| s.cfg.validate())
     }

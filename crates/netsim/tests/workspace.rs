@@ -191,10 +191,10 @@ fn runner_matches_per_series_curves() {
     let seeds = [1u64, 2];
     let routings = [RoutingAlgorithm::Min, RoutingAlgorithm::UgalL];
     let runner = runner_over(&t, &pattern, &routings);
-    assert_eq!(runner.job_count(&rates, &seeds), 2 * 2 * 2);
-    let (curves, _, _) = runner
+    let (curves, _, records) = runner
         .run_recorded(&rates, &seeds, |_| NoopObserver)
         .unwrap();
+    assert_eq!(records.len(), 2 * 2 * 2);
     assert_eq!(curves.len(), 2);
     for (curve, routing) in curves.iter().zip(routings) {
         assert_eq!(curve.label, routing.name());

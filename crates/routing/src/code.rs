@@ -300,11 +300,11 @@ mod tests {
         let codec = Codec::new(t);
         for (s, d) in (0..n).flat_map(|s| (0..n).map(move |d| (SwitchId(s), SwitchId(d)))) {
             let pp = table.codes(s, d);
-            for &c in &pp.min {
+            for &c in pp.min.iter() {
                 let p = codec.decode_min(s, d, c);
                 assert_eq!(encode_min(t, s, d, &p), Some(c), "{tag} MIN {s}->{d} {p:?}");
             }
-            for &c in &pp.vlb {
+            for &c in pp.vlb.iter() {
                 let p = codec.decode_vlb(s, d, c);
                 assert_eq!(encode_vlb(t, s, d, &p), Some(c), "{tag} VLB {s}->{d} {p:?}");
                 assert_eq!(codec.vlb_hops(s, d, c), p.hops(), "{tag} {p:?}");

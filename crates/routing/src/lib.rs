@@ -14,7 +14,9 @@
 //!   A table stores each candidate as a 4-byte packed code — a MIN
 //!   candidate by its gateway link, a VLB candidate by its intermediate
 //!   switch and the gateway links of its two segments — and decodes it to
-//!   a [`Path`] only when it is drawn or inspected.
+//!   a [`Path`] only when it is drawn or inspected.  Pairs whose lists
+//!   hold the same codes share one immutable copy, so a pristine
+//!   all-paths table stores one MIN and one VLB list per group pair.
 //! * **Path providers** — the sampling interface the simulator's routing
 //!   functions use to draw one MIN and one VLB candidate per packet
 //!   ([`PathProvider`]); an explicit-table provider ([`TableProvider`],

@@ -12,16 +12,87 @@ use std::fmt;
 use std::sync::Arc;
 use tugal_topology::{Degraded, Dragonfly, SwitchId};
 
+/// A candidate list: immutable, and shared by every pair whose list holds
+/// the same codes (see [`Lists`]).
+type Codes = Arc<[u32]>;
+
 /// The candidates of one (source switch, destination switch) pair, as
 /// packed codes (see `code.rs`); only this crate reads them.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct PairPaths {
     /// MIN candidates (one per live global link between the endpoint
     /// groups).
-    pub(crate) min: Vec<u32>,
+    pub(crate) min: Codes,
     /// VLB candidates — all of them for conventional UGAL, a topology-custom
     /// subset (T-VLB) for T-UGAL.
-    pub(crate) vlb: Vec<u32>,
+    pub(crate) vlb: Codes,
+}
+
+/// Shares equal candidate lists.  A code names gateway links by their
+/// index in a group pair's list, so every pristine pair between the same
+/// two groups holds the same MIN list and the same all-paths VLB list:
+/// keyed by group, one cached list per key finds them all.
+struct Lists {
+    /// The one empty list; an empty list never replaces a cached one.
+    empty: Codes,
+    /// The last list stored under each key.
+    last: Vec<Option<Codes>>,
+}
+
+impl Lists {
+    fn new(keys: usize, empty: &Codes) -> Self {
+        Lists {
+            empty: empty.clone(),
+            last: vec![None; keys],
+        }
+    }
+
+    /// The copy of `list` to store under `key`: the cached list if it holds
+    /// the same codes, else `make()`, which becomes the cached list.
+    fn share(&mut self, key: usize, list: &[u32], make: impl FnOnce() -> Codes) -> Codes {
+        if list.is_empty() {
+            return self.empty.clone();
+        }
+        let last = &mut self.last[key];
+        match last {
+            Some(c) if std::ptr::eq(&**c, list) || **c == *list => c.clone(),
+            _ => last.insert(make()).clone(),
+        }
+    }
+}
+
+/// Shares equal lists across the whole table, in row order, keyed by
+/// (source group, destination group).  Every constructor, `degrade` and
+/// `apply_rule` end here, so which pairs share a list does not depend on
+/// how the table was made.
+fn share(topo: &Dragonfly, pairs: &mut [PairPaths]) {
+    let (n, g) = (topo.num_switches(), topo.num_groups());
+    let empty: Codes = Arc::new([]);
+    let (mut min, mut vlb) = (Lists::new(g * g, &empty), Lists::new(g * g, &empty));
+    let group = |x: usize| topo.group_of(SwitchId(x as u32)).index();
+    for (i, pp) in pairs.iter_mut().enumerate() {
+        let k = group(i / n) * g + group(i % n);
+        pp.min = min.share(k, &pp.min, || pp.min.clone());
+        pp.vlb = vlb.share(k, &pp.vlb, || pp.vlb.clone());
+    }
+}
+
+/// `list` without the codes `keep` rejects, calling `keep` once per code,
+/// in order; `None`, without allocating, when it rejects none.
+fn filtered(list: &[u32], mut keep: impl FnMut(u32) -> bool) -> Option<Codes> {
+    let mut out: Option<Vec<u32>> = None;
+    for (j, &c) in list.iter().enumerate() {
+        match (&mut out, keep(c)) {
+            (None, false) => {
+                let mut kept = Vec::with_capacity(list.len() - 1);
+                kept.extend_from_slice(&list[..j]);
+                out = Some(kept);
+            }
+            (Some(v), true) => v.push(c),
+            _ => {}
+        }
+    }
+    out.map(Codes::from)
 }
 
 /// Summary of how a fault set reshaped a [`PathTable`], produced by
@@ -116,9 +187,13 @@ fn apply_rule_pair(
 /// drawn ([`crate::TableProvider`]).  A code means nothing without its
 /// topology, so the table holds the topology it was built for.
 ///
-/// Memory is O(#pairs × #paths); the paper's `dfly(4,8,4,17)` (136 switches)
-/// fits comfortably, while `dfly(13,26,13,27)` does not and uses the
-/// on-the-fly [`crate::RuleProvider`] instead.
+/// Pairs with equal lists share one copy.  A pristine all-paths table
+/// therefore stores one MIN and one VLB list per (source group,
+/// destination group), O(g² × #paths), while a T-VLB table, whose
+/// per-pair subsets differ, is O(#pairs × #paths).  The paper's
+/// `dfly(4,8,4,17)` (136 switches) fits comfortably either way;
+/// `dfly(13,26,13,27)` uses the on-the-fly [`crate::RuleProvider`]
+/// instead.
 #[derive(Clone)]
 pub struct PathTable {
     topo: Arc<Dragonfly>,
@@ -175,19 +250,26 @@ impl PathTable {
     /// does.  Source rows are built in parallel; each pair depends only on
     /// its own index, so the table is the same at any thread count.
     fn build(topo: &Dragonfly, deg: Option<&Degraded>, rule: VlbRule, seed: u64) -> Self {
-        let n = topo.num_switches();
+        let (n, g) = (topo.num_switches(), topo.num_groups());
         let codec = Codec::new(topo);
+        let empty: Codes = Arc::new([]);
         let sources: Vec<u32> = (0..n as u32).collect();
         let rows: Vec<Vec<PairPaths>> = sources
             .par_iter()
             .map(|&s| {
                 let mut buf = VlbBuffers::default();
                 let mut vlb = Vec::new();
+                // The row's lists, shared by destination group, so the
+                // unshared table is never held.
+                let (mut min_lists, mut vlb_lists) = (Lists::new(g, &empty), Lists::new(g, &empty));
                 (0..n as u32)
                     .map(|d| {
                         let (s, d) = (SwitchId(s), SwitchId(d));
                         if s == d {
-                            return PairPaths::default();
+                            return PairPaths {
+                                min: empty.clone(),
+                                vlb: empty.clone(),
+                            };
                         }
                         vlb_codes_into(topo, deg, s, d, &mut buf, &mut vlb);
                         apply_rule_pair(
@@ -198,19 +280,22 @@ impl PathTable {
                             seed,
                             s.index() * n + d.index(),
                         );
-                        // Store an exact-size copy and keep the buffer.
+                        let key = topo.group_of(d).index();
+                        let min = min_codes(topo, deg, s, d);
                         PairPaths {
-                            min: min_codes(topo, deg, s, d),
-                            vlb: vlb.clone(),
+                            min: min_lists.share(key, &min, || min.as_slice().into()),
+                            vlb: vlb_lists.share(key, &vlb, || vlb.as_slice().into()),
                         }
                     })
                     .collect()
             })
             .collect();
+        let mut pairs: Vec<PairPaths> = rows.into_iter().flatten().collect();
+        share(topo, &mut pairs);
         PathTable {
             topo: Arc::new(topo.clone()),
             codec,
-            pairs: rows.into_iter().flatten().collect(),
+            pairs,
         }
     }
 
@@ -259,12 +344,15 @@ impl PathTable {
 
     /// Keeps the VLB candidates of a pair for which `keep` returns true,
     /// visiting them once each, in order, and preserving their order.
+    ///
+    /// A list the pair shares with others is copied, never edited.
     pub fn retain_vlb(&mut self, s: SwitchId, d: SwitchId, mut keep: impl FnMut(&Path) -> bool) {
         let i = self.idx(s, d);
         let codec = &self.codec;
-        self.pairs[i]
-            .vlb
-            .retain(|&c| keep(&codec.decode_vlb(s, d, c)));
+        let pp = &mut self.pairs[i];
+        if let Some(kept) = filtered(&pp.vlb, |c| keep(&codec.decode_vlb(s, d, c))) {
+            pp.vlb = kept;
+        }
     }
 
     /// Restricts every pair's VLB set to `rule`.
@@ -276,10 +364,17 @@ impl PathTable {
             return;
         }
         let n = self.num_switches();
+        let mut vlb = Vec::new();
         for (i, pp) in self.pairs.iter_mut().enumerate() {
             let pair = (SwitchId((i / n) as u32), SwitchId((i % n) as u32));
-            apply_rule_pair(&self.codec, pair, &mut pp.vlb, rule, seed, i);
+            vlb.clear();
+            vlb.extend_from_slice(&pp.vlb);
+            apply_rule_pair(&self.codec, pair, &mut vlb, rule, seed, i);
+            if *vlb != *pp.vlb {
+                pp.vlb = vlb.as_slice().into();
+            }
         }
+        share(&self.topo, &mut self.pairs);
     }
 
     /// Restricts this table to paths alive in `deg`, in place, and
@@ -311,10 +406,16 @@ impl PathTable {
                 rep.pairs += 1;
                 let before_min = pp.min.len();
                 let before_vlb = pp.vlb.len();
-                pp.min
-                    .retain(|&c| path_alive(topo, deg, &codec.decode_min(s, d, c)));
-                pp.vlb
-                    .retain(|&c| path_alive(topo, deg, &codec.decode_vlb(s, d, c)));
+                if let Some(alive) = filtered(&pp.min, |c| {
+                    path_alive(topo, deg, &codec.decode_min(s, d, c))
+                }) {
+                    pp.min = alive;
+                }
+                if let Some(alive) = filtered(&pp.vlb, |c| {
+                    path_alive(topo, deg, &codec.decode_vlb(s, d, c))
+                }) {
+                    pp.vlb = alive;
+                }
                 rep.removed_min += before_min - pp.min.len();
                 rep.removed_vlb += before_vlb - pp.vlb.len();
                 if pp.vlb.is_empty() && before_vlb > 0 && !deg.switch_dead(s) && !deg.switch_dead(d)
@@ -323,7 +424,7 @@ impl PathTable {
                     vlb_codes_into(topo, Some(deg), s, d, &mut buf, &mut fresh);
                     apply_rule_pair(codec, (s, d), &mut fresh, rule, seed, i);
                     if !fresh.is_empty() {
-                        pp.vlb = fresh;
+                        pp.vlb = fresh.into();
                         rep.regenerated_pairs += 1;
                     }
                 }
@@ -338,43 +439,29 @@ impl PathTable {
                 }
             }
         }
+        share(topo, &mut self.pairs);
         rep
-    }
-
-    /// Hop counts of every pair's VLB candidates, pair by pair in
-    /// row-major order.
-    fn vlb_hops(&self) -> impl Iterator<Item = impl ExactSizeIterator<Item = usize> + '_> + '_ {
-        let n = self.num_switches();
-        let codec = &self.codec;
-        self.pairs.iter().enumerate().map(move |(i, pp)| {
-            let (s, d) = (SwitchId((i / n) as u32), SwitchId((i % n) as u32));
-            pp.vlb.iter().map(move |&c| codec.vlb_hops(s, d, c))
-        })
     }
 
     /// Average VLB hop count over all pairs with at least one VLB path.
     pub fn mean_vlb_hops(&self) -> f64 {
-        let mut sum = 0.0;
+        let n = self.num_switches();
+        let mut sum = 0usize;
         let mut count = 0usize;
-        for hops in self.vlb_hops() {
-            count += hops.len();
-            sum += hops.map(|h| h as f64).sum::<f64>();
+        for (i, pp) in self.pairs.iter().enumerate() {
+            let (s, d) = (SwitchId((i / n) as u32), SwitchId((i % n) as u32));
+            count += pp.vlb.len();
+            sum += pp
+                .vlb
+                .iter()
+                .map(|&c| self.codec.vlb_hops(s, d, c))
+                .sum::<usize>();
         }
         if count == 0 {
             0.0
         } else {
-            sum / count as f64
+            sum as f64 / count as f64
         }
-    }
-
-    /// Histogram of VLB path hop counts over the whole table
-    /// (`counts[h]` = number of h-hop VLB candidates).
-    pub fn vlb_class_counts(&self) -> [u64; 8] {
-        let mut counts = [0u64; 8];
-        for h in self.vlb_hops().flatten() {
-            counts[h] += 1;
-        }
-        counts
     }
 
     /// Total number of VLB candidates stored.
@@ -432,42 +519,150 @@ impl PathTable {
         if n != topo.num_switches() || pairs_len.checked_mul(8)? > data.len() - cur {
             return None;
         }
-        let mut pairs = Vec::with_capacity(pairs_len);
-        for idx in 0..pairs_len {
-            let (s, d) = (SwitchId((idx / n) as u32), SwitchId((idx % n) as u32));
-            let mut pp = PairPaths::default();
-            for which in 0..2 {
-                let count = u32::from_le_bytes(take(&mut cur, 4)?.try_into().ok()?) as usize;
-                let list = if which == 0 { &mut pp.min } else { &mut pp.vlb };
+        // One list of the pair (s, d): MIN if `vlb` is false.
+        let mut list = Vec::new();
+        let mut read =
+            |cur: &mut usize, (s, d): (SwitchId, SwitchId), vlb: bool| -> Option<Codes> {
+                let count = u32::from_le_bytes(take(cur, 4)?.try_into().ok()?) as usize;
+                list.clear();
                 // A path takes at least 3 bytes.
-                list.reserve(count.min((data.len() - cur) / 3));
+                list.reserve(count.min((data.len() - *cur) / 3));
                 for _ in 0..count {
-                    let len = *take(&mut cur, 1)?.first()? as usize;
+                    let len = *take(cur, 1)?.first()? as usize;
                     if len == 0 || len > crate::MAX_HOPS + 1 {
                         return None;
                     }
                     let mut switches = Vec::with_capacity(len);
                     for _ in 0..len {
-                        let sw = u16::from_le_bytes(take(&mut cur, 2)?.try_into().ok()?);
+                        let sw = u16::from_le_bytes(take(cur, 2)?.try_into().ok()?);
                         if sw as usize >= n {
                             return None;
                         }
                         switches.push(SwitchId(sw as u32));
                     }
                     let p = Path::from_switches(&switches);
-                    list.push(if which == 0 {
-                        code::encode_min(topo, s, d, &p)?
-                    } else {
+                    list.push(if vlb {
                         code::encode_vlb(topo, s, d, &p)?
+                    } else {
+                        code::encode_min(topo, s, d, &p)?
                     });
                 }
-            }
-            pairs.push(pp);
+                Some(list.as_slice().into())
+            };
+        let mut pairs = Vec::with_capacity(pairs_len);
+        for idx in 0..pairs_len {
+            let pair = (SwitchId((idx / n) as u32), SwitchId((idx % n) as u32));
+            let min = read(&mut cur, pair, false)?;
+            let vlb = read(&mut cur, pair, true)?;
+            pairs.push(PairPaths { min, vlb });
         }
-        (cur == data.len()).then(|| PathTable {
+        if cur != data.len() {
+            return None;
+        }
+        share(topo, &mut pairs);
+        Some(PathTable {
             topo: Arc::new(topo.clone()),
             codec: Codec::new(topo),
             pairs,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use tugal_topology::DragonflyParams;
+
+    fn dfly(p: u32, a: u32, h: u32, g: u32) -> Dragonfly {
+        Dragonfly::new(DragonflyParams::new(p, a, h, g)).unwrap()
+    }
+
+    /// The number of distinct non-empty (MIN, VLB) lists the table stores.
+    fn stored_lists(table: &PathTable) -> (usize, usize) {
+        let count = |list: fn(&PairPaths) -> &Codes| {
+            let stored = table.pairs.iter().map(list).filter(|l| !l.is_empty());
+            stored.map(|l| l.as_ptr()).collect::<HashSet<_>>().len()
+        };
+        (count(|pp| &pp.min), count(|pp| &pp.vlb))
+    }
+
+    #[test]
+    fn a_pristine_all_paths_table_stores_one_list_per_group_pair() {
+        let t = dfly(4, 8, 4, 9);
+        let g2 = t.num_groups() * t.num_groups();
+        let table = PathTable::build_all(&t);
+        let (min, vlb) = stored_lists(&table);
+        assert!(min <= g2 && vlb <= g2, "{min} MIN and {vlb} VLB lists");
+        let back = PathTable::from_bytes(&t, &table.to_bytes()).unwrap();
+        assert_eq!(stored_lists(&back), (min, vlb));
+    }
+
+    #[test]
+    fn edits_copy_a_shared_list_and_leave_its_sharers_alone() {
+        let t = dfly(2, 4, 2, 5);
+        let mut table = PathTable::build_all(&t);
+        let original = table.clone();
+        let pristine = original.to_bytes();
+        let (s, d) = (SwitchId(0), SwitchId(9));
+        let edited = table.codes(s, d).vlb.clone();
+        let sharers: Vec<usize> = (0..table.pairs.len())
+            .filter(|&i| i != table.idx(s, d) && Arc::ptr_eq(&table.pairs[i].vlb, &edited))
+            .collect();
+        assert!(!sharers.is_empty(), "the pair shares its list");
+
+        // Keeping everything keeps the very list.
+        let mut seen = Vec::new();
+        table.retain_vlb(s, d, |p| {
+            seen.push(*p);
+            true
+        });
+        assert_eq!(seen, original.vlb(s, d).collect::<Vec<_>>());
+        assert!(Arc::ptr_eq(&table.codes(s, d).vlb, &edited));
+
+        // Keeping the first candidate only visits each one once, in order.
+        let mut visits = 0;
+        table.retain_vlb(s, d, |_| {
+            visits += 1;
+            visits == 1
+        });
+        assert_eq!(visits, edited.len());
+        assert_eq!(table.codes(s, d).vlb[..], edited[..1]);
+        assert_eq!(original.to_bytes(), pristine);
+        for &i in &sharers {
+            assert_eq!(table.pairs[i].vlb, edited, "pair {i}");
+        }
+
+        let mut limited = original.clone();
+        let rule = VlbRule::ClassLimit {
+            max_hops: 3,
+            frac_next: 0.5,
+        };
+        limited.apply_rule(rule, 7);
+        assert!(limited.total_vlb_paths() < original.total_vlb_paths());
+        assert_eq!(original.to_bytes(), pristine);
+    }
+
+    #[test]
+    fn storage_does_not_depend_on_the_thread_count() {
+        let t = dfly(3, 6, 3, 7);
+        let rule = VlbRule::ClassLimit {
+            max_hops: 4,
+            frac_next: 0.6,
+        };
+        let build = |threads| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                [
+                    PathTable::build_all(&t),
+                    PathTable::build_with_rule(&t, rule, 0x7065),
+                ]
+                .map(|table| (table.to_bytes(), stored_lists(&table)))
+            })
+        };
+        assert_eq!(build(1), build(2));
     }
 }

@@ -176,23 +176,6 @@ impl FaultSet {
             ..FaultSet::default()
         }
     }
-
-    /// Samples `count` distinct switches uniformly, deterministically in
-    /// `seed`, stored sorted.
-    pub fn sample_switches(topo: &Dragonfly, count: usize, seed: u64) -> Self {
-        let mut order: Vec<u32> = (0..topo.num_switches() as u32).collect();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        order.shuffle(&mut rng);
-        let mut chosen: Vec<SwitchId> = order[..count.min(order.len())]
-            .iter()
-            .map(|&s| SwitchId(s))
-            .collect();
-        chosen.sort_unstable();
-        FaultSet {
-            switches: chosen,
-            ..FaultSet::default()
-        }
-    }
 }
 
 /// The degraded view of one topology under one [`FaultSet`]: death masks
@@ -230,16 +213,6 @@ impl Degraded {
     #[inline]
     pub fn switch_dead(&self, s: SwitchId) -> bool {
         self.dead_switch[s.index()]
-    }
-
-    /// Death mask over the dense directed-channel id space.
-    pub fn dead_channel_mask(&self) -> &[bool] {
-        &self.dead_channel
-    }
-
-    /// Death mask over the switch id space.
-    pub fn dead_switch_mask(&self) -> &[bool] {
-        &self.dead_switch
     }
 
     /// Number of dead directed channels (terminal channels included).
