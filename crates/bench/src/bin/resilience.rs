@@ -13,8 +13,10 @@
 //! * `TUGAL_RESILIENCE_OUT=<path>` — where to write the deterministic
 //!   results JSON (default `results/resilience.json`).
 //! * `TUGAL_RESILIENCE_PANIC=1` — add a series whose every job panics
-//!   (1 VC under UGAL-L), exercising job isolation, capsule writing and
-//!   the failure exit code (3 via [`tugal_bench::finish`]).
+//!   (1 VC under UGAL-L), exercising job isolation and the failure exit
+//!   code (3 via [`tugal_bench::finish`]).  The journal records only
+//!   completed jobs, so a rerun under the same `TUGAL_JOURNAL` replays
+//!   the healthy series and simulates exactly the panicking jobs again.
 //! * `TUGAL_RESILIENCE_TOPO=p,a,h,g` — override the default
 //!   `dfly(2,4,2,5)`; the CI profile-smoke job uses `2,7,1,8`.
 //!

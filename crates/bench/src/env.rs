@@ -23,7 +23,6 @@
 //! | `TUGAL_JOURNAL` | path | off | every sweep | resume journal of completed jobs |
 //! | `TUGAL_JOB_MAX_CYCLES` | cycles | `0` (no limit) | every sweep | per-job simulated-cycle ceiling |
 //! | `TUGAL_JOB_WALL_MS` | ms | `0` (no limit) | every sweep | per-job wall-clock ceiling |
-//! | `TUGAL_CAPSULE_KEEP` | count | `32` | failed jobs | replay capsules kept under `logs/capsules/` |
 //! | `TUGAL_PERF_CHECK` | path | off | `perf` | baseline file to gate jobs/s against |
 //! | `TUGAL_PERF_TOLERANCE` | fraction | `0.25` | `perf` | allowed jobs/s drop before the gate fails |
 //! | `TUGAL_PERF_OUT` | path | `BENCH_netsim.json` | `perf` | output file |
@@ -55,8 +54,6 @@ pub struct HarnessEnv {
     pub journal: Option<String>,
     /// `TUGAL_JOB_MAX_CYCLES` / `TUGAL_JOB_WALL_MS`: per-job limits.
     pub budget: JobBudget,
-    /// `TUGAL_CAPSULE_KEEP`: replay capsules kept by the pruning.
-    pub capsule_keep: usize,
     /// `TUGAL_PERF_CHECK`: baseline the `perf` gate compares against.
     pub perf_check: Option<String>,
     /// `TUGAL_PERF_TOLERANCE`: allowed jobs/s drop of the `perf` gate.
@@ -83,7 +80,6 @@ impl Default for HarnessEnv {
             trace: None,
             journal: None,
             budget: JobBudget::default(),
-            capsule_keep: 32,
             perf_check: None,
             perf_tolerance: 0.25,
             perf_out: "BENCH_netsim.json".into(),
@@ -157,7 +153,6 @@ impl HarnessEnv {
                 _ => Err(bad("1 or 0")),
             };
             let count = || v.parse::<u64>().map_err(|_| bad("an unsigned integer"));
-            let size = || v.parse::<usize>().map_err(|_| bad("an unsigned integer"));
             let path = || non_empty(v).ok_or_else(|| bad("a non-empty path"));
             match name.as_str() {
                 "TUGAL_FULL" => env.full = flag()?,
@@ -170,7 +165,6 @@ impl HarnessEnv {
                 "TUGAL_JOURNAL" => env.journal = non_empty(v),
                 "TUGAL_JOB_MAX_CYCLES" => env.budget.max_cycles = count()?,
                 "TUGAL_JOB_WALL_MS" => env.budget.wall_limit_ms = count()?,
-                "TUGAL_CAPSULE_KEEP" => env.capsule_keep = size()?,
                 "TUGAL_PERF_CHECK" => env.perf_check = Some(path()?),
                 "TUGAL_PERF_TOLERANCE" => {
                     env.perf_tolerance = v.parse().map_err(|_| bad("a fraction such as 0.25"))?
@@ -240,7 +234,6 @@ mod tests {
         assert_eq!(env.metrics, MetricsConfig::default());
         assert_eq!((env.trace, env.journal), (None, None));
         assert_eq!(env.budget, JobBudget::default());
-        assert_eq!(env.capsule_keep, 32);
         assert_eq!(env.perf_check, None);
         assert_eq!(env.perf_tolerance, 0.25);
         assert_eq!(env.perf_out, "BENCH_netsim.json");
@@ -281,11 +274,11 @@ mod tests {
     #[test]
     fn malformed_values_are_errors() {
         // Each of these used to fall back to a default without a word:
-        // the watchdog switched off, quick mode, 32 kept capsules, a 25%
+        // the watchdog switched off, quick mode, no cycle ceiling, a 25%
         // tolerance.
         rejects("TUGAL_JOB_WALL_MS", "60s");
         rejects("TUGAL_FULL", "true");
-        rejects("TUGAL_CAPSULE_KEEP", "abc");
+        rejects("TUGAL_JOB_MAX_CYCLES", "1e6");
         rejects("TUGAL_PERF_TOLERANCE", "25%");
         rejects("TUGAL_METRICS_OCC", "-1");
         rejects("TUGAL_RESILIENCE_TOPO", "2,4,2");
@@ -306,6 +299,9 @@ mod tests {
             "TUGAL_CKPT",
             "TUGAL_CKPT_EVERY",
             "TUGAL_RESILIENCE_KILL9",
+            // Retired when failed jobs moved to journal reruns: a stale
+            // script exits 2 instead of silently keeping nothing.
+            "TUGAL_CAPSULE_KEEP",
         ] {
             assert_eq!(
                 parse(&[(name, "1")]),

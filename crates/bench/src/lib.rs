@@ -19,7 +19,6 @@
 //! qualitative shapes; EXPERIMENTS.md records which mode produced the
 //! stored numbers.
 
-pub mod capsule;
 pub mod env;
 pub mod figures;
 
@@ -31,7 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use tugal::{compute_tvlb, conventional_provider, TUgalConfig};
 use tugal_netsim::journal::Journal;
 use tugal_netsim::runner::{
-    ExperimentRunner, JobBudget, JobInfo, JobRecord, ObservedCurve, RunSummary, SeriesSpec,
+    ExperimentRunner, JobInfo, JobRecord, ObservedCurve, RunSummary, SeriesSpec,
 };
 use tugal_netsim::trace::TraceSink;
 use tugal_netsim::{
@@ -54,20 +53,25 @@ pub fn fatal(context: &str, err: impl std::fmt::Display) -> ! {
 }
 
 /// Jobs that failed (panicked, timed out, tripped a watchdog) across every
-/// sweep this process ran; each failure was reported to stderr and, where
-/// possible, written as a replay capsule under `logs/capsules/`.
+/// sweep this process ran; each failure was reported to stderr.
 static FAILED_JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Ends a harness process with the resilience exit-code convention:
 /// 0 when every job completed, 3 when some jobs failed and were skipped
-/// by the aggregation (their capsules are under `logs/capsules/`).
-/// Setup errors exit 2 via [`fatal`] before any sweep runs.
+/// by the aggregation.  Setup errors exit 2 via [`fatal`] before any
+/// sweep runs.
+///
+/// The journal records only completed jobs, so rerunning the same command
+/// with the same `TUGAL_JOURNAL` replays every finished job byte for byte
+/// and simulates exactly the failed ones — that rerun is how a failure is
+/// reproduced.
 pub fn finish() -> ! {
     let failed = FAILED_JOBS.load(Ordering::Relaxed);
     if failed > 0 {
         eprintln!(
-            "{failed} job(s) failed and were skipped; replay capsules are under {}",
-            capsule::capsule_dir().display()
+            "{failed} job(s) failed and were skipped; rerun the same command with the \
+             same TUGAL_JOURNAL to replay the finished jobs and simulate only the \
+             failed ones (without a journal every job simulates again)"
         );
         std::process::exit(3);
     }
@@ -200,19 +204,14 @@ pub fn dfly_shape(p: u32, a: u32, h: u32, g: u32, spec: &str, lag: u32) -> Arc<D
     }
 }
 
-/// Uniform random traffic, registered for capsule replay.
+/// Uniform random traffic.
 pub fn uniform(topo: &Arc<Dragonfly>) -> Arc<dyn TrafficPattern> {
-    let p: Arc<dyn TrafficPattern> = Arc::new(Uniform::new(topo));
-    capsule::register_pattern(&p, capsule::PatternSpec::Uniform);
-    p
+    Arc::new(Uniform::new(topo))
 }
 
-/// Shift traffic by `dg` groups / `ds` switches, registered for capsule
-/// replay.
+/// Shift traffic by `dg` groups / `ds` switches.
 pub fn shift(topo: &Arc<Dragonfly>, dg: u32, ds: u32) -> Arc<dyn TrafficPattern> {
-    let p: Arc<dyn TrafficPattern> = Arc::new(Shift::new(topo, dg, ds));
-    capsule::register_pattern(&p, capsule::PatternSpec::Shift { dg, ds });
-    p
+    Arc::new(Shift::new(topo, dg, ds))
 }
 
 /// Standard offered-load grid for latency curves.
@@ -236,9 +235,7 @@ pub fn tvlb_provider(topo: &Arc<Dragonfly>) -> (Arc<dyn PathProvider>, VlbRule) 
             max_hops: 4,
             frac_next: 0.6,
         };
-        let provider: Arc<dyn PathProvider> = Arc::new(RuleProvider::new(topo.clone(), rule));
-        capsule::register_provider(&provider, capsule::ProviderSpec::Sampled { rule });
-        return (provider, rule);
+        return (Arc::new(RuleProvider::new(topo.clone(), rule)), rule);
     }
     let cfg = if full_fidelity() {
         TUgalConfig::default()
@@ -257,7 +254,7 @@ pub fn tvlb_provider(topo: &Arc<Dragonfly>) -> (Arc<dyn PathProvider>, VlbRule) 
     let digest = format!("{:016x}", cfg.digest());
     record_digest(topo, &digest);
     let key = format!("{}{}|{digest}", topo.params(), topo.shape_suffix());
-    let (provider, rule) = match cache_lookup(&key) {
+    match cache_lookup(&key) {
         Some(rule) => (
             tugal::algorithm::materialize(topo, rule, &cfg).provider,
             rule,
@@ -266,23 +263,6 @@ pub fn tvlb_provider(topo: &Arc<Dragonfly>) -> (Arc<dyn PathProvider>, VlbRule) 
             let result = compute_tvlb(topo.clone(), &cfg);
             cache_store(&key, result.chosen);
             (result.provider, result.chosen)
-        }
-    };
-    capsule::register_provider(&provider, tvlb_spec(topo, rule, &cfg));
-    (provider, rule)
-}
-
-/// The capsule spec of a T-VLB provider built by
-/// [`tugal::algorithm::materialize`]: the rule sampler above
-/// `cfg.max_table_switches`, the balance-adjusted rule table below it.
-fn tvlb_spec(topo: &Dragonfly, rule: VlbRule, cfg: &TUgalConfig) -> capsule::ProviderSpec {
-    if topo.num_switches() > cfg.max_table_switches {
-        capsule::ProviderSpec::Sampled { rule }
-    } else {
-        capsule::ProviderSpec::Rule {
-            rule,
-            table_seed: cfg.seed,
-            balanced: true,
         }
     }
 }
@@ -338,18 +318,11 @@ fn cache_store(key: &str, rule: VlbRule) {
     }
 }
 
-/// Conventional-UGAL provider for a topology, registered for capsule
-/// replay (the explicit all-paths table below 300 switches, sampled
-/// all-VLB above — matching [`conventional_provider`]).
+/// Conventional-UGAL provider for a topology: the explicit all-paths
+/// table up to 300 switches, sampled all-VLB above
+/// ([`conventional_provider`]).
 pub fn ugal_provider(topo: &Arc<Dragonfly>) -> Arc<dyn PathProvider> {
-    let provider = conventional_provider(topo.clone(), 300);
-    let spec = if topo.num_switches() <= 300 {
-        capsule::ProviderSpec::AllPaths
-    } else {
-        capsule::ProviderSpec::Sampled { rule: VlbRule::All }
-    };
-    capsule::register_provider(&provider, spec);
-    provider
+    conventional_provider(topo.clone(), 300)
 }
 
 /// One labelled latency-vs-load series of a figure.
@@ -408,9 +381,8 @@ pub fn run_series_cfg(
     if topo.num_switches() > 300 && !full_fidelity() {
         seeds.truncate(1);
     }
-    let budget = HarnessEnv::get().budget;
     let mut runner = ExperimentRunner::new(topo.clone())
-        .with_budget(budget)
+        .with_budget(HarnessEnv::get().budget)
         .with_profiling(HarnessEnv::get().profile);
     if let Some(journal) = journal() {
         runner = runner.with_journal(journal);
@@ -428,9 +400,7 @@ pub fn run_series_cfg(
             faults: faults.clone(),
         });
     }
-    let report = |records: &[JobRecord]| {
-        report_failures(topo, pattern, entries, faults.as_ref(), budget, records);
-    };
+    let report = |records: &[JobRecord]| report_failures(topo, records);
     let mcfg = metrics_config();
     if !mcfg.enabled {
         return run_batch(&runner, rates, &seeds, |_| NoopObserver, report)
@@ -533,18 +503,9 @@ fn trace_sink() -> Option<Arc<TraceSink>> {
 }
 
 /// Reports every failed job of a batch: a stderr diagnostic (with the
-/// rendered stall report where there is one), a replay capsule under
-/// `logs/capsules/`, and the process-wide failure count behind
-/// [`finish`]'s exit code.
-#[allow(clippy::type_complexity)]
-fn report_failures(
-    topo: &Arc<Dragonfly>,
-    pattern: &Arc<dyn TrafficPattern>,
-    entries: &[(String, Arc<dyn PathProvider>, RoutingAlgorithm, Config)],
-    faults: Option<&Arc<FaultSchedule>>,
-    budget: JobBudget,
-    records: &[JobRecord],
-) {
+/// rendered stall report where there is one) and the process-wide failure
+/// count behind [`finish`]'s exit code.
+fn report_failures(topo: &Arc<Dragonfly>, records: &[JobRecord]) {
     for rec in records.iter().filter(|r| r.outcome.is_failure()) {
         FAILED_JOBS.fetch_add(1, Ordering::Relaxed);
         eprintln!(
@@ -562,15 +523,6 @@ fn report_failures(
                         eprintln!("  {line}");
                     }
                 }
-            }
-        }
-        let (_, provider, routing, cfg) = &entries[rec.series];
-        if let Some(c) = capsule::capsule_for_failure(
-            rec, topo, provider, pattern, *routing, cfg, budget, faults,
-        ) {
-            match capsule::write_capsule(&c) {
-                Ok(path) => eprintln!("  capsule: {}", path.display()),
-                Err(e) => eprintln!("  capsule write failed: {e}"),
             }
         }
     }
@@ -738,34 +690,5 @@ fn write_json(id: &str, series: &[Series]) {
             let _ = serde_json::to_writer_pretty(&mut w, &out);
             let _ = w.flush();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tvlb_spec_names_what_materialize_builds() {
-        // dfly(13,26,13,27) has 702 switches: above the default table
-        // limit a cache hit must rebuild the rule sampler, not a table.
-        let rule = VlbRule::ClassLimit {
-            max_hops: 4,
-            frac_next: 0.6,
-        };
-        let cfg = TUgalConfig::default();
-        let big = dfly(13, 26, 13, 27);
-        assert!(tugal::algorithm::materialize(&big, rule, &cfg)
-            .balance
-            .is_none());
-        let spec = tvlb_spec(&big, rule, &cfg);
-        assert_eq!(spec, capsule::ProviderSpec::Sampled { rule });
-        let spec = tvlb_spec(&dfly(2, 4, 2, 3), VlbRule::All, &cfg);
-        let table = capsule::ProviderSpec::Rule {
-            rule: VlbRule::All,
-            table_seed: cfg.seed,
-            balanced: true,
-        };
-        assert_eq!(spec, table);
     }
 }

@@ -1,16 +1,17 @@
-//! End-to-end resilience contracts pinned by the issue:
+//! End-to-end resilience contracts:
 //!
-//! * a panicking job yields a capsule whose replay reproduces the panic;
+//! * rerunning a sweep with failed jobs under the same journal replays
+//!   every finished job and simulates exactly the failed ones again,
+//!   failing each the same way;
 //! * a sweep resumed from a journal is bit-identical to an uninterrupted
 //!   run (the in-process equivalent of CI's kill-and-rerun smoke test).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use tugal_bench::capsule::{self, PatternSpec, ProviderSpec};
 use tugal_bench::{dfly, shift, ugal_provider};
-use tugal_netsim::journal::Journal;
+use tugal_netsim::journal::{Journal, PackedResult};
 use tugal_netsim::runner::{ExperimentRunner, JobOutcome, SeriesSpec};
-use tugal_netsim::{Config, NoopObserver, RoutingAlgorithm};
+use tugal_netsim::{Config, NoopObserver, RoutingAlgorithm, WatchdogConfig};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -20,70 +21,80 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The smoke-test network, with the harness helpers so provider and
-/// pattern specs are registered (capsules come out replayable).
-fn smoke_runner(cfg: Config) -> ExperimentRunner {
-    let topo = dfly(2, 4, 2, 5);
-    ExperimentRunner::new(topo.clone()).series(SeriesSpec {
-        label: "UGAL-L".into(),
-        provider: ugal_provider(&topo),
-        pattern: shift(&topo, 1, 0),
-        routing: RoutingAlgorithm::UgalL,
-        cfg,
-        faults: None,
-    })
-}
-
-#[test]
-fn panicking_job_capsule_replays() {
+/// The smoke-test network with one series per `(label, cfg)`, all UGAL-L
+/// on shift(1,0).
+fn smoke_runner(series: &[(&str, Config)]) -> ExperimentRunner {
     let topo = dfly(2, 4, 2, 5);
     let provider = ugal_provider(&topo);
     let pattern = shift(&topo, 1, 0);
-    let mut cfg = Config::quick().for_routing(RoutingAlgorithm::UgalL);
-    cfg.num_vcs = 1; // Simulator::new panics: UGAL-L needs more VCs
-    let runner = ExperimentRunner::new(topo.clone()).series(SeriesSpec {
-        label: "UGAL-L".into(),
-        provider: provider.clone(),
-        pattern: pattern.clone(),
-        routing: RoutingAlgorithm::UgalL,
-        cfg: cfg.clone(),
-        faults: None,
+    let mut runner = ExperimentRunner::new(topo);
+    for (label, cfg) in series {
+        runner = runner.series(SeriesSpec {
+            label: label.to_string(),
+            provider: provider.clone(),
+            pattern: pattern.clone(),
+            routing: RoutingAlgorithm::UgalL,
+            cfg: cfg.clone(),
+            faults: None,
+        });
+    }
+    runner
+}
+
+#[test]
+fn failed_jobs_rerun_from_the_journal() {
+    let healthy = Config::quick().for_routing(RoutingAlgorithm::UgalL);
+    let mut panics = healthy.clone();
+    panics.num_vcs = 1; // Simulator::new panics: UGAL-L needs more VCs
+    let mut ceiling = healthy.clone();
+    ceiling.watchdog = Some(WatchdogConfig {
+        max_cycles: 1_500,
+        ..WatchdogConfig::disabled()
     });
-    let (_, summary, records) = runner
-        .run_recorded(&[0.1], &[7], |_| NoopObserver)
-        .expect("structurally valid config");
-    assert_eq!(summary.failed, 1);
-    assert!(matches!(records[0].outcome, JobOutcome::Panicked(_)));
+    let series = [("UGAL-L", healthy), ("PANIC", panics), ("CEILING", ceiling)];
+    let (rates, seeds) = ([0.05, 0.15], [1, 2]);
+    let journal_path = tmp_dir("resilience-rerun").join("journal.jsonl");
+    let _ = std::fs::remove_file(&journal_path); // journals append
+    let run = || {
+        let journal = Arc::new(Journal::open(&journal_path).unwrap());
+        smoke_runner(&series)
+            .with_journal(journal)
+            .run_recorded(&rates, &seeds, |_| NoopObserver)
+            .expect("structurally valid configs")
+    };
 
-    // The harness helpers registered reconstructible specs, so the
-    // capsule is replayable — not an Opaque record.
-    let c = capsule::capsule_for_failure(
-        &records[0],
-        &topo,
-        &provider,
-        &pattern,
-        RoutingAlgorithm::UgalL,
-        &cfg,
-        Default::default(),
-        None,
-    )
-    .expect("failed job must produce a capsule");
-    assert_eq!(c.outcome, "panicked");
-    assert_eq!(c.provider, ProviderSpec::AllPaths);
-    assert_eq!(c.pattern, PatternSpec::Shift { dg: 1, ds: 0 });
+    let (_, first_summary, first) = run();
+    assert_eq!(first_summary.resumed, 0);
+    assert_eq!(first_summary.failed, 8);
+    let ok = first.iter().filter(|r| !r.outcome.is_failure()).count();
+    assert_eq!(ok, 4);
 
-    // Round-trip through disk, then replay: the re-run must fail the
-    // same way, with the exact same panic message.
-    let dir = tmp_dir("resilience-capsule");
-    let path = capsule::write_capsule_to(&dir, &c).unwrap();
-    let back = capsule::read_capsule(&path).unwrap();
-    let replay = capsule::replay(&back).unwrap();
-    assert!(
-        replay.reproduced,
-        "replay did not reproduce: expected {}, got {:?}",
-        replay.expectation, replay.record.outcome
-    );
-    assert!(matches!(replay.record.outcome, JobOutcome::Panicked(_)));
+    // The rerun resumes exactly the finished jobs and fails the rest
+    // again, each the same way.
+    let (_, summary, rerun) = run();
+    assert_eq!(summary.resumed, ok);
+    assert_eq!(summary.failed, first_summary.failed);
+    assert_eq!(rerun.len(), first.len());
+    for (a, b) in first.iter().zip(&rerun) {
+        let job = format!("{} rate {} seed {}", a.label, a.rate, a.seed);
+        assert_eq!((a.digest, &a.label), (b.digest, &b.label), "{job}");
+        assert_eq!(b.resumed, !a.outcome.is_failure(), "{job}");
+        match (&a.outcome, &b.outcome) {
+            (JobOutcome::Ok(x), JobOutcome::Ok(y)) => {
+                assert_eq!(PackedResult::pack(x), PackedResult::pack(y), "{job}")
+            }
+            (JobOutcome::Panicked(x), JobOutcome::Panicked(y)) => {
+                assert!(x.contains("VC"), "{job}: {x}");
+                assert_eq!(x, y, "{job}");
+            }
+            (JobOutcome::WatchdogTripped(x), JobOutcome::WatchdogTripped(y)) => {
+                assert_eq!(x.cycle, 1_499, "{job}");
+                assert_eq!(x.cycle, y.cycle, "{job}");
+                assert_eq!(x.oneline(), y.oneline(), "{job}");
+            }
+            (x, y) => panic!("{job}: {} then {}", x.name(), y.name()),
+        }
+    }
 }
 
 #[test]
@@ -95,13 +106,14 @@ fn journal_resume_is_bit_identical() {
     let _ = std::fs::remove_file(&journal_path); // journals append
 
     // Reference: the whole sweep, no journal.
-    let (_, _, reference) = smoke_runner(cfg.clone())
+    let series = [("UGAL-L", cfg)];
+    let (_, _, reference) = smoke_runner(&series)
         .run_recorded(&rates, &seeds, |_| NoopObserver)
         .unwrap();
 
     // "Interrupted" run: only the first rate completes before the kill.
     let journal = Arc::new(Journal::open(&journal_path).unwrap());
-    let (_, first_summary, _) = smoke_runner(cfg.clone())
+    let (_, first_summary, _) = smoke_runner(&series)
         .with_journal(journal)
         .run_recorded(&rates[..1], &seeds, |_| NoopObserver)
         .unwrap();
@@ -111,7 +123,7 @@ fn journal_resume_is_bit_identical() {
     // from disk, the rest simulated fresh — and every outcome matches the
     // uninterrupted reference bit-for-bit.
     let journal = Arc::new(Journal::open(&journal_path).unwrap());
-    let (_, summary, resumed_records) = smoke_runner(cfg)
+    let (_, summary, resumed_records) = smoke_runner(&series)
         .with_journal(journal)
         .run_recorded(&rates, &seeds, |_| NoopObserver)
         .unwrap();

@@ -271,6 +271,28 @@ fn all_paths_hops_match_the_conventional_provider() {
 }
 
 #[test]
+fn materialize_builds_a_table_only_up_to_max_table_switches() {
+    // dfly(13,26,13,27) has 702 switches: above the default table limit a
+    // T-VLB cache hit must rebuild the rule sampler, not the explicit
+    // table that the miss avoided.
+    let cfg = TUgalConfig::default();
+    let rule = VlbRule::ClassLimit {
+        max_hops: 4,
+        frac_next: 0.6,
+    };
+    let big = topo(13, 26, 13, 27);
+    assert!(big.num_switches() > cfg.max_table_switches);
+    assert!(crate::algorithm::materialize(&big, rule, &cfg)
+        .balance
+        .is_none());
+    // Below it, the balance-adjusted table.
+    let small = topo(2, 4, 2, 3);
+    assert!(crate::algorithm::materialize(&small, VlbRule::All, &cfg)
+        .balance
+        .is_some());
+}
+
+#[test]
 fn config_is_validated() {
     use tugal_netsim::ConfigError;
     assert_eq!(TUgalConfig::quick().validate(), Ok(()));

@@ -21,7 +21,7 @@
 //! (`Config::watchdog == None`, the default) costs a single predicted
 //! branch per cycle.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Watchdog thresholds.  A field of `0` disables that check; a config with
 /// every field `0` is treated as no watchdog at all.
@@ -48,28 +48,6 @@ pub struct WatchdogConfig {
     /// capture only reads the counters the stop decisions already
     /// compute, so arming the recorder cannot change simulation results.
     pub flight_recorder: u64,
-}
-
-// Hand-written so `flight_recorder` can default when the field is missing:
-// the vendored minimal serde derive has no `#[serde(default)]`, and
-// watchdog configs serialized before the flight recorder existed (journals,
-// replay capsules) must keep deserializing to the same run they described.
-impl Deserialize for WatchdogConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(WatchdogConfig {
-            conservation_every: Deserialize::from_value(serde::obj_field(
-                v,
-                "conservation_every",
-            )?)?,
-            stall_cycles: Deserialize::from_value(serde::obj_field(v, "stall_cycles")?)?,
-            max_cycles: Deserialize::from_value(serde::obj_field(v, "max_cycles")?)?,
-            wall_limit_ms: Deserialize::from_value(serde::obj_field(v, "wall_limit_ms")?)?,
-            flight_recorder: match serde::obj_field(v, "flight_recorder") {
-                Ok(f) => Deserialize::from_value(f)?,
-                Err(_) => 0,
-            },
-        })
-    }
 }
 
 impl WatchdogConfig {
@@ -113,7 +91,7 @@ impl WatchdogConfig {
 }
 
 /// Which watchdog check tripped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum StallKind {
     /// Packets in flight but no delivery for the configured horizon.
     Livelock,
@@ -128,7 +106,7 @@ pub enum StallKind {
 }
 
 impl StallKind {
-    /// Short stable name (capsule/JSON friendly).
+    /// Short stable name (log/JSON friendly).
     pub fn name(self) -> &'static str {
         match self {
             StallKind::Livelock => "livelock",
@@ -141,7 +119,7 @@ impl StallKind {
 
 /// The packet-accounting invariant the conservation check enforces:
 /// `injected == delivered + dropped + in_flight`, over whole-run counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ConservationLedger {
     /// Packets created since the run started (including ones dropped at an
     /// overflowing or dead source).
@@ -168,7 +146,7 @@ impl ConservationLedger {
 }
 
 /// One non-empty input-buffer VC at trip time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct VcSnapshot {
     /// Dense channel index ([`tugal_topology::ChannelId`]).
     pub chan: u32,
@@ -180,7 +158,7 @@ pub struct VcSnapshot {
 
 /// The oldest packet still in flight at trip time — where a livelocked
 /// investigation starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct OldestPacket {
     /// Cycle the packet was created.
     pub birth: u64,
@@ -200,7 +178,7 @@ pub struct OldestPacket {
 /// counters.  A trip drains the last `WatchdogConfig::flight_recorder` of
 /// these into [`StallReport::recent`], so forensics show the behavior
 /// leading up to the stall, not just its final state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FlightFrame {
     /// The cycle the frame describes.
     pub cycle: u64,
@@ -215,7 +193,7 @@ pub struct FlightFrame {
 }
 
 /// Routing-decision counters at trip time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RoutingCounters {
     /// Routing decisions taken.
     pub routed: u64,
@@ -224,7 +202,7 @@ pub struct RoutingCounters {
 }
 
 /// Everything the watchdog knows at the moment it stopped the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StallReport {
     /// The check that tripped.
     pub kind: StallKind,
@@ -346,36 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_defaults_to_off_in_old_json() {
-        // Watchdog configs serialized before the flight recorder carry no
-        // `flight_recorder` key; they must deserialize to recorder-off.
-        let wd = WatchdogConfig {
-            conservation_every: 16,
-            stall_cycles: 100,
-            max_cycles: 0,
-            wall_limit_ms: 0,
-            flight_recorder: 8,
-        };
-        let serde::Value::Object(mut fields) = serde::Serialize::to_value(&wd) else {
-            panic!("WatchdogConfig serializes to an object");
-        };
-        fields.retain(|(k, _)| k != "flight_recorder");
-        let back: WatchdogConfig =
-            serde::Deserialize::from_value(&serde::Value::Object(fields)).unwrap();
-        assert_eq!(back.flight_recorder, 0);
-        assert_eq!(
-            back,
-            WatchdogConfig {
-                flight_recorder: 0,
-                ..wd
-            }
-        );
-
-        // A full roundtrip preserves the depth.
-        let json = serde_json::to_string(&wd).unwrap();
-        assert_eq!(serde_json::from_str::<WatchdogConfig>(&json).unwrap(), wd);
-
-        // The recorder alone does not arm the watchdog.
+    fn flight_recorder_alone_does_not_arm() {
         let only_recorder = WatchdogConfig {
             flight_recorder: 8,
             ..WatchdogConfig::disabled()

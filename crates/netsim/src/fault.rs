@@ -32,11 +32,6 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// A schedule with no failures.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// All of `faults` dead from cycle 0 (a pre-degraded network).
     pub fn immediate(faults: FaultSet) -> Self {
         Self::at(0, faults)

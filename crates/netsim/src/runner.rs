@@ -140,7 +140,7 @@ impl JobOutcome {
         !matches!(self, JobOutcome::Ok(_))
     }
 
-    /// Short stable outcome name for logs and capsules.
+    /// Short stable outcome name for logs and trace spans.
     pub fn name(&self) -> &'static str {
         match self {
             JobOutcome::Ok(_) => "ok",
@@ -463,8 +463,8 @@ impl ExperimentRunner {
     /// [`NoopObserver`] factory runs the
     /// monomorphized no-op engine, so observer-free runs cost nothing.
     /// Besides the curves and the batch [`RunSummary`], the run returns
-    /// one [`JobRecord`] per job in schedule order, so harnesses can write
-    /// replay capsules for the failures and choose their exit code.
+    /// one [`JobRecord`] per job in schedule order, so harnesses can report
+    /// the failures and choose their exit code.
     pub fn run_recorded<O, F>(
         &self,
         rates: &[f64],

@@ -18,11 +18,11 @@
 //!   index, so 6 VCs for a full VLB path.
 
 use crate::path::Path;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tugal_topology::{ChannelKind, Dragonfly};
 
 /// Virtual-channel allocation scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum VcScheme {
     /// Won et al. compact scheme (4 VCs for UGAL, 5 for PAR).
     Compact,

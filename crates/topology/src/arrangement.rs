@@ -258,8 +258,8 @@ impl GlobalArrangement for RandomArrangement {
 }
 
 /// A named, copyable description of a global-link arrangement — the form
-/// configs, replay capsules and CLI grids carry, round-tripping through
-/// the identity strings of [`GlobalArrangement::id`].
+/// configs and CLI grids carry, round-tripping through the identity
+/// strings of [`GlobalArrangement::id`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrangementSpec {
     /// [`AbsoluteArrangement`] (the default).

@@ -21,8 +21,6 @@ use crate::params::{DragonflyParams, TopologyError};
 pub struct Dragonfly {
     params: DragonflyParams,
     arrangement_name: &'static str,
-    /// Stable arrangement identity (seeded arrangements carry their seed).
-    arrangement_id: String,
     /// Parallel copies of each global cable (`1` = the plain arrangement).
     global_lag: u32,
     /// Precomputed digest/cache-key suffix: empty for the default shape.
@@ -186,7 +184,6 @@ impl Dragonfly {
         Ok(Self {
             params,
             arrangement_name: arrangement.name(),
-            arrangement_id,
             global_lag,
             shape_suffix,
             channels,
@@ -208,12 +205,6 @@ impl Dragonfly {
     /// Name of the global-link arrangement used.
     pub fn arrangement_name(&self) -> &'static str {
         self.arrangement_name
-    }
-
-    /// Stable arrangement identity: the name, plus the seed for seeded
-    /// arrangements (e.g. `random:0x2007`).
-    pub fn arrangement_id(&self) -> &str {
-        &self.arrangement_id
     }
 
     /// Parallel copies of each global cable (`1` unless built through
