@@ -11,14 +11,27 @@
 //!   such as the path-rate LP's θ last) with partial pivoting, and each
 //!   column is eliminated over its nonzeros only; a basis the candidates
 //!   cannot fill is completed with unit columns chosen in candidate order
-//!   (see `factorize`), so the ordering never changes which unit columns
-//!   complete a basis;
+//!   (see `Elimination::factorize`), so the ordering never changes which
+//!   unit columns complete a basis;
 //! * **FTRAN** (`B z = a`) and **BTRAN** (`Bᵀ y = c_B`) solve against the
-//!   LU factors and then replay the eta file (forward for FTRAN, reverse
-//!   for BTRAN), so a pivot costs O(nnz) instead of O(rows × cols);
+//!   LU factors and replay the eta file (forward after the factors for
+//!   FTRAN, in reverse before them for BTRAN), so a pivot costs O(nnz)
+//!   instead of O(rows × cols);
+//! * the eta file is one dense block, one `m`-wide row per pivot.  On the
+//!   tall Step-1 programs (hundreds of rows, about a hundred columns)
+//!   every FTRAN image is over 90% dense, so FTRAN's replay is a
+//!   contiguous axpy per eta.  BTRAN's right-hand side `c_B` is zero on
+//!   every basic slack, so its replay dots each eta row over the
+//!   positions where `c` is nonzero only, and its Uᵀ solve scatters down
+//!   U's rows from the nonzero entries only (U is kept by columns for
+//!   FTRAN and by rows for BTRAN);
 //! * the eta file is folded back into a fresh LU factorization every
 //!   [`ETA_LIMIT`] pivots (and the basic solution recomputed from the
 //!   right-hand side), bounding both drift and per-solve memory;
+//! * FTRAN, BTRAN and the repair passes allocate nothing: the work
+//!   vectors, the eta block and the factorization workspace live as long
+//!   as the solve.  A factorization allocates only its factors, a few
+//!   flat arrays, and frees the old ones first;
 //! * pricing is Dantzig over nonzeros only, scaled by a static
 //!   steepest-edge-lite column norm `γ_j = √(1 + ‖a_j‖²)`, with a
 //!   stall-triggered Bland fallback against cycling, like the dense
@@ -69,6 +82,19 @@
 //! [`SparseSolution::lu_nonzeros`] count the basis and factor nonzeros
 //! over every factorization of a solve; they repeat exactly, so tests can
 //! assert the fill the ordering buys.
+//!
+//! **Path identity.**  The kernels may change how a solve is computed,
+//! never what it computes: every floating-point operation that can
+//! change a nonzero result happens in the same order as in a plain
+//! column-by-column implementation.  A kernel may skip a term whose
+//! factor is zero (`x − 0·v = x`), which can change only the sign of a
+//! zero.  FTRAN skips only where that plain implementation skips, so
+//! basic values and FTRAN images keep even their zero signs (the
+//! repair's ratio test orders crossings with `total_cmp`); BTRAN's
+//! multipliers feed only threshold comparisons.  The pivot path, the
+//! counters, the objective and the primal values are therefore fixed to
+//! the bit (a zero dual may change sign), and `tugal-model`'s `lu_fill`
+//! test pins them on four Step-1 chains.
 
 use crate::simplex::{LinearProgram, Relation, SolveError, VarId};
 
@@ -380,99 +406,146 @@ impl Instance {
 
 /// LU factors of a basis matrix, built column by column with partial
 /// pivoting (left-looking Gilbert–Peierls scheme) in the column-count
-/// order [`factorize`] chooses, so a basis position is an elimination
-/// step, not a candidate index.  Position `k` pivoted
-/// on original row `prow[k]`; `lcols[k]` holds the below-diagonal
-/// multipliers `(original row, l)` in ascending row order, `ucols[k]` the
-/// above-diagonal U entries `(position j < k, u)` in ascending position
-/// order, and `udiag[k]` the U diagonal.
+/// order [`Elimination::factorize`] chooses, so a basis position is an
+/// elimination step, not a candidate index.  Position `k` pivoted on
+/// original row `prow[k]`, with U diagonal `udiag[k]`.
+///
+/// The factors are stored flat, as `(index, value)` entries behind
+/// pointer arrays.  L keeps only its non-empty columns: the `t`-th
+/// belongs to position `lpos[t]` and holds the multipliers
+/// `lcols[lptr[t]..lptr[t + 1]]` as `(original row, l)` in ascending row
+/// order.  U's off-diagonal entries are kept twice, once per solve that
+/// scatters them: by columns for FTRAN's back-substitution (column `k`'s
+/// entries `(position j < k, u)` are `ucols[ucptr[k]..ucptr[k + 1]]`),
+/// and by rows for BTRAN's Uᵀ solve (row `j`'s entries `(position k > j,
+/// u)` are `urows[urptr[j]..urptr[j + 1]]`, ascending in `k`).  A scatter
+/// makes independent updates where a dot product waits on its running
+/// sum, and it skips a zero source entry whole.
+#[derive(Default)]
 struct Lu {
-    m: usize,
     prow: Vec<usize>,
-    lcols: Vec<Vec<(usize, f64)>>,
-    ucols: Vec<Vec<(usize, f64)>>,
     udiag: Vec<f64>,
+    lpos: Vec<usize>,
+    lptr: Vec<usize>,
+    lcols: Vec<(usize, f64)>,
+    ucptr: Vec<usize>,
+    ucols: Vec<(usize, f64)>,
+    urptr: Vec<usize>,
+    urows: Vec<(usize, f64)>,
 }
 
 impl Lu {
+    /// Empties the factors, keeping their storage.
+    fn clear(&mut self) {
+        self.prow.clear();
+        self.udiag.clear();
+        self.lpos.clear();
+        self.lptr.clear();
+        self.lptr.push(0);
+        self.lcols.clear();
+        self.ucptr.clear();
+        self.ucptr.push(0);
+        self.ucols.clear();
+        self.urptr.clear();
+        self.urows.clear();
+    }
+
+    /// Nonzeros of L and U, the U diagonal included.
+    fn nonzeros(&self) -> usize {
+        self.udiag.len() + self.lcols.len() + self.ucols.len()
+    }
+
+    /// Stores U's columns as rows too.  Columns are visited in position
+    /// order, so each row comes out in ascending position.  `cursor` is
+    /// scratch.
+    fn transpose_u(&mut self, cursor: &mut Vec<usize>) {
+        let m = self.udiag.len();
+        self.urptr.clear();
+        self.urptr.resize(m + 1, 0);
+        for &(j, _) in &self.ucols {
+            self.urptr[j + 1] += 1;
+        }
+        for j in 0..m {
+            self.urptr[j + 1] += self.urptr[j];
+        }
+        self.urows.clear();
+        self.urows.resize(self.ucols.len(), (0, 0.0));
+        cursor.clear();
+        cursor.extend_from_slice(&self.urptr[..m]);
+        for k in 0..m {
+            for &(j, u) in &self.ucols[self.ucptr[k]..self.ucptr[k + 1]] {
+                self.urows[cursor[j]] = (k, u);
+                cursor[j] += 1;
+            }
+        }
+    }
+
     /// Solves `B z = rhs`.  `rhs` is in original row space and is consumed
-    /// as scratch; the result is in basis *position* space.
-    fn ftran(&self, rhs: &mut [f64]) -> Vec<f64> {
+    /// as scratch; `z` receives the result in basis *position* space.
+    fn ftran(&self, rhs: &mut [f64], z: &mut [f64]) {
         // Replay the recorded row eliminations (apply L⁻¹).
-        for (pr, lc) in self.prow.iter().zip(&self.lcols) {
-            let v = rhs[*pr];
+        for (t, &k) in self.lpos.iter().enumerate() {
+            let v = rhs[self.prow[k]];
             if v != 0.0 {
-                for &(i, l) in lc {
+                for &(i, l) in &self.lcols[self.lptr[t]..self.lptr[t + 1]] {
                     rhs[i] -= v * l;
                 }
             }
         }
         // Back-substitute U z = y in position space (column-oriented).
-        let mut z = vec![0.0; self.m];
-        for (k, &pr) in self.prow.iter().enumerate() {
-            z[k] = rhs[pr];
+        for (zk, &pr) in z.iter_mut().zip(&self.prow) {
+            *zk = rhs[pr];
         }
-        for k in (0..self.m).rev() {
+        for k in (0..z.len()).rev() {
             let x = z[k] / self.udiag[k];
             z[k] = x;
             if x != 0.0 {
-                for &(j, u) in &self.ucols[k] {
+                for &(j, u) in &self.ucols[self.ucptr[k]..self.ucptr[k + 1]] {
                     z[j] -= u * x;
                 }
             }
         }
-        z
     }
 
     /// Solves `Bᵀ y = c`.  `c` is in position space and is consumed as
-    /// scratch; the result is in original row space.
-    fn btran(&self, c: &mut [f64]) -> Vec<f64> {
+    /// scratch; `y` receives the result in original row space.
+    fn btran(&self, c: &mut [f64], y: &mut [f64]) {
         // Forward-solve Uᵀ w = c (Uᵀ is lower triangular in position
-        // space; row k's off-diagonal entries are exactly ucols[k]).
-        for k in 0..self.m {
-            let mut s = c[k];
-            for &(j, u) in &self.ucols[k] {
-                s -= u * c[j];
+        // space): each finished w[j] is scattered down U's row j, so a
+        // later position takes its terms in ascending j, as a dot product
+        // over its U column would.  A zero w[j] is skipped, which changes
+        // at most the sign of a zero; the slack positions of a tall basis
+        // stay zero under the costs, so only the structural rows work.
+        for j in 0..c.len() {
+            let cj = c[j];
+            if cj != 0.0 {
+                let x = cj / self.udiag[j];
+                c[j] = x;
+                for &(k, u) in &self.urows[self.urptr[j]..self.urptr[j + 1]] {
+                    c[k] -= u * x;
+                }
             }
-            c[k] = s / self.udiag[k];
         }
         // Scatter to row space and apply the transposed eliminations in
         // reverse order.
-        let mut y = vec![0.0; self.m];
-        for (k, &pr) in self.prow.iter().enumerate() {
-            y[pr] = c[k];
+        for (&pr, &ck) in self.prow.iter().zip(c.iter()) {
+            y[pr] = ck;
         }
-        for (pr, lc) in self.prow.iter().zip(&self.lcols).rev() {
-            let mut s = y[*pr];
-            for &(i, l) in lc {
+        for (t, &k) in self.lpos.iter().enumerate().rev() {
+            let pr = self.prow[k];
+            let mut s = y[pr];
+            for &(i, l) in &self.lcols[self.lptr[t]..self.lptr[t + 1]] {
                 s -= l * y[i];
             }
-            y[*pr] = s;
+            y[pr] = s;
         }
-        y
     }
 }
 
-struct Factored {
-    lu: Lu,
-    basis: Vec<usize>,
-}
-
-impl Factored {
-    /// Nonzeros of the basis matrix and of its L and U factors (the U
-    /// diagonal included).
-    fn nonzeros(&self, inst: &Instance) -> (usize, usize) {
-        let basis = self.basis.iter().map(|&c| inst.col(c).0.len()).sum();
-        let lu = self.lu.m
-            + self.lu.lcols.iter().map(Vec::len).sum::<usize>()
-            + self.lu.ucols.iter().map(Vec::len).sum::<usize>();
-        (basis, lu)
-    }
-}
-
-/// One factorization in progress: the partial factors plus the scatter
+/// One factorization workspace: the factors being built plus the scatter
 /// workspace that lets each new column be eliminated over its nonzeros
-/// only.
+/// only.  A solver keeps one for all its factorizations, so only the
+/// factors' flat arrays are allocated per factorization.
 struct Elimination<'a> {
     inst: &'a Instance,
     lu: Lu,
@@ -483,15 +556,19 @@ struct Elimination<'a> {
     /// Row → the position that pivoted on it (`usize::MAX` while
     /// unpivoted).
     pos_of_row: Vec<usize>,
-    /// Positions whose L column is non-empty, ascending.  The others
-    /// change nothing when applied, so elimination walks only these.
-    lpos: Vec<usize>,
     /// Dense scatter of the column being eliminated; zero outside
     /// `pattern` between columns.
     x: Vec<f64>,
-    /// Rows where `x` may be nonzero, and their membership flags.
+    /// Rows where `x` may be nonzero, in no particular order, and their
+    /// membership flags.
     pattern: Vec<usize>,
     in_pattern: Vec<bool>,
+    /// Whether U is recorded.  Choosing a completion set needs only L.
+    keep_u: bool,
+    /// Scratch: the per-row fill cursor of U's transpose, and the
+    /// (nonzero count, candidate index) elimination order.
+    cursor: Vec<usize>,
+    keyed: Vec<(usize, usize)>,
 }
 
 impl<'a> Elimination<'a> {
@@ -499,21 +576,25 @@ impl<'a> Elimination<'a> {
         let m = inst.m;
         Elimination {
             inst,
-            lu: Lu {
-                m,
-                prow: Vec::with_capacity(m),
-                lcols: Vec::with_capacity(m),
-                ucols: Vec::with_capacity(m),
-                udiag: Vec::with_capacity(m),
-            },
+            lu: Lu::default(),
             basis: Vec::with_capacity(m),
             used: vec![false; inst.total],
             pos_of_row: vec![usize::MAX; m],
-            lpos: Vec::new(),
             x: vec![0.0; m],
             pattern: Vec::new(),
             in_pattern: vec![false; m],
+            cursor: Vec::with_capacity(m),
+            keyed: Vec::with_capacity(m),
+            keep_u: true,
         }
+    }
+
+    /// Starts an empty factorization.
+    fn reset(&mut self) {
+        self.lu.clear();
+        self.basis.clear();
+        self.used.fill(false);
+        self.pos_of_row.fill(usize::MAX);
     }
 
     fn full(&self) -> bool {
@@ -530,7 +611,9 @@ impl<'a> Elimination<'a> {
     /// to the number of positions with a non-empty L column, not to `m`:
     /// L columns apply in ascending position order, exactly as a dense
     /// sweep over every earlier position would, so the arithmetic is the
-    /// same operation for operation.
+    /// same operation for operation.  The fill pattern is left unsorted:
+    /// the pivot search breaks ties by row explicitly, and only the new L
+    /// column, whose order BTRAN's dot products depend on, is sorted.
     fn try_col(&mut self, col: usize, prefer: Option<usize>) -> bool {
         if self.used[col] {
             return false;
@@ -541,10 +624,11 @@ impl<'a> Elimination<'a> {
             self.in_pattern[r] = true;
             self.pattern.push(r);
         }
-        for &j in &self.lpos {
-            let v = self.x[self.lu.prow[j]];
+        let lu = &mut self.lu;
+        for (t, &j) in lu.lpos.iter().enumerate() {
+            let v = self.x[lu.prow[j]];
             if v != 0.0 {
-                for &(i, l) in &self.lu.lcols[j] {
+                for &(i, l) in &lu.lcols[lu.lptr[t]..lu.lptr[t + 1]] {
                     if !self.in_pattern[i] {
                         self.in_pattern[i] = true;
                         self.pattern.push(i);
@@ -553,12 +637,13 @@ impl<'a> Elimination<'a> {
                 }
             }
         }
-        self.pattern.sort_unstable();
         let mut best = usize::MAX;
         let mut best_abs = 0.0;
         for &i in &self.pattern {
-            if self.pos_of_row[i] == usize::MAX && self.x[i].abs() > best_abs {
-                best_abs = self.x[i].abs();
+            let a = self.x[i].abs();
+            let wins = a > best_abs || (a == best_abs && best != usize::MAX && i < best);
+            if self.pos_of_row[i] == usize::MAX && wins {
+                best_abs = a;
                 best = i;
             }
         }
@@ -573,27 +658,27 @@ impl<'a> Elimination<'a> {
         if accepted {
             let k = self.basis.len();
             let piv = self.x[r];
-            let mut ucol = Vec::new();
-            let mut lcol = Vec::new();
+            let l_start = lu.lcols.len();
             for &i in &self.pattern {
                 let v = self.x[i];
                 if i == r || v == 0.0 {
                     continue;
                 }
                 match self.pos_of_row[i] {
-                    usize::MAX => lcol.push((i, v / piv)),
-                    j => ucol.push((j, v)),
+                    usize::MAX => lu.lcols.push((i, v / piv)),
+                    j if self.keep_u => lu.ucols.push((j, v)),
+                    _ => {}
                 }
             }
-            ucol.sort_unstable_by_key(|e| e.0);
-            if !lcol.is_empty() {
-                self.lpos.push(k);
+            if lu.lcols.len() > l_start {
+                lu.lcols[l_start..].sort_unstable_by_key(|e| e.0);
+                lu.lpos.push(k);
+                lu.lptr.push(lu.lcols.len());
             }
+            lu.ucptr.push(lu.ucols.len());
             self.pos_of_row[r] = k;
-            self.lu.prow.push(r);
-            self.lu.udiag.push(piv);
-            self.lu.ucols.push(ucol);
-            self.lu.lcols.push(lcol);
+            lu.prow.push(r);
+            lu.udiag.push(piv);
             self.basis.push(col);
             self.used[col] = true;
         }
@@ -614,6 +699,28 @@ impl<'a> Elimination<'a> {
             }
             self.try_col(c, None);
         }
+    }
+
+    /// [`Self::take`] in ascending nonzero count, ties in the order of
+    /// `cols`.  The (count, index) keys are unique, so an unstable sort
+    /// gives the stable order without a merge buffer.
+    fn take_by_count(&mut self, cols: &[usize]) {
+        let inst = self.inst;
+        let mut keyed = std::mem::take(&mut self.keyed);
+        keyed.clear();
+        keyed.extend(
+            cols.iter()
+                .enumerate()
+                .map(|(i, &c)| (inst.col_ptr[c + 1] - inst.col_ptr[c], i)),
+        );
+        keyed.sort_unstable();
+        for &(_, i) in &keyed {
+            if self.full() {
+                break;
+            }
+            self.try_col(cols[i], None);
+        }
+        self.keyed = keyed;
     }
 
     /// Completes a rank-deficient basis: every row left unpivoted is
@@ -641,82 +748,182 @@ impl<'a> Elimination<'a> {
         }
     }
 
-    fn finish(self) -> Option<Factored> {
-        self.full().then_some(Factored {
-            lu: self.lu,
-            basis: self.basis,
-        })
+    /// Factorizes a basis chosen from `candidates`, repairing rank
+    /// deficiency: dependent and repeated candidates are skipped, and
+    /// every row left unpivoted is filled with its own slack (preferred)
+    /// or artificial column.  On success the factors are in `self.lu`
+    /// and the basis, position by position, in `self.basis`; false means
+    /// no nonsingular completion was found.
+    ///
+    /// **Order.**  Columns are eliminated in ascending nonzero count (ties
+    /// keep candidate order), and partial pivoting picks the rows.  Unit
+    /// slack and artificial columns then pivot first and leave no L
+    /// column, and a dense column such as the path-rate LP's θ, which
+    /// touches every demand and capacity row, pivots last instead of
+    /// filling in every later column.  On `step1_max`'s programs this
+    /// keeps the factors at about 1.1× the basis's nonzeros, against 7×
+    /// in basis order.
+    ///
+    /// **Completion.**  Which rows stay unpivoted for the completion
+    /// depends on the elimination order, and the completion decides which
+    /// slack or artificial columns join the basis.  So when the
+    /// candidates alone do not fill the basis, the set is chosen as an
+    /// elimination in candidate order would choose it, and only then
+    /// factorized in count order.  The basis *set* is therefore the one a
+    /// candidate-order factorization gives whenever a completion is
+    /// needed or the candidates are independent, as the canonical final
+    /// support always is: warm starts repair the same rows, and the
+    /// canonical final basis (see [`Solver::finalize`]) is unchanged.
+    /// Ordering the completion as well moved the rows of degenerate warm
+    /// starts and lengthened fault-chain re-solves.
+    ///
+    /// The candidate-order elimination runs in a workspace of its own,
+    /// freed once it has chosen the set: in candidate order θ can come
+    /// first and fill in every later column, and its factors would
+    /// otherwise stay allocated for the rest of the solve.
+    fn factorize(&mut self, candidates: &[usize]) -> bool {
+        self.reset();
+        self.take_by_count(candidates);
+        if !self.full() {
+            let mut chosen = Elimination::new(self.inst);
+            chosen.keep_u = false;
+            chosen.reset();
+            chosen.take(candidates);
+            chosen.complete();
+            if !chosen.full() {
+                return false;
+            }
+            self.reset();
+            self.take_by_count(&chosen.basis);
+            if !self.full() {
+                // A set independent in one order is independent in any;
+                // this only guards against a pivot falling under `LU_EPS`
+                // in the new order, and keeps the candidate-order factors.
+                self.reset();
+                self.take(candidates);
+                self.complete();
+            }
+        }
+        self.lu.transpose_u(&mut self.cursor);
+        true
     }
 }
 
-/// Factorizes a basis chosen from `candidates`, repairing rank
-/// deficiency: dependent and repeated candidates are skipped, and every
-/// row left unpivoted is filled with its own slack (preferred) or
-/// artificial column.  Returns `None` when no nonsingular completion is
-/// found.
-///
-/// **Order.**  Columns are eliminated in ascending nonzero count (a
-/// stable sort, so ties keep candidate order), and partial pivoting picks
-/// the rows.  Unit slack and artificial columns then pivot first and
-/// leave no L column, and a dense column such as the path-rate LP's θ,
-/// which touches every demand and capacity row, pivots last instead of
-/// filling in every later column.  On `step1_max`'s programs this keeps
-/// the factors at about 1.1× the basis's nonzeros, against 7× in basis
-/// order.
-///
-/// **Completion.**  Which rows stay unpivoted for the completion depends
-/// on the elimination order, and the completion decides which slack or
-/// artificial columns join the basis.  So when the candidates alone do
-/// not fill the basis, the set is chosen as an elimination in candidate
-/// order would choose it, and only then factorized in count order.
-/// The basis *set* is therefore the one a candidate-order factorization
-/// gives whenever a completion is needed or the candidates are
-/// independent, as the canonical final support always is: warm starts
-/// repair the same rows, and the canonical final basis (see
-/// [`Solver::finalize`]) is unchanged.
-/// Ordering the completion as well moved the rows of degenerate warm
-/// starts and lengthened fault-chain re-solves.
-fn factorize(inst: &Instance, candidates: &[usize]) -> Option<Factored> {
-    let by_count = |cols: &[usize]| {
-        let mut cols = cols.to_vec();
-        cols.sort_by_key(|&c| inst.col_ptr[c + 1] - inst.col_ptr[c]);
-        cols
-    };
-    let mut e = Elimination::new(inst);
-    e.take(&by_count(candidates));
-    if e.full() {
-        return e.finish();
+/// The eta file: one rank-one basis update per pivot since the last
+/// factorization.  Eta `e` put a column with FTRAN image `w` into basis
+/// slot `slot[e]`, with pivot element `pivot[e] = w[slot[e]]`.  Its `w`
+/// is row `e` of one dense `m`-wide block, with the slot's own entry
+/// zeroed, so FTRAN's replay is a contiguous axpy and BTRAN's a dot over
+/// the right-hand side's nonzeros.  A refactorization empties the block
+/// but keeps its storage.
+struct Etas {
+    m: usize,
+    slot: Vec<usize>,
+    pivot: Vec<f64>,
+    block: Vec<f64>,
+}
+
+impl Etas {
+    fn new(m: usize) -> Etas {
+        Etas {
+            m,
+            slot: Vec::with_capacity(ETA_LIMIT),
+            pivot: Vec::with_capacity(ETA_LIMIT),
+            block: Vec::new(),
+        }
     }
-    let mut chosen = Elimination::new(inst);
-    chosen.take(candidates);
-    chosen.complete();
-    if !chosen.full() {
-        return None;
+
+    fn len(&self) -> usize {
+        self.slot.len()
     }
-    let mut e = Elimination::new(inst);
-    e.take(&by_count(&chosen.basis));
-    // A set independent in one order is independent in any; the fallback
-    // only guards against a pivot falling under `LU_EPS` in the new order.
-    if e.full() {
-        e.finish()
-    } else {
-        chosen.finish()
+
+    fn is_empty(&self) -> bool {
+        self.slot.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.slot.clear();
+        self.pivot.clear();
+        self.block.clear();
+    }
+
+    /// Records the pivot that put a column with FTRAN image `w` into
+    /// `slot`.
+    fn push(&mut self, slot: usize, w: &[f64]) {
+        self.slot.push(slot);
+        self.pivot.push(w[slot]);
+        let start = self.block.len();
+        self.block.extend_from_slice(w);
+        self.block[start + slot] = 0.0;
+    }
+
+    fn row(&self, e: usize) -> &[f64] {
+        &self.block[e * self.m..(e + 1) * self.m]
+    }
+
+    /// Applies the etas in order to an FTRAN result `z` (position space).
+    /// A zero entry of `w` leaves its target untouched, so the result is
+    /// bit for bit that of a replay over `w`'s nonzeros alone; the select
+    /// keeps the loop branch-free.
+    fn ftran(&self, z: &mut [f64]) {
+        for (e, (&slot, &pivot)) in self.slot.iter().zip(&self.pivot).enumerate() {
+            let zr = z[slot] / pivot;
+            z[slot] = zr;
+            if zr != 0.0 {
+                for (zi, &wi) in z.iter_mut().zip(self.row(e)) {
+                    let v = *zi;
+                    *zi = if wi != 0.0 { v - wi * zr } else { v };
+                }
+            }
+        }
+    }
+
+    /// Applies the etas in reverse to a BTRAN right-hand side `c`
+    /// (position space).  `nz` lists, ascending, every position where `c`
+    /// may be nonzero, and is kept so.  Each eta's dot runs over `nz` in
+    /// ascending order: it sums the same nonzero products in the same
+    /// order as a dot over `w`'s nonzeros, and the zero products it adds
+    /// or drops change at most the sign of a zero.
+    fn btran(&self, c: &mut [f64], nz: &mut Vec<usize>) {
+        for e in (0..self.len()).rev() {
+            let w = self.row(e);
+            let slot = self.slot[e];
+            let mut s = c[slot];
+            for &i in nz.iter() {
+                s -= w[i] * c[i];
+            }
+            let v = s / self.pivot[e];
+            c[slot] = v;
+            if v != 0.0 {
+                if let Err(p) = nz.binary_search(&slot) {
+                    nz.insert(p, slot);
+                }
+            }
+        }
     }
 }
 
-/// A rank-one basis update: the entering column's FTRAN image `w` replaced
-/// basis slot `slot` (pivot element `w[slot]`; `entries` are the other
-/// nonzeros of `w`).
-struct Eta {
-    slot: usize,
-    pivot: f64,
-    entries: Vec<(usize, f64)>,
+/// Solves `Bᵀ y = c` for the basis `lu` updated by `etas`: `c` is in
+/// position space and is consumed as scratch, `nz` is scratch, and `y`
+/// receives the result in row space.
+fn btran(lu: &Lu, etas: &Etas, c: &mut [f64], nz: &mut Vec<usize>, y: &mut [f64]) {
+    if !etas.is_empty() {
+        nz.clear();
+        nz.extend((0..c.len()).filter(|&k| c[k] != 0.0));
+        etas.btran(c, nz);
+    }
+    lu.btran(c, y);
 }
 
 struct Solver<'a> {
     inst: &'a Instance,
+    /// Factorization workspace, reused by every refactorization.  Each
+    /// factorization builds fresh factors in it, after the old ones are
+    /// freed: keeping them to reuse their storage, or building the new
+    /// ones beside them, raised `step1_max`'s peak RSS by 1–3 MiB.
+    elim: Elimination<'a>,
     lu: Lu,
-    etas: Vec<Eta>,
+    etas: Etas,
     /// Slot → basic column.
     basis: Vec<usize>,
     /// Column → currently basic?
@@ -738,79 +945,122 @@ struct Solver<'a> {
     /// improving carried columns steers phase 2 along the short path.
     /// Empty means no preference (cold solves).
     prefer: Vec<bool>,
+    // Work vectors, sized once per solve and reused by every pivot.
+    /// Row-space right-hand side of an FTRAN (consumed by the solve).
+    rhs: Vec<f64>,
+    /// FTRAN image `B⁻¹ a_j` of the entering column, by slot.
+    w: Vec<f64>,
+    /// Position-space right-hand side of a BTRAN, and the positions
+    /// where it may be nonzero.
+    c: Vec<f64>,
+    nz: Vec<usize>,
+    /// Simplex multipliers `B⁻ᵀ c_B` of the objective being optimized.
+    y: Vec<f64>,
+    /// A second BTRAN result: a row of `B⁻¹`, or the multipliers of the
+    /// infeasibility objective.
+    rho: Vec<f64>,
+    /// Repair scratch: the infeasibility objective by slot, the entering
+    /// scores, and the ratio-test crossings.
+    d: Vec<f64>,
+    scores: Vec<f64>,
+    crossings: Vec<(f64, f64, usize)>,
 }
 
 impl<'a> Solver<'a> {
-    fn new(inst: &'a Instance, f: Factored, budget: usize) -> Solver<'a> {
-        let mut in_basis = vec![false; inst.total];
-        for &c in &f.basis {
-            in_basis[c] = true;
+    /// Factorizes a basis chosen from `candidates` (see
+    /// [`Elimination::factorize`]); `None` when no nonsingular completion
+    /// is found.
+    fn new(inst: &'a Instance, candidates: &[usize], budget: usize) -> Option<Solver<'a>> {
+        let mut elim = Elimination::new(inst);
+        if !elim.factorize(candidates) {
+            return None;
         }
-        let (basis_nonzeros, lu_nonzeros) = f.nonzeros(inst);
+        let m = inst.m;
         let mut s = Solver {
             inst,
-            lu: f.lu,
-            etas: Vec::new(),
-            basis: f.basis,
-            in_basis,
-            xb: Vec::new(),
+            elim,
+            lu: Lu::default(),
+            etas: Etas::new(m),
+            basis: Vec::with_capacity(m),
+            in_basis: vec![false; inst.total],
+            xb: vec![0.0; m],
             pivots: 0,
-            refactorizations: 1,
-            basis_nonzeros,
-            lu_nonzeros,
+            refactorizations: 0,
+            basis_nonzeros: 0,
+            lu_nonzeros: 0,
             budget,
             prefer: Vec::new(),
+            rhs: vec![0.0; m],
+            w: vec![0.0; m],
+            c: vec![0.0; m],
+            nz: Vec::with_capacity(m),
+            y: vec![0.0; m],
+            rho: vec![0.0; m],
+            d: vec![0.0; m],
+            scores: Vec::with_capacity(inst.art_start),
+            crossings: Vec::with_capacity(m),
         };
-        s.xb = s.compute_xb();
-        s
+        s.adopt();
+        Some(s)
     }
 
-    fn compute_xb(&self) -> Vec<f64> {
-        let mut rhs = self.inst.b.clone();
-        let mut z = self.lu.ftran(&mut rhs);
-        self.apply_etas(&mut z);
-        z
-    }
-
-    fn apply_etas(&self, z: &mut [f64]) {
-        for eta in &self.etas {
-            let zr = z[eta.slot] / eta.pivot;
-            z[eta.slot] = zr;
-            if zr != 0.0 {
-                for &(i, w) in &eta.entries {
-                    z[i] -= w * zr;
-                }
-            }
+    /// Makes the factorization just built in `elim` current: counts it,
+    /// empties the eta file and recomputes the basic solution from the
+    /// right-hand side.
+    fn adopt(&mut self) {
+        self.lu = std::mem::take(&mut self.elim.lu);
+        std::mem::swap(&mut self.basis, &mut self.elim.basis);
+        self.refactorizations += 1;
+        self.basis_nonzeros += self
+            .basis
+            .iter()
+            .map(|&c| self.inst.col(c).0.len())
+            .sum::<usize>();
+        self.lu_nonzeros += self.lu.nonzeros();
+        // The repair path may have substituted unit columns for
+        // numerically dependent basis members (the elimination order also
+        // permutes the slots).
+        self.in_basis.fill(false);
+        for &c in &self.basis {
+            self.in_basis[c] = true;
         }
+        self.etas.clear();
+        self.rhs.copy_from_slice(&self.inst.b);
+        self.lu.ftran(&mut self.rhs, &mut self.xb);
     }
 
-    /// FTRAN of column `j`: `w = B⁻¹ a_j` in position space.
-    fn ftran_col(&self, j: usize) -> Vec<f64> {
-        let mut work = vec![0.0; self.inst.m];
+    /// FTRAN of column `j` into `self.w`: `w = B⁻¹ a_j` in position space.
+    fn ftran_col(&mut self, j: usize) {
+        self.rhs.fill(0.0);
         let (rs, vs) = self.inst.col(j);
         for (&r, &v) in rs.iter().zip(vs) {
-            work[r] = v;
+            self.rhs[r] = v;
         }
-        let mut z = self.lu.ftran(&mut work);
-        self.apply_etas(&mut z);
-        z
+        self.lu.ftran(&mut self.rhs, &mut self.w);
+        self.etas.ftran(&mut self.w);
     }
 
-    /// BTRAN of a position-space vector: `y = B⁻ᵀ c` in row space.
-    fn btran_pos(&self, mut c: Vec<f64>) -> Vec<f64> {
-        for eta in self.etas.iter().rev() {
-            let mut s = c[eta.slot];
-            for &(i, w) in &eta.entries {
-                s -= w * c[i];
-            }
-            c[eta.slot] = s / eta.pivot;
+    /// Simplex multipliers `y = B⁻ᵀ c_B` for the given objective, into
+    /// `self.y`.
+    fn btran_costs(&mut self, cost: &[f64]) {
+        for (ck, &col) in self.c.iter_mut().zip(&self.basis) {
+            *ck = cost[col];
         }
-        self.lu.btran(&mut c)
+        btran(&self.lu, &self.etas, &mut self.c, &mut self.nz, &mut self.y);
     }
 
-    /// Simplex multipliers `y = B⁻ᵀ c_B` for the given objective.
-    fn btran_costs(&self, cost: &[f64]) -> Vec<f64> {
-        self.btran_pos(self.basis.iter().map(|&c| cost[c]).collect())
+    /// Row `slot` of `B⁻¹` as `ρ = B⁻ᵀ e_slot` in row space, into
+    /// `self.rho`.
+    fn btran_unit(&mut self, slot: usize) {
+        self.c.fill(0.0);
+        self.c[slot] = 1.0;
+        btran(
+            &self.lu,
+            &self.etas,
+            &mut self.c,
+            &mut self.nz,
+            &mut self.rho,
+        );
     }
 
     fn objective_of(&self, cost: &[f64]) -> f64 {
@@ -821,8 +1071,10 @@ impl<'a> Solver<'a> {
             .sum()
     }
 
-    fn apply_pivot(&mut self, l: usize, enter: usize, w: &[f64], t: f64) -> Result<(), SolveError> {
-        for (x, &wi) in self.xb.iter_mut().zip(w) {
+    /// Pivots column `enter`, whose FTRAN image is in `self.w`, into slot
+    /// `l` at step `t`.
+    fn apply_pivot(&mut self, l: usize, enter: usize, t: f64) -> Result<(), SolveError> {
+        for (x, &wi) in self.xb.iter_mut().zip(&self.w) {
             if wi != 0.0 {
                 *x -= t * wi;
             }
@@ -831,16 +1083,7 @@ impl<'a> Solver<'a> {
         self.in_basis[self.basis[l]] = false;
         self.in_basis[enter] = true;
         self.basis[l] = enter;
-        self.etas.push(Eta {
-            slot: l,
-            pivot: w[l],
-            entries: w
-                .iter()
-                .enumerate()
-                .filter(|&(i, &v)| i != l && v != 0.0)
-                .map(|(i, &v)| (i, v))
-                .collect(),
-        });
+        self.etas.push(l, &self.w);
         self.pivots += 1;
         if self.etas.len() >= ETA_LIMIT {
             self.refactorize()?;
@@ -848,28 +1091,14 @@ impl<'a> Solver<'a> {
         Ok(())
     }
 
-    /// Adds one factorization to the counters.
-    fn count(&mut self, f: &Factored) {
-        let (basis, lu) = f.nonzeros(self.inst);
-        self.refactorizations += 1;
-        self.basis_nonzeros += basis;
-        self.lu_nonzeros += lu;
-    }
-
     fn refactorize(&mut self) -> Result<(), SolveError> {
-        let f = factorize(self.inst, &self.basis).ok_or(SolveError::IterationLimit)?;
-        self.count(&f);
-        // The repair path may have substituted unit columns for
-        // numerically dependent basis members (the elimination order also
-        // permutes the slots).
-        self.in_basis.fill(false);
-        for &c in &f.basis {
-            self.in_basis[c] = true;
+        // The old factors are not needed to build the new ones; freeing
+        // them first keeps one set alive at a time.
+        self.lu = Lu::default();
+        if !self.elim.factorize(&self.basis) {
+            return Err(SolveError::IterationLimit);
         }
-        self.basis = f.basis;
-        self.lu = f.lu;
-        self.etas.clear();
-        self.xb = self.compute_xb();
+        self.adopt();
         Ok(())
     }
 
@@ -890,7 +1119,8 @@ impl<'a> Solver<'a> {
             if self.pivots >= self.budget {
                 return Err(SolveError::IterationLimit);
             }
-            let y = self.btran_costs(cost);
+            self.btran_costs(cost);
+            let y = &self.y;
             let mut enter = usize::MAX;
             let mut best_score = EPS;
             let mut enter_pref = usize::MAX;
@@ -934,7 +1164,8 @@ impl<'a> Solver<'a> {
             if enter == usize::MAX {
                 return Ok(());
             }
-            let w = self.ftran_col(enter);
+            self.ftran_col(enter);
+            let w = &self.w;
             if !phase1 {
                 let mut guard = usize::MAX;
                 let mut ga = PIVOT_EPS;
@@ -945,7 +1176,7 @@ impl<'a> Solver<'a> {
                     }
                 }
                 if guard != usize::MAX {
-                    self.apply_pivot(guard, enter, &w, 0.0)?;
+                    self.apply_pivot(guard, enter, 0.0)?;
                     continue;
                 }
             }
@@ -1019,7 +1250,7 @@ impl<'a> Solver<'a> {
             let Some(l) = leave else {
                 return Err(SolveError::Unbounded);
             };
-            self.apply_pivot(l, enter, &w, best_ratio)?;
+            self.apply_pivot(l, enter, best_ratio)?;
             let obj = self.objective_of(cost);
             if (obj - last_obj).abs() <= 1e-9 * (1.0 + last_obj.abs()) {
                 stall += 1;
@@ -1054,7 +1285,8 @@ impl<'a> Solver<'a> {
             if self.pivots >= self.budget {
                 return;
             }
-            let y = self.btran_costs(cost);
+            self.btran_costs(cost);
+            let y = &self.y;
             let mut enter = usize::MAX;
             for (j, &cj) in cost.iter().enumerate().take(self.inst.art_start) {
                 if self.in_basis[j] {
@@ -1073,7 +1305,8 @@ impl<'a> Solver<'a> {
             if enter == usize::MAX {
                 return;
             }
-            let w = self.ftran_col(enter);
+            self.ftran_col(enter);
+            let w = &self.w;
             // Same artificial guard as phase 2: eject a pinned artificial
             // at ratio 0 before a regular ratio test may grow it.
             let mut guard = usize::MAX;
@@ -1085,7 +1318,7 @@ impl<'a> Solver<'a> {
                 }
             }
             if guard != usize::MAX {
-                if self.apply_pivot(guard, enter, &w, 0.0).is_err() {
+                if self.apply_pivot(guard, enter, 0.0).is_err() {
                     return;
                 }
                 continue;
@@ -1109,7 +1342,7 @@ impl<'a> Solver<'a> {
             let Some(l) = leave else {
                 return;
             };
-            if self.apply_pivot(l, enter, &w, best_ratio).is_err() {
+            if self.apply_pivot(l, enter, best_ratio).is_err() {
                 return;
             }
         }
@@ -1157,10 +1390,9 @@ impl<'a> Solver<'a> {
             // test: among columns that can raise x_leave (α < 0), the one
             // whose reduced cost hits zero first keeps every other
             // reduced cost nonnegative.
-            let mut e = vec![0.0; self.inst.m];
-            e[leave] = 1.0;
-            let rho = self.btran_pos(e);
-            let y = self.btran_costs(cost);
+            self.btran_unit(leave);
+            self.btran_costs(cost);
+            let (rho, y) = (&self.rho, &self.y);
             let mut enter = usize::MAX;
             let mut best_ratio = f64::INFINITY;
             for (j, &cj) in cost.iter().enumerate().take(self.inst.art_start) {
@@ -1203,12 +1435,13 @@ impl<'a> Solver<'a> {
             if enter == usize::MAX {
                 return Ok(false);
             }
-            let w = self.ftran_col(enter);
+            self.ftran_col(enter);
+            let w = &self.w;
             if w[leave].abs() <= PIVOT_EPS {
                 return Ok(false);
             }
             let t = self.xb[leave] / w[leave];
-            self.apply_pivot(leave, enter, &w, t)?;
+            self.apply_pivot(leave, enter, t)?;
         }
         Ok(false)
     }
@@ -1223,7 +1456,8 @@ impl<'a> Solver<'a> {
     fn repair_feasibility(&mut self, cost: &[f64]) -> Result<bool, SolveError> {
         let max_rounds = self.inst.m + self.inst.n + 100;
         for _ in 0..max_rounds {
-            let mut d = vec![0.0; self.inst.m];
+            let d = &mut self.d;
+            d.fill(0.0);
             let mut infeasible = false;
             for (i, (&c, &x)) in self.basis.iter().zip(&self.xb).enumerate() {
                 if x < -PIVOT_EPS {
@@ -1250,9 +1484,19 @@ impl<'a> Solver<'a> {
             // near-optimal feasible vertex and leaves phase 2 almost
             // nothing to do, where feasibility-first pivots reach a vertex
             // phase 2 then has to unwind.
-            let y = self.btran_pos(d.clone());
-            let y_cost = self.btran_costs(cost);
-            let mut scores = vec![f64::NEG_INFINITY; self.inst.art_start];
+            self.c.copy_from_slice(&self.d);
+            btran(
+                &self.lu,
+                &self.etas,
+                &mut self.c,
+                &mut self.nz,
+                &mut self.rho,
+            );
+            self.btran_costs(cost);
+            let (y, y_cost) = (&self.rho, &self.y);
+            let scores = &mut self.scores;
+            scores.clear();
+            scores.resize(self.inst.art_start, f64::NEG_INFINITY);
             let mut best = PIVOT_EPS;
             for (j, s) in scores.iter_mut().enumerate() {
                 if self.in_basis[j] {
@@ -1292,7 +1536,8 @@ impl<'a> Solver<'a> {
             if enter == usize::MAX {
                 return Ok(false);
             }
-            let w = self.ftran_col(enter);
+            self.ftran_col(enter);
+            let w = &self.w;
             // Longest-step ratio test (piecewise-linear line search): the
             // total infeasibility s(t) is convex in the step t with a
             // slope kink at every basic's zero crossing.  Walk the sorted
@@ -1301,8 +1546,9 @@ impl<'a> Solver<'a> {
             // infeasibility passed along the way, instead of blocking at
             // the nearest crossing.
             // s'(0) = Σ d_i·w_i = −gain < 0: guaranteed improving.
-            let mut slope: f64 = d.iter().zip(&w).map(|(&di, &wi)| di * wi).sum();
-            let mut crossings: Vec<(f64, f64, usize)> = Vec::new();
+            let mut slope: f64 = self.d.iter().zip(w).map(|(&di, &wi)| di * wi).sum();
+            let crossings = &mut self.crossings;
+            crossings.clear();
             for (i, &wi) in w.iter().enumerate() {
                 let x = self.xb[i];
                 let artificial = self.basis[i] >= self.inst.art_start;
@@ -1326,9 +1572,15 @@ impl<'a> Solver<'a> {
                     crossings.push((0.0, -wi, i));
                 }
             }
-            crossings.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
+            // Pushed in slot order, so the slot breaks the remaining ties
+            // as a stable sort would.
+            crossings.sort_unstable_by(|a, b| {
+                a.0.total_cmp(&b.0)
+                    .then(b.1.total_cmp(&a.1))
+                    .then(a.2.cmp(&b.2))
+            });
             let mut leave: Option<(usize, f64)> = None;
-            for &(t, dd, i) in &crossings {
+            for &(t, dd, i) in crossings.iter() {
                 leave = Some((i, t));
                 slope += dd;
                 if slope >= -EPS {
@@ -1341,7 +1593,7 @@ impl<'a> Solver<'a> {
             if w[l].abs() <= PIVOT_EPS {
                 return Ok(false);
             }
-            self.apply_pivot(l, enter, &w, t)?;
+            self.apply_pivot(l, enter, t)?;
         }
         Ok(false)
     }
@@ -1373,19 +1625,17 @@ impl<'a> Solver<'a> {
             }
             // Row `slot` of B⁻¹A, via ρ = B⁻ᵀ e_slot: any real column with
             // a nonzero entry can replace the artificial at value 0.
-            let mut e = vec![0.0; self.inst.m];
-            e[slot] = 1.0;
-            let rho = self.btran_pos(e);
+            self.btran_unit(slot);
             for j in 0..self.inst.art_start {
                 if self.in_basis[j] {
                     continue;
                 }
                 let (rs, vs) = self.inst.col(j);
-                let dot: f64 = rs.iter().zip(vs).map(|(&r, &v)| rho[r] * v).sum();
+                let dot: f64 = rs.iter().zip(vs).map(|(&r, &v)| self.rho[r] * v).sum();
                 if dot.abs() > PIVOT_EPS {
-                    let w = self.ftran_col(j);
-                    if w[slot].abs() > 0.5 * PIVOT_EPS {
-                        self.apply_pivot(slot, j, &w, 0.0)?;
+                    self.ftran_col(j);
+                    if self.w[slot].abs() > 0.5 * PIVOT_EPS {
+                        self.apply_pivot(slot, j, 0.0)?;
                         break;
                     }
                 }
@@ -1396,7 +1646,7 @@ impl<'a> Solver<'a> {
 
     /// Canonical final refactorization: rebuild a basis from the optimal
     /// *support* — the basic columns with value above tolerance, in
-    /// ascending order — and let [`factorize`]'s deterministic fill
+    /// ascending order — and let [`Elimination::factorize`]'s deterministic fill
     /// complete the degenerate rows with unit columns.  Values, duals and
     /// the objective are recomputed from the fresh factors.  The result
     /// therefore depends only on the optimal *vertex*, not on the pivot
@@ -1413,22 +1663,26 @@ impl<'a> Solver<'a> {
             .map(|(&c, _)| c)
             .collect();
         sorted.sort_unstable();
-        let f = factorize(inst, &sorted).ok_or(SolveError::IterationLimit)?;
-        self.count(&f);
-        let mut rhs = inst.b.clone();
-        let xb = f.lu.ftran(&mut rhs);
+        self.lu = Lu::default();
+        if !self.elim.factorize(&sorted) {
+            return Err(SolveError::IterationLimit);
+        }
+        self.adopt();
         let mut values = vec![0.0; inst.n];
         let mut objective = 0.0;
-        for (k, &c) in f.basis.iter().enumerate() {
+        for (&c, &x) in self.basis.iter().zip(&self.xb) {
             if c < inst.n {
-                values[c] = xb[k];
+                values[c] = x;
             }
-            objective += inst.cost[c] * xb[k];
+            objective += inst.cost[c] * x;
         }
-        let mut c_pos: Vec<f64> = f.basis.iter().map(|&c| inst.cost[c]).collect();
-        let duals = f.lu.btran(&mut c_pos);
+        for (ck, &c) in self.c.iter_mut().zip(&self.basis) {
+            *ck = inst.cost[c];
+        }
+        let mut duals = vec![0.0; inst.m];
+        self.lu.btran(&mut self.c, &mut duals);
         let basis = WarmStart::from_entries(
-            f.basis
+            self.basis
                 .iter()
                 .map(|&c| {
                     if c < inst.n {
@@ -1478,10 +1732,9 @@ fn try_warm(
             _ => {}
         }
     }
-    let Some(f) = factorize(inst, &cands) else {
+    let Some(mut s) = Solver::new(inst, &cands, budget) else {
         return Ok(None);
     };
-    let mut s = Solver::new(inst, f, budget);
     s.prefer = vec![false; inst.total];
     for &c in &cands {
         s.prefer[c] = true;
@@ -1531,8 +1784,7 @@ fn solve(lp: &LinearProgram, warm: Option<&WarmStart>) -> Result<SparseSolution,
             }
         })
         .collect();
-    let f = factorize(&inst, &cands).ok_or(SolveError::IterationLimit)?;
-    let mut s = Solver::new(&inst, f, budget);
+    let mut s = Solver::new(&inst, &cands, budget).ok_or(SolveError::IterationLimit)?;
     s.phase1()?;
     let cost = inst.cost.clone();
     s.optimize(&cost, false)?;
@@ -1750,13 +2002,14 @@ mod tests {
     }
 
     /// Relative residuals `‖Bz − a‖/‖a‖` of an FTRAN and `‖Bᵀy − c‖/‖c‖`
-    /// of a BTRAN through the factors of `f`, on seeded dense right-hand
-    /// sides.
-    fn residuals(inst: &Instance, f: &Factored, rng: &mut Mix) -> (f64, f64) {
+    /// of a BTRAN through the factors `f` has built, on seeded dense
+    /// right-hand sides.
+    fn residuals(inst: &Instance, f: &Elimination, rng: &mut Mix) -> (f64, f64) {
         let m = inst.m;
         let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
         let a: Vec<f64> = (0..m).map(|_| rng.coef()).collect();
-        let z = f.lu.ftran(&mut a.clone());
+        let mut z = vec![0.0; m];
+        f.lu.ftran(&mut a.clone(), &mut z);
         let mut bz = vec![0.0; m];
         for (k, &c) in f.basis.iter().enumerate() {
             let (rs, vs) = inst.col(c);
@@ -1766,7 +2019,8 @@ mod tests {
         }
         let df: Vec<f64> = bz.iter().zip(&a).map(|(x, y)| x - y).collect();
         let c: Vec<f64> = (0..m).map(|_| rng.coef()).collect();
-        let y = f.lu.btran(&mut c.clone());
+        let mut y = vec![0.0; m];
+        f.lu.btran(&mut c.clone(), &mut y);
         let db: Vec<f64> = f
             .basis
             .iter()
@@ -1813,7 +2067,8 @@ mod tests {
             let mut cands = vec![0, 1, 2];
             cands.extend(3..3 + m / 2);
             cands.extend([dep_col, 1, 0]);
-            let f = factorize(&inst, &cands).expect("slack/artificial completion");
+            let mut f = Elimination::new(&inst);
+            assert!(f.factorize(&cands), "slack/artificial completion");
             assert_eq!(f.basis.len(), m);
             let mut seen = f.basis.clone();
             seen.sort_unstable();
@@ -1847,7 +2102,8 @@ mod tests {
             ],
         );
         let inst = Instance::build(&p);
-        let f = factorize(&inst, &[0, 1, 2, 3, 1]).unwrap();
+        let mut f = Elimination::new(&inst);
+        assert!(f.factorize(&[0, 1, 2, 3, 1]));
         let mut set = f.basis.clone();
         set.sort_unstable();
         // Structurals are columns 0–3, slacks 4–6 (rows 0, 2, 3) and
@@ -1859,5 +2115,89 @@ mod tests {
         let mut rng = Mix(7);
         let (rf, rb) = residuals(&inst, &f, &mut rng);
         assert!(rf <= 1e-9 && rb <= 1e-9, "residuals {rf:e} {rb:e}");
+    }
+
+    /// Residuals of the solver's current FTRAN image `w` of column `j`
+    /// (`‖Bw − a_j‖∞`) and of `y = B⁻ᵀ c_B` (`maxₖ |a_{B(k)}ᵀy − c_{B(k)}|`),
+    /// checked against the basis the eta file has updated to.
+    fn eta_residuals(s: &Solver, j: usize, cost: &[f64]) -> (f64, f64) {
+        let inst = s.inst;
+        let mut bw = vec![0.0; inst.m];
+        for (k, &c) in s.basis.iter().enumerate() {
+            let (rs, vs) = inst.col(c);
+            for (&r, &v) in rs.iter().zip(vs) {
+                bw[r] += v * s.w[k];
+            }
+        }
+        let (rs, vs) = inst.col(j);
+        for (&r, &v) in rs.iter().zip(vs) {
+            bw[r] -= v;
+        }
+        let rf = bw.iter().fold(0.0f64, |a, x| a.max(x.abs()));
+        let rb = s
+            .basis
+            .iter()
+            .map(|&c| {
+                let (rs, vs) = inst.col(c);
+                let dot: f64 = rs.iter().zip(vs).map(|(&r, &v)| v * s.y[r]).sum();
+                (dot - cost[c]).abs()
+            })
+            .fold(0.0f64, f64::max);
+        (rf, rb)
+    }
+
+    #[test]
+    fn eta_file_solves_track_the_updated_basis() {
+        // Tall programs with a dense column: every FTRAN image is dense,
+        // and the costs are nonzero on structural slots only, so BTRAN's
+        // eta replay starts sparse and fills in slot by slot.
+        for seed in 0..12u64 {
+            let mut rng = Mix(seed);
+            let m = 40 + rng.below(60);
+            let n = 3 + rng.below(10);
+            let mut p = LinearProgram::new();
+            let vars: Vec<VarId> = (0..n).map(|_| p.add_var(rng.coef())).collect();
+            for _ in 0..m {
+                let mut terms = vec![(vars[0], rng.coef())];
+                for _ in 0..1 + rng.below(3) {
+                    terms.push((vars[1 + rng.below(n - 1)], rng.coef()));
+                }
+                p.add_constraint(&terms, Relation::Le, 1.0);
+            }
+            let inst = Instance::build(&p);
+            let slacks: Vec<usize> = (0..m).map(|r| inst.slack_of_row[r]).collect();
+            let mut s = Solver::new(&inst, &slacks, usize::MAX).unwrap();
+            // More pivots than the eta file holds, so the replay also
+            // runs across a refactorization.
+            for step in 0..20 * ETA_LIMIT {
+                if s.pivots > ETA_LIMIT + 20 {
+                    break;
+                }
+                let out: Vec<usize> = (0..inst.total).filter(|&c| !s.in_basis[c]).collect();
+                let j = out[rng.below(out.len())];
+                s.ftran_col(j);
+                let l = (0..m)
+                    .max_by(|&a, &b| s.w[a].abs().total_cmp(&s.w[b].abs()))
+                    .unwrap();
+                if s.w[l].abs() < 1e-2 {
+                    continue;
+                }
+                s.apply_pivot(l, j, 0.0).unwrap();
+                let probe = (0..inst.total).find(|&c| !s.in_basis[c]).unwrap();
+                s.ftran_col(probe);
+                s.btran_costs(&inst.cost);
+                let (rf, rb) = eta_residuals(&s, probe, &inst.cost);
+                assert!(
+                    rf <= 1e-8 && rb <= 1e-8,
+                    "seed {seed} step {step} ({} etas): residuals {rf:e} {rb:e}",
+                    s.etas.len()
+                );
+            }
+            assert!(
+                s.refactorizations >= 2,
+                "seed {seed}: no refactorization in {} pivots",
+                s.pivots
+            );
+        }
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::stats::PairStats;
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use tugal_lp::{BasisVar, LinearProgram, Relation, SolveError, WarmStart};
 use tugal_routing::VlbRule;
@@ -483,27 +483,39 @@ pub fn modeled_bottlenecks(
     Ok((theta, hot))
 }
 
-/// Accumulates `coef` into a channel-indexed row map.
-fn add_usage(
-    rows: &mut HashMap<u32, Vec<(tugal_lp::VarId, f64)>>,
-    theta_load: &mut HashMap<u32, f64>,
-    chan: ChannelId,
-    var: Option<(tugal_lp::VarId, f64)>,
-    theta_coef: f64,
-) {
-    if let Some((v, c)) = var {
-        if c != 0.0 {
-            rows.entry(chan.0).or_default().push((v, c));
-        }
-    }
-    if theta_coef != 0.0 {
-        *theta_load.entry(chan.0).or_default() += theta_coef;
-    }
+/// Per-channel usage rows and θ loads before capacity-row pruning,
+/// indexed by channel id: a channel is used when its row has a rate term
+/// or a θ term has landed on it (`theta` is `Some`, even if the terms
+/// cancel).
+#[derive(Clone, Default)]
+struct ChannelUsage {
+    rows: Vec<Vec<(tugal_lp::VarId, f64)>>,
+    theta: Vec<Option<f64>>,
 }
 
-/// Per-channel usage rows and θ loads before capacity-row pruning,
-/// keyed by channel id.
-type FullUsage = (HashMap<u32, Vec<(tugal_lp::VarId, f64)>>, HashMap<u32, f64>);
+impl ChannelUsage {
+    /// Accumulates a rate term and a θ coefficient into `chan`'s row.
+    fn add(&mut self, chan: ChannelId, var: Option<(tugal_lp::VarId, f64)>, theta_coef: f64) {
+        let ch = chan.0 as usize;
+        if ch >= self.rows.len() {
+            self.rows.resize_with(ch + 1, Vec::new);
+            self.theta.resize(ch + 1, None);
+        }
+        if let Some((v, c)) = var {
+            if c != 0.0 {
+                self.rows[ch].push((v, c));
+            }
+        }
+        if theta_coef != 0.0 {
+            *self.theta[ch].get_or_insert(0.0) += theta_coef;
+        }
+    }
+
+    /// The used channels, ascending.
+    fn channels(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.rows.len()).filter(|&ch| !self.rows[ch].is_empty() || self.theta[ch].is_some())
+    }
+}
 
 /// The assembled draw-proportional LP plus the metadata the solve layer
 /// needs: variable handles, the stable pair/channel keys of every
@@ -517,7 +529,7 @@ struct DrawBuild {
     var_keys: Vec<VarKey>,
     row_keys: Vec<RowKey>,
     row_channels: Vec<(usize, u32)>,
-    full_usage: Option<FullUsage>,
+    full_usage: Option<ChannelUsage>,
 }
 
 /// Builds the draw-proportional LP:
@@ -539,8 +551,7 @@ fn build_draw_proportional(
     let mut row_keys = vec![RowKey::ThetaCap];
     lp.add_constraint(&[(theta, 1.0)], Relation::Le, 1.0);
 
-    let mut chan_rows: HashMap<u32, Vec<(tugal_lp::VarId, f64)>> = HashMap::new();
-    let mut theta_load: HashMap<u32, f64> = HashMap::new();
+    let mut usage = ChannelUsage::default();
 
     let mut m_vars = Vec::with_capacity(demands.len());
     for (&(src, dst, flows), st) in demands.iter().zip(stats) {
@@ -604,7 +615,7 @@ fn build_draw_proportional(
         // MIN usage: rate m spread over the MIN candidates.
         for &(ch, u) in &st.min_usage {
             let pmin = u / st.min_count;
-            add_usage(&mut chan_rows, &mut theta_load, ch, Some((m, pmin)), 0.0);
+            usage.add(ch, Some((m, pmin)), 0.0);
         }
         // VLB usage: rate (θ·d − m) spread draw-proportionally.
         if n_vlb > 0.0 {
@@ -616,7 +627,7 @@ fn build_draw_proportional(
                     }
                     for &(ch, u) in &st.combo_usage[c1][c2] {
                         let pv = weight * u / n_vlb;
-                        add_usage(&mut chan_rows, &mut theta_load, ch, Some((m, -pv)), d * pv);
+                        usage.add(ch, Some((m, -pv)), d * pv);
                     }
                 }
             }
@@ -624,13 +635,7 @@ fn build_draw_proportional(
             // No VLB candidates at all: everything rides MIN.
             for &(ch, u) in &st.min_usage {
                 let pmin = u / st.min_count;
-                add_usage(
-                    &mut chan_rows,
-                    &mut theta_load,
-                    ch,
-                    Some((m, -pmin)),
-                    d * pmin,
-                );
+                usage.add(ch, Some((m, -pmin)), d * pmin);
             }
         }
     }
@@ -642,8 +647,8 @@ fn build_draw_proportional(
     // Keep the full usage map around when the caller wants the primal
     // loads: capacity-row assembly prunes and deduplicates, but the primal
     // view reports every used channel.
-    let full_usage = keep_usage.then(|| (chan_rows.clone(), theta_load.clone()));
-    let row_channels = add_capacity_rows(&mut lp, theta, chan_rows, theta_load, demand_bound);
+    let full_usage = keep_usage.then(|| usage.clone());
+    let row_channels = add_capacity_rows(&mut lp, theta, usage, demand_bound);
     for &(_, ch) in &row_channels {
         row_keys.push(RowKey::Capacity(ch));
     }
@@ -743,21 +748,16 @@ fn solve_draw_proportional_full(
     let sol = solve_build(&build, warm)?;
     let theta = build.theta;
     if let Some(out) = primal_out {
-        let (rows, tload) = build.full_usage.as_ref().expect("usage kept for primal");
+        let usage = build.full_usage.as_ref().expect("usage kept for primal");
         out.min_rates = build.m_vars.iter().map(|&m| sol.value(m)).collect();
-        let mut channels: Vec<u32> = rows.keys().chain(tload.keys()).copied().collect();
-        channels.sort_unstable();
-        channels.dedup();
-        out.channel_load = channels
-            .into_iter()
+        out.channel_load = usage
+            .channels()
             .map(|ch| {
-                let mut load = tload.get(&ch).copied().unwrap_or(0.0) * sol.value(theta);
-                if let Some(terms) = rows.get(&ch) {
-                    for &(v, c) in terms {
-                        load += c * sol.value(v);
-                    }
+                let mut load = usage.theta[ch].unwrap_or(0.0) * sol.value(theta);
+                for &(v, c) in &usage.rows[ch] {
+                    load += c * sol.value(v);
                 }
-                (ChannelId(ch), load)
+                (ChannelId(ch as u32), load)
             })
             .collect();
     }
@@ -794,8 +794,7 @@ fn solve_monotone(
     let theta = lp.add_var(1.0);
     lp.add_constraint(&[(theta, 1.0)], Relation::Le, 1.0);
 
-    let mut chan_rows: HashMap<u32, Vec<(tugal_lp::VarId, f64)>> = HashMap::new();
-    let mut theta_load: HashMap<u32, f64> = HashMap::new();
+    let mut usage = ChannelUsage::default();
 
     for (&(_, _, flows), st) in demands.iter().zip(stats) {
         let d = flows as f64;
@@ -851,22 +850,16 @@ fn solve_monotone(
         // MIN usage for rate (θ·d − Σ v_c).
         for &(ch, u) in &st.min_usage {
             let pmin = u / st.min_count;
-            add_usage(&mut chan_rows, &mut theta_load, ch, None, d * pmin);
+            usage.add(ch, None, d * pmin);
             for &v in &vs {
-                add_usage(&mut chan_rows, &mut theta_load, ch, Some((v, -pmin)), 0.0);
+                usage.add(ch, Some((v, -pmin)), 0.0);
             }
         }
         // Per-class VLB usage.
         for (k, &h) in classes.iter().enumerate() {
             for (&ch, &u) in &class_usage[h] {
                 let p = u / class_n[h];
-                add_usage(
-                    &mut chan_rows,
-                    &mut theta_load,
-                    ChannelId(ch),
-                    Some((vs[k], p)),
-                    0.0,
-                );
+                usage.add(ChannelId(ch), Some((vs[k], p)), 0.0);
             }
         }
     }
@@ -875,7 +868,7 @@ fn solve_monotone(
         .iter()
         .map(|&(_, _, f)| f as f64)
         .fold(0.0, f64::max);
-    let _ = add_capacity_rows(&mut lp, theta, chan_rows, theta_load, demand_bound);
+    let _ = add_capacity_rows(&mut lp, theta, usage, demand_bound);
     lp.set_max_iterations(400_000);
     // The monotone ablation shares no variable key space with the
     // draw-proportional programs, so it always solves cold; it still
@@ -902,29 +895,22 @@ fn solve_monotone(
 fn add_capacity_rows(
     lp: &mut LinearProgram,
     theta: tugal_lp::VarId,
-    chan_rows: HashMap<u32, Vec<(tugal_lp::VarId, f64)>>,
-    theta_load: HashMap<u32, f64>,
+    mut usage: ChannelUsage,
     demand_bound: f64,
 ) -> Vec<(usize, u32)> {
     let mut row_channels = Vec::new();
-    let mut channels: Vec<u32> = chan_rows.keys().chain(theta_load.keys()).copied().collect();
-    channels.sort_unstable();
-    channels.dedup();
-
-    let mut seen: HashMap<Vec<(usize, u64)>, ()> = HashMap::new();
-    for ch in channels {
+    let mut seen: HashSet<Vec<(usize, u64)>> = HashSet::new();
+    for ch in 0..usage.rows.len() {
+        let terms = &mut usage.rows[ch];
         let mut merged: Vec<(tugal_lp::VarId, f64)> = Vec::new();
-        if let Some(terms) = chan_rows.get(&ch) {
-            let mut terms = terms.clone();
-            terms.sort_unstable_by_key(|&(v, _)| v.0);
-            for (v, c) in terms {
-                match merged.last_mut() {
-                    Some((lv, lc)) if *lv == v => *lc += c,
-                    _ => merged.push((v, c)),
-                }
+        terms.sort_unstable_by_key(|&(v, _)| v.0);
+        for &(v, c) in terms.iter() {
+            match merged.last_mut() {
+                Some((lv, lc)) if *lv == v => *lc += c,
+                _ => merged.push((v, c)),
             }
         }
-        if let Some(&tl) = theta_load.get(&ch) {
+        if let Some(tl) = usage.theta[ch] {
             if tl != 0.0 {
                 merged.push((theta, tl));
             }
@@ -966,7 +952,7 @@ fn add_capacity_rows(
             .iter()
             .map(|&(v, c)| (v.0, (c * 1e12).round() as i64 as u64))
             .collect();
-        if seen.insert(key, ()).is_none() {
+        if seen.insert(key) {
             // Deterministic micro-perturbation of the rhs breaks the heavy
             // degeneracy of the symmetric topology (many channel rows would
             // otherwise tie in every ratio test, stalling the simplex).
@@ -985,7 +971,7 @@ fn add_capacity_rows(
                 .wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
             let hu = (h >> 11) as f64 / (1u64 << 53) as f64;
             let rhs = 1.0 + 1e-4 * (0.5 + 0.5 * hu);
-            row_channels.push((lp.num_constraints(), ch));
+            row_channels.push((lp.num_constraints(), ch as u32));
             lp.add_constraint(&merged, Relation::Le, rhs);
         }
     }

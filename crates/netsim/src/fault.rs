@@ -39,15 +39,9 @@ impl FaultSchedule {
 
     /// All of `faults` dead from `cycle` onwards.
     pub fn at(cycle: u64, faults: FaultSet) -> Self {
-        Self::default().and_at(cycle, faults)
-    }
-
-    /// Adds another event (builder style); events are kept sorted by
-    /// cycle, ties in insertion order.
-    pub fn and_at(mut self, cycle: u64, faults: FaultSet) -> Self {
-        self.events.push(FaultEvent { cycle, faults });
-        self.events.sort_by_key(|e| e.cycle);
-        self
+        FaultSchedule {
+            events: vec![FaultEvent { cycle, faults }],
+        }
     }
 
     /// True when no event kills anything (the engine then skips all fault

@@ -207,13 +207,6 @@ impl Dragonfly {
         self.arrangement_name
     }
 
-    /// Parallel copies of each global cable (`1` unless built through
-    /// [`Dragonfly::with_shape`] with a larger lag).
-    #[inline]
-    pub fn global_lag(&self) -> u32 {
-        self.global_lag
-    }
-
     /// Shape-identity suffix for digests and cache keys: the empty string
     /// for the default shape (absolute arrangement, `global_lag = 1`) —
     /// keeping historical keys byte-identical — otherwise
