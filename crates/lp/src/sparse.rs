@@ -10,9 +10,16 @@
 //!   nonzero count (unit slack and artificial columns first, dense columns
 //!   such as the path-rate LP's θ last) with partial pivoting, and each
 //!   column is eliminated over its nonzeros only; a basis the candidates
-//!   cannot fill is completed with unit columns chosen in candidate order
-//!   (see `Elimination::factorize`), so the ordering never changes which
-//!   unit columns complete a basis;
+//!   cannot fill is completed with the unit columns a candidate-order
+//!   elimination would choose (see `Elimination::factorize`), so the
+//!   ordering never changes which unit columns complete a basis;
+//! * that choice is made by `choose_basis`, an elimination that keeps
+//!   only what the choice reads: which rows are pivoted, and L.  Unit
+//!   columns on unpivoted rows cost no arithmetic, rows pivoted without an
+//!   L column drop out, and the live rows are kept ordered so that each L
+//!   column is one dense suffix, applied as a branch-free axpy.  It picks
+//!   the same columns in the same order as the full elimination, at a
+//!   quarter to a third of its cost;
 //! * **FTRAN** (`B z = a`) and **BTRAN** (`Bᵀ y = c_B`) solve against the
 //!   LU factors and replay the eta file (forward after the factors for
 //!   FTRAN, in reverse before them for BTRAN), so a pivot costs O(nnz)
@@ -274,8 +281,8 @@ impl Instance {
         // flips the row's sign and relation.
         let mut rels = Vec::with_capacity(m);
         let mut b = Vec::with_capacity(m);
-        let mut col_entries: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for (i, c) in lp.constraints.iter().enumerate() {
+        let mut signs = Vec::with_capacity(m);
+        for c in &lp.constraints {
             let flip = c.rhs < 0.0;
             let sign = if flip { -1.0 } else { 1.0 };
             let rel = match (flip, c.rel) {
@@ -286,26 +293,57 @@ impl Instance {
             };
             rels.push(rel);
             b.push(sign * c.rhs);
+            signs.push(sign);
+        }
+
+        // The structural CSC in two passes: count each column's terms, then
+        // fill the columns row by row.  Entries arrive in ascending row, so
+        // a variable repeated within a row meets its own last entry and is
+        // summed into it in insertion order (same contract as the dense
+        // oracle's tableau accumulation); entries that sum to zero and the
+        // slots merging freed are squeezed out afterwards.
+        let mut col_ptr = vec![0; n + 1];
+        for c in &lp.constraints {
             for &(v, coef) in &c.terms {
-                if coef != 0.0 {
-                    col_entries[v].push((i, sign * coef));
+                col_ptr[v + 1] += usize::from(coef != 0.0);
+            }
+        }
+        for j in 0..n {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut row_idx = vec![0; col_ptr[n]];
+        let mut vals = vec![0.0; col_ptr[n]];
+        let mut end = col_ptr[..n].to_vec();
+        for (i, (c, sign)) in lp.constraints.iter().zip(&signs).enumerate() {
+            for &(v, coef) in &c.terms {
+                if coef == 0.0 {
+                    continue;
+                }
+                let e = end[v];
+                if e > col_ptr[v] && row_idx[e - 1] == i {
+                    vals[e - 1] += sign * coef;
+                } else {
+                    row_idx[e] = i;
+                    vals[e] = sign * coef;
+                    end[v] += 1;
                 }
             }
         }
-        // Repeated variables within a row are summed (same contract as the
-        // dense oracle's tableau accumulation).
-        for col in &mut col_entries {
-            col.sort_unstable_by_key(|e| e.0);
-            let mut merged: Vec<(usize, f64)> = Vec::with_capacity(col.len());
-            for &(r, v) in col.iter() {
-                match merged.last_mut() {
-                    Some(last) if last.0 == r => last.1 += v,
-                    _ => merged.push((r, v)),
+        let mut kept = 0;
+        for j in 0..n {
+            for e in col_ptr[j]..end[j] {
+                if vals[e] != 0.0 {
+                    row_idx[kept] = row_idx[e];
+                    vals[kept] = vals[e];
+                    kept += 1;
                 }
             }
-            merged.retain(|&(_, v)| v != 0.0);
-            *col = merged;
+            // `col_ptr` keeps the old starts until every column is moved.
+            end[j] = kept;
         }
+        col_ptr[1..].copy_from_slice(&end);
+        row_idx.truncate(kept);
+        vals.truncate(kept);
 
         let mut slack_of_row = vec![usize::MAX; m];
         let mut art_of_row = vec![usize::MAX; m];
@@ -325,17 +363,9 @@ impl Instance {
         }
         let total = next;
 
-        let mut col_ptr = Vec::with_capacity(total + 1);
-        let mut row_idx = Vec::new();
-        let mut vals = Vec::new();
-        col_ptr.push(0);
-        for col in &col_entries {
-            for &(r, v) in col {
-                row_idx.push(r);
-                vals.push(v);
-            }
-            col_ptr.push(row_idx.len());
-        }
+        col_ptr.reserve_exact(total - n);
+        row_idx.reserve_exact(total - n);
+        vals.reserve_exact(total - n);
         for (i, rel) in rels.iter().enumerate() {
             match rel {
                 Relation::Le => {
@@ -563,8 +593,6 @@ struct Elimination<'a> {
     /// membership flags.
     pattern: Vec<usize>,
     in_pattern: Vec<bool>,
-    /// Whether U is recorded.  Choosing a completion set needs only L.
-    keep_u: bool,
     /// Scratch: the per-row fill cursor of U's transpose, and the
     /// (nonzero count, candidate index) elimination order.
     cursor: Vec<usize>,
@@ -585,7 +613,6 @@ impl<'a> Elimination<'a> {
             in_pattern: vec![false; m],
             cursor: Vec::with_capacity(m),
             keyed: Vec::with_capacity(m),
-            keep_u: true,
         }
     }
 
@@ -666,8 +693,7 @@ impl<'a> Elimination<'a> {
                 }
                 match self.pos_of_row[i] {
                     usize::MAX => lu.lcols.push((i, v / piv)),
-                    j if self.keep_u => lu.ucols.push((j, v)),
-                    _ => {}
+                    j => lu.ucols.push((j, v)),
                 }
             }
             if lu.lcols.len() > l_start {
@@ -751,9 +777,9 @@ impl<'a> Elimination<'a> {
     /// Factorizes a basis chosen from `candidates`, repairing rank
     /// deficiency: dependent and repeated candidates are skipped, and
     /// every row left unpivoted is filled with its own slack (preferred)
-    /// or artificial column.  On success the factors are in `self.lu`
-    /// and the basis, position by position, in `self.basis`; false means
-    /// no nonsingular completion was found.
+    /// or artificial column.  The factors are left in `self.lu` and the
+    /// basis, position by position, in `self.basis`.  Every row owns a
+    /// slack or an artificial column, so a completion always exists.
     ///
     /// **Order.**  Columns are eliminated in ascending nonzero count (ties
     /// keep candidate order), and partial pivoting picks the rows.  Unit
@@ -767,46 +793,234 @@ impl<'a> Elimination<'a> {
     /// **Completion.**  Which rows stay unpivoted for the completion
     /// depends on the elimination order, and the completion decides which
     /// slack or artificial columns join the basis.  So when the
-    /// candidates alone do not fill the basis, the set is chosen as an
-    /// elimination in candidate order would choose it, and only then
-    /// factorized in count order.  The basis *set* is therefore the one a
-    /// candidate-order factorization gives whenever a completion is
+    /// candidates alone do not fill the basis, [`choose_basis`] picks the
+    /// set an elimination in candidate order would pick, and only then is
+    /// it factorized in count order.  The basis *set* is therefore the one
+    /// a candidate-order factorization gives whenever a completion is
     /// needed or the candidates are independent, as the canonical final
     /// support always is: warm starts repair the same rows, and the
     /// canonical final basis (see [`Solver::finalize`]) is unchanged.
     /// Ordering the completion as well moved the rows of degenerate warm
-    /// starts and lengthened fault-chain re-solves.
-    ///
-    /// The candidate-order elimination runs in a workspace of its own,
-    /// freed once it has chosen the set: in candidate order θ can come
-    /// first and fill in every later column, and its factors would
-    /// otherwise stay allocated for the rest of the solve.
-    fn factorize(&mut self, candidates: &[usize]) -> bool {
+    /// starts and lengthened fault-chain re-solves.  Fewer candidates than
+    /// rows cannot fill the basis, so they go to the chooser directly.
+    fn factorize(&mut self, candidates: &[usize]) {
         self.reset();
-        self.take_by_count(candidates);
-        if !self.full() {
-            let mut chosen = Elimination::new(self.inst);
-            chosen.keep_u = false;
-            chosen.reset();
-            chosen.take(candidates);
-            chosen.complete();
-            if !chosen.full() {
-                return false;
+        if candidates.len() >= self.inst.m {
+            self.take_by_count(candidates);
+            if self.full() {
+                self.lu.transpose_u(&mut self.cursor);
+                return;
             }
             self.reset();
-            self.take_by_count(&chosen.basis);
-            if !self.full() {
-                // A set independent in one order is independent in any;
-                // this only guards against a pivot falling under `LU_EPS`
-                // in the new order, and keeps the candidate-order factors.
-                self.reset();
-                self.take(candidates);
-                self.complete();
-            }
+        }
+        let chosen = choose_basis(self.inst, candidates);
+        self.take_by_count(&chosen);
+        if !self.full() {
+            // A set independent in one order is independent in any; this
+            // only guards against a pivot falling under `LU_EPS` in the
+            // new order, and keeps the candidate-order factors.
+            self.reset();
+            self.take(candidates);
+            self.complete();
         }
         self.lu.transpose_u(&mut self.cursor);
-        true
     }
+}
+
+/// A [`Chooser`] row pivoted by a column that added no L column.
+const DEAD: usize = usize::MAX;
+
+/// The workspace of [`choose_basis`]: an elimination in candidate order
+/// that keeps only what the choice reads, namely which rows are pivoted
+/// and the L columns, never U.
+///
+/// The rows still live are kept permuted as [pivot rows of the L
+/// columns, in order | unpivoted rows].  L column `t` has entries only on
+/// rows that were unpivoted when it was made, which are the live
+/// positions after `t`, so it is stored dense as the suffix from position
+/// `t + 1` and applied as one branch-free axpy.  A row pivoted by a
+/// column that adds no L column is dead and leaves the live set: no
+/// multiplier is read there, no later L entry is written there, and the
+/// pivot search skips it, so a column's entries on it are dropped.  Live
+/// positions only shrink, so each L column stores only the positions live
+/// when it was made.
+struct Chooser<'a> {
+    inst: &'a Instance,
+    /// Row → live position, or [`DEAD`].
+    pos_of_row: Vec<usize>,
+    /// Live position → row.
+    row_at: Vec<usize>,
+    /// Number of L columns; positions `..nl` hold their pivot rows.
+    nl: usize,
+    /// Number of live positions; `nl..live` are the unpivoted rows.
+    live: usize,
+    /// L column `t` holds positions `t..` of the live range at its
+    /// making, position `p` at `lcols[lstart[t] + p - t]`; it is read at
+    /// positions `t + 1..live`.
+    lcols: Vec<f64>,
+    lstart: Vec<usize>,
+    /// Dense scatter of the column being offered, by live position; zero
+    /// between offers.
+    x: Vec<f64>,
+    /// Column → already accepted?
+    used: Vec<bool>,
+    /// The accepted columns, in order.
+    basis: Vec<usize>,
+}
+
+impl Chooser<'_> {
+    /// Swaps live positions `a` and `b`, in the L columns too.
+    fn swap(&mut self, a: usize, b: usize) {
+        for (t, &s) in self.lstart.iter().enumerate() {
+            self.lcols.swap(s + a - t, s + b - t);
+        }
+        self.row_at.swap(a, b);
+        self.pos_of_row[self.row_at[a]] = a;
+        self.pos_of_row[self.row_at[b]] = b;
+    }
+
+    /// Offers `col` as `Elimination::try_col(col, None)` would: unless it
+    /// was accepted already or is dependent, it pivots on its unpivoted
+    /// row of largest magnitude after elimination, the lowest row on
+    /// ties.  The tie-break compares rows explicitly, because the
+    /// unpivoted block is not in row order.
+    ///
+    /// Each entry receives its updates in ascending `t`, as in `try_col`.
+    /// A term `try_col` skips has a zero factor here, which changes at
+    /// most the sign of a zero, and values are read only through `abs`
+    /// and `!= 0`.  A column whose live entries are all unpivoted meets
+    /// no L column (each reads its multiplier at a pivoted row), so it
+    /// costs no arithmetic and no dense scan.
+    fn offer(&mut self, col: usize) {
+        if self.used[col] {
+            return;
+        }
+        let (nl, live) = (self.nl, self.live);
+        let (rs, vs) = self.inst.col(col);
+        let x = &mut self.x;
+        let pos_of_row = &self.pos_of_row;
+        let row_at = &self.row_at;
+        let entries = || rs.iter().map(|&r| pos_of_row[r]).filter(|&p| p != DEAD);
+        let mut t0 = live;
+        for (&r, &v) in rs.iter().zip(vs) {
+            let p = pos_of_row[r];
+            if p != DEAD {
+                x[p] = v;
+                t0 = t0.min(p);
+            }
+        }
+        let filled = t0 < nl;
+        if filled {
+            for t in t0..nl {
+                let v = x[t];
+                if v != 0.0 {
+                    let s = self.lstart[t];
+                    let l = &self.lcols[s + 1..s + live - t];
+                    for (xi, &li) in x[t + 1..live].iter_mut().zip(l) {
+                        *xi -= v * li;
+                    }
+                }
+            }
+        }
+        // The pivot search, counting the nonzero unpivoted entries: the
+        // column adds an L column when the pivot is not the only one.
+        let mut best = DEAD;
+        let mut best_abs = 0.0;
+        let mut nonzeros = 0;
+        let mut consider = |p: usize| {
+            let a = x[p].abs();
+            if a > best_abs || (a == best_abs && best != DEAD && row_at[p] < row_at[best]) {
+                best_abs = a;
+                best = p;
+            }
+            nonzeros += usize::from(x[p] != 0.0);
+        };
+        if filled {
+            (nl..live).for_each(&mut consider);
+        } else {
+            entries().for_each(&mut consider);
+        }
+        let accepted = best != DEAD && best_abs > LU_EPS;
+        let adds_l = accepted && nonzeros > 1;
+        if adds_l {
+            let piv = x[best];
+            let s = self.lcols.len();
+            self.lstart.push(s);
+            self.lcols.resize(s + live - nl, 0.0);
+            let l = &mut self.lcols[s..];
+            if filled {
+                for (li, &xp) in l.iter_mut().zip(&x[nl..live]) {
+                    *li = xp / piv;
+                }
+            } else {
+                for p in entries() {
+                    l[p - nl] = x[p] / piv;
+                }
+            }
+        }
+        if filled {
+            x[t0..live].fill(0.0);
+        } else {
+            for p in entries() {
+                x[p] = 0.0;
+            }
+        }
+        if accepted {
+            if adds_l {
+                self.swap(best, nl);
+                self.nl += 1;
+            } else {
+                self.live -= 1;
+                self.swap(best, self.live);
+                self.pos_of_row[self.row_at[self.live]] = DEAD;
+            }
+            self.used[col] = true;
+            self.basis.push(col);
+        }
+    }
+}
+
+/// Chooses the basis that `Elimination::take(candidates)` followed by
+/// `Elimination::complete` would choose, position by position, at a
+/// fraction of its cost (see [`Chooser`]).
+///
+/// A unit column on an unpivoted row always pivots there, so the
+/// completion gives each row left unpivoted its own slack, else its
+/// artificial, in row order; that fills the basis, and `complete`'s
+/// mop-up pass never adds a column.
+fn choose_basis(inst: &Instance, candidates: &[usize]) -> Vec<usize> {
+    let m = inst.m;
+    let mut ch = Chooser {
+        inst,
+        pos_of_row: (0..m).collect(),
+        row_at: (0..m).collect(),
+        nl: 0,
+        live: m,
+        lcols: Vec::new(),
+        lstart: Vec::new(),
+        x: vec![0.0; m],
+        used: vec![false; inst.total],
+        basis: Vec::with_capacity(m),
+    };
+    for &c in candidates {
+        if ch.basis.len() == m {
+            break;
+        }
+        ch.offer(c);
+    }
+    for r in 0..m {
+        let p = ch.pos_of_row[r];
+        if p != DEAD && p >= ch.nl {
+            let unit = if inst.slack_of_row[r] != usize::MAX {
+                inst.slack_of_row[r]
+            } else {
+                inst.art_of_row[r]
+            };
+            debug_assert!(!ch.used[unit], "a used unit column left its row unpivoted");
+            ch.basis.push(unit);
+        }
+    }
+    ch.basis
 }
 
 /// The eta file: one rank-one basis update per pivot since the last
@@ -968,13 +1182,10 @@ struct Solver<'a> {
 
 impl<'a> Solver<'a> {
     /// Factorizes a basis chosen from `candidates` (see
-    /// [`Elimination::factorize`]); `None` when no nonsingular completion
-    /// is found.
-    fn new(inst: &'a Instance, candidates: &[usize], budget: usize) -> Option<Solver<'a>> {
+    /// [`Elimination::factorize`]).
+    fn new(inst: &'a Instance, candidates: &[usize], budget: usize) -> Solver<'a> {
         let mut elim = Elimination::new(inst);
-        if !elim.factorize(candidates) {
-            return None;
-        }
+        elim.factorize(candidates);
         let m = inst.m;
         let mut s = Solver {
             inst,
@@ -1001,7 +1212,7 @@ impl<'a> Solver<'a> {
             crossings: Vec::with_capacity(m),
         };
         s.adopt();
-        Some(s)
+        s
     }
 
     /// Makes the factorization just built in `elim` current: counts it,
@@ -1073,7 +1284,7 @@ impl<'a> Solver<'a> {
 
     /// Pivots column `enter`, whose FTRAN image is in `self.w`, into slot
     /// `l` at step `t`.
-    fn apply_pivot(&mut self, l: usize, enter: usize, t: f64) -> Result<(), SolveError> {
+    fn apply_pivot(&mut self, l: usize, enter: usize, t: f64) {
         for (x, &wi) in self.xb.iter_mut().zip(&self.w) {
             if wi != 0.0 {
                 *x -= t * wi;
@@ -1086,20 +1297,16 @@ impl<'a> Solver<'a> {
         self.etas.push(l, &self.w);
         self.pivots += 1;
         if self.etas.len() >= ETA_LIMIT {
-            self.refactorize()?;
+            self.refactorize();
         }
-        Ok(())
     }
 
-    fn refactorize(&mut self) -> Result<(), SolveError> {
+    fn refactorize(&mut self) {
         // The old factors are not needed to build the new ones; freeing
         // them first keeps one set alive at a time.
         self.lu = Lu::default();
-        if !self.elim.factorize(&self.basis) {
-            return Err(SolveError::IterationLimit);
-        }
+        self.elim.factorize(&self.basis);
         self.adopt();
-        Ok(())
     }
 
     /// Primal simplex iterations until optimality for `cost`.  Phase 1
@@ -1176,7 +1383,7 @@ impl<'a> Solver<'a> {
                     }
                 }
                 if guard != usize::MAX {
-                    self.apply_pivot(guard, enter, 0.0)?;
+                    self.apply_pivot(guard, enter, 0.0);
                     continue;
                 }
             }
@@ -1250,7 +1457,7 @@ impl<'a> Solver<'a> {
             let Some(l) = leave else {
                 return Err(SolveError::Unbounded);
             };
-            self.apply_pivot(l, enter, best_ratio)?;
+            self.apply_pivot(l, enter, best_ratio);
             let obj = self.objective_of(cost);
             if (obj - last_obj).abs() <= 1e-9 * (1.0 + last_obj.abs()) {
                 stall += 1;
@@ -1318,9 +1525,7 @@ impl<'a> Solver<'a> {
                 }
             }
             if guard != usize::MAX {
-                if self.apply_pivot(guard, enter, 0.0).is_err() {
-                    return;
-                }
+                self.apply_pivot(guard, enter, 0.0);
                 continue;
             }
             let mut leave: Option<usize> = None;
@@ -1342,9 +1547,7 @@ impl<'a> Solver<'a> {
             let Some(l) = leave else {
                 return;
             };
-            if self.apply_pivot(l, enter, best_ratio).is_err() {
-                return;
-            }
+            self.apply_pivot(l, enter, best_ratio);
         }
     }
 
@@ -1441,7 +1644,7 @@ impl<'a> Solver<'a> {
                 return Ok(false);
             }
             let t = self.xb[leave] / w[leave];
-            self.apply_pivot(leave, enter, t)?;
+            self.apply_pivot(leave, enter, t);
         }
         Ok(false)
     }
@@ -1593,7 +1796,7 @@ impl<'a> Solver<'a> {
             if w[l].abs() <= PIVOT_EPS {
                 return Ok(false);
             }
-            self.apply_pivot(l, enter, t)?;
+            self.apply_pivot(l, enter, t);
         }
         Ok(false)
     }
@@ -1635,7 +1838,7 @@ impl<'a> Solver<'a> {
                 if dot.abs() > PIVOT_EPS {
                     self.ftran_col(j);
                     if self.w[slot].abs() > 0.5 * PIVOT_EPS {
-                        self.apply_pivot(slot, j, 0.0)?;
+                        self.apply_pivot(slot, j, 0.0);
                         break;
                     }
                 }
@@ -1664,9 +1867,7 @@ impl<'a> Solver<'a> {
             .collect();
         sorted.sort_unstable();
         self.lu = Lu::default();
-        if !self.elim.factorize(&sorted) {
-            return Err(SolveError::IterationLimit);
-        }
+        self.elim.factorize(&sorted);
         self.adopt();
         let mut values = vec![0.0; inst.n];
         let mut objective = 0.0;
@@ -1732,9 +1933,7 @@ fn try_warm(
             _ => {}
         }
     }
-    let Some(mut s) = Solver::new(inst, &cands, budget) else {
-        return Ok(None);
-    };
+    let mut s = Solver::new(inst, &cands, budget);
     s.prefer = vec![false; inst.total];
     for &c in &cands {
         s.prefer[c] = true;
@@ -1784,7 +1983,7 @@ fn solve(lp: &LinearProgram, warm: Option<&WarmStart>) -> Result<SparseSolution,
             }
         })
         .collect();
-    let mut s = Solver::new(&inst, &cands, budget).ok_or(SolveError::IterationLimit)?;
+    let mut s = Solver::new(&inst, &cands, budget);
     s.phase1()?;
     let cost = inst.cost.clone();
     s.optimize(&cost, false)?;
@@ -2068,7 +2267,7 @@ mod tests {
             cands.extend(3..3 + m / 2);
             cands.extend([dep_col, 1, 0]);
             let mut f = Elimination::new(&inst);
-            assert!(f.factorize(&cands), "slack/artificial completion");
+            f.factorize(&cands);
             assert_eq!(f.basis.len(), m);
             let mut seen = f.basis.clone();
             seen.sort_unstable();
@@ -2084,6 +2283,165 @@ mod tests {
                 assert!(rb <= 1e-9, "seed {seed}: BTRAN residual {rb:e}");
             }
         }
+    }
+
+    /// The basis a candidate-order elimination with U picks:
+    /// `Elimination::take` and then `complete`, the oracle of
+    /// [`choose_basis`].
+    fn candidate_order_choice(inst: &Instance, cands: &[usize]) -> Vec<usize> {
+        let mut f = Elimination::new(inst);
+        f.reset();
+        f.take(cands);
+        f.complete();
+        f.basis
+    }
+
+    /// A seeded program shaped like a Step-1 path-rate LP: column 0 is a
+    /// θ touching nearly every row, demand rows (`=` or `≥`) carry one
+    /// path's `1` each, capacity rows (`≤`) carry paths' `±1` or `2`, and
+    /// θ's coefficients come from a short list, so pivot magnitudes tie
+    /// often.  Returns the program and its structural column count; the
+    /// last structurals are an exact copy of one path and the sum of two.
+    fn step1_shaped(rng: &mut Mix) -> (LinearProgram, usize) {
+        let m = 6 + rng.below(60);
+        let demands = 1 + m / 3;
+        let paths = 2 + rng.below(m + m / 2);
+        let mut cols: Vec<Vec<(usize, f64)>> = Vec::new();
+        let theta_coefs = [-1.0, -2.0, 1.0, 0.5, -1.0];
+        cols.push(
+            (0..m)
+                .filter_map(|r| {
+                    let v = theta_coefs[rng.below(theta_coefs.len())];
+                    (rng.below(8) != 0).then_some((r, v))
+                })
+                .collect(),
+        );
+        for _ in 0..paths {
+            let mut col = vec![(rng.below(demands), 1.0)];
+            for _ in 0..rng.below(5) {
+                let r = demands + rng.below(m - demands);
+                let v = [1.0, -1.0, 2.0][rng.below(3)];
+                if col.iter().all(|e| e.0 != r) {
+                    col.push((r, v));
+                }
+            }
+            cols.push(col);
+        }
+        let copy = cols[1].clone();
+        let mut sum = cols[1].clone();
+        for &(r, v) in &cols[2] {
+            match sum.iter_mut().find(|e| e.0 == r) {
+                Some(e) => e.1 += v,
+                None => sum.push((r, v)),
+            }
+        }
+        cols.push(copy);
+        cols.push(sum);
+        let mut p = LinearProgram::new();
+        let vars: Vec<VarId> = cols.iter().map(|_| p.add_var(0.0)).collect();
+        let mut rows: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); m];
+        for (v, col) in vars.iter().zip(&cols) {
+            for &(r, a) in col {
+                rows[r].push((*v, a));
+            }
+        }
+        for (r, row) in rows.iter().enumerate() {
+            let rel = if r >= demands {
+                Relation::Le
+            } else if rng.below(2) == 0 {
+                Relation::Eq
+            } else {
+                Relation::Ge
+            };
+            p.add_constraint(row, rel, 1.0);
+        }
+        (p, cols.len())
+    }
+
+    #[test]
+    fn chooser_matches_candidate_order_elimination() {
+        // Lists shorter than `m`, and lists at least `m` long whose
+        // choice still needs unit columns they do not name.
+        let (mut short, mut long_completed) = (0, 0);
+        for seed in 0..300u64 {
+            let mut rng = Mix(seed);
+            let (p, n) = step1_shaped(&mut rng);
+            let inst = Instance::build(&p);
+            for _ in 0..4 {
+                // θ first, then structurals ascending with some left out
+                // and some repeated, as canonical supports and carried
+                // warm bases list them; then unit columns, some on rows
+                // the structurals pivot and some interleaved.
+                let mut cands = vec![0];
+                for j in 1..n {
+                    if rng.below(3) != 0 {
+                        cands.push(j);
+                    }
+                    if rng.below(10) == 0 {
+                        cands.push(1 + rng.below(j));
+                    }
+                }
+                for _ in 0..rng.below(inst.m) {
+                    let unit = inst.n + rng.below(inst.total - inst.n);
+                    let at = rng.below(cands.len() + 1);
+                    cands.insert(at, unit);
+                }
+                if rng.below(4) == 0 {
+                    // A list at least `m` long, which mostly still needs
+                    // completing.
+                    let more: Vec<usize> = (0..inst.m).map(|_| rng.below(n)).collect();
+                    cands.extend(more);
+                }
+                let want = candidate_order_choice(&inst, &cands);
+                assert_eq!(want.len(), inst.m);
+                assert_eq!(
+                    choose_basis(&inst, &cands),
+                    want,
+                    "seed {seed}: candidates {cands:?}"
+                );
+                if cands.len() < inst.m {
+                    short += 1;
+                } else if want.iter().any(|c| !cands.contains(c)) {
+                    long_completed += 1;
+                }
+            }
+        }
+        assert!(
+            short > 100 && long_completed > 100,
+            "{short} {long_completed}"
+        );
+    }
+
+    #[test]
+    fn instance_sums_repeated_terms_in_insertion_order() {
+        let mut p = LinearProgram::new();
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        let z = p.add_var(0.0);
+        // In insertion order (1e16 + 1) − 1e16 rounds to 0, so x leaves
+        // row 0; summed in any other order it reads 1.
+        p.add_constraint(
+            &[(x, 1e16), (y, 2.0), (x, 1.0), (x, -1e16)],
+            Relation::Le,
+            4.0,
+        );
+        // A negative rhs flips the row, and y's terms cancel.
+        p.add_constraint(
+            &[(y, 1.0), (x, 3.0), (y, -1.0), (z, 0.0)],
+            Relation::Ge,
+            -1.0,
+        );
+        p.add_constraint(&[(z, 0.5), (x, 1.0), (z, 0.25)], Relation::Eq, 2.0);
+        let inst = Instance::build(&p);
+        assert_eq!(inst.col(0), (&[1, 2][..], &[-3.0, 1.0][..]));
+        assert_eq!(inst.col(1), (&[0][..], &[2.0][..]));
+        assert_eq!(inst.col(2), (&[2][..], &[0.75][..]));
+        // Row 1 became a `≤` row: slacks of rows 0 and 1, then row 2's
+        // artificial.
+        assert_eq!(inst.col(3), (&[0][..], &[1.0][..]));
+        assert_eq!(inst.col(4), (&[1][..], &[1.0][..]));
+        assert_eq!(inst.col(5), (&[2][..], &[1.0][..]));
+        assert_eq!((inst.total, inst.b.as_slice()), (6, &[4.0, 1.0, 2.0][..]));
     }
 
     #[test]
@@ -2103,7 +2461,7 @@ mod tests {
         );
         let inst = Instance::build(&p);
         let mut f = Elimination::new(&inst);
-        assert!(f.factorize(&[0, 1, 2, 3, 1]));
+        f.factorize(&[0, 1, 2, 3, 1]);
         let mut set = f.basis.clone();
         set.sort_unstable();
         // Structurals are columns 0–3, slacks 4–6 (rows 0, 2, 3) and
@@ -2166,7 +2524,7 @@ mod tests {
             }
             let inst = Instance::build(&p);
             let slacks: Vec<usize> = (0..m).map(|r| inst.slack_of_row[r]).collect();
-            let mut s = Solver::new(&inst, &slacks, usize::MAX).unwrap();
+            let mut s = Solver::new(&inst, &slacks, usize::MAX);
             // More pivots than the eta file holds, so the replay also
             // runs across a refactorization.
             for step in 0..20 * ETA_LIMIT {
@@ -2182,7 +2540,7 @@ mod tests {
                 if s.w[l].abs() < 1e-2 {
                     continue;
                 }
-                s.apply_pivot(l, j, 0.0).unwrap();
+                s.apply_pivot(l, j, 0.0);
                 let probe = (0..inst.total).find(|&c| !s.in_basis[c]).unwrap();
                 s.ftran_col(probe);
                 s.btran_costs(&inst.cost);
